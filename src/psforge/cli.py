@@ -251,10 +251,7 @@ def cmd_split(args):
     os.makedirs(outdir, exist_ok=True)
     loops.save_loop_json(f1, os.path.join(outdir, "factor1.json"))
     loops.save_loop_json(f2, os.path.join(outdir, "factor2.json"))
-    prod = loops.multiply(f1, f2)
-    diff = {k: prod.coeff(k) - loop.coeff(k)
-            for k in set(prod.coeffs) | set(loop.coeffs)}
-    residual = float(sum(np.abs(v).sum(axis=1).max() for v in diff.values()))
+    residual = loops._residual_norm(loop.coeffs, f1.coeffs, f2.coeffs)
     _write_json({"direction": direction, "residual": residual,
                  "factor1_kmin": f1.kmin, "factor1_kmax": f1.kmax,
                  "factor2_kmin": f2.kmin, "factor2_kmax": f2.kmax},
@@ -369,9 +366,7 @@ def run_verification(field, lambdas, tolerances=None, substeps=2):
     def c_harmonicity():
         need_members()
         idx = int(np.argmin(np.abs(np.asarray(lambdas) - 1.0)))
-        lam = lambdas[idx]
-        frame = frames.integrate_frame(field, lam, substeps=substeps)
-        N = surfaces.gauss_map(frame)
+        N = surfaces.gauss_map(members[idx][0].frame)
         rep = surfaces.harmonicity_check(N, grid=field.grid)
         geom = members[idx][1]
         mask = geom.mask & sin_mask
@@ -381,8 +376,8 @@ def run_verification(field, lambdas, tolerances=None, substeps=2):
         record("harmonicity", sup, mean)
 
     def c_gauge():
-        lam = lambdas[0]
-        frame = frames.integrate_frame(field, lam, substeps=1)
+        need_members()
+        frame = members[0][0].frame
         rng = np.random.default_rng(7)
         theta = rng.uniform(-np.pi, np.pi, size=(field.grid.nx, field.grid.ny))
         n0 = surfaces.gauss_map(frame)
@@ -395,13 +390,8 @@ def run_verification(field, lambdas, tolerances=None, substeps=2):
     def c_twist():
         loop = frames.sample_frame_loop(field, pi, pj, n=32,
                                         substeps=substeps).to_laurent()
-        dev = 0.0
-        for k, c in loop.coeffs.items():
-            bad = c[loops._CROSS] if k % 2 == 0 else c[loops._BLOCK]
-            if bad.size:
-                dev = max(dev, float(np.abs(bad).max()))
-        dev = max(dev, max(float(np.abs(c.imag).max())
-                           for c in loop.coeffs.values()))
+        dev = max(loops.twist_deviation(loop),
+                  max(float(np.abs(c.imag).max()) for c in loop.coeffs.values()))
         record("twist", dev, dev)
 
     def c_split():

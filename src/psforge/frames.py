@@ -6,10 +6,12 @@ The extended frame U(x, y; lambda) solves the right-invariant system
     U^{-1} U_x = A = -phi_x E12 + lambda E23
     U^{-1} U_y = B = (1/lambda) (-sin(phi) E13 - cos(phi) E23)
 
-with U = I at the origin. Integration is classical RK4 along grid lines
-with per-step projection back onto the orthogonal group; the lambda
-derivative needed by the Sym formula is integrated jointly using the
-closed-form lambda derivatives of A and B.
+with U = I at the origin. Every ODE of psforge is integrated by one march,
+`_march`: classical RK4 along a grid line, projected back onto the group
+at every node, with the lambda derivative needed by the Sym formula
+integrated jointly from the closed-form lambda derivatives of A and B.
+Grid frames (3x3 or spinor, one lambda or a batch), frame loops on the
+unit circle and the potentials' Birkhoff-factor ODEs all call it.
 """
 
 from dataclasses import dataclass
@@ -23,7 +25,7 @@ from .numerics import deriv4, orthogonal_project, polar_project
 from .sinegordon import AngleField
 
 __all__ = [
-    "LaxPair", "ExtendedFrame", "MaurerCartanForm", "FormField",
+    "ExtendedFrame", "MaurerCartanForm", "FormField",
     "lax_matrices", "integrate_frame", "compatibility_residual",
     "maurer_cartan", "flatness_residual", "lambda_forms",
     "check_conditions_K", "gauge", "su2_frame", "sample_frame_loop",
@@ -73,19 +75,6 @@ def _lax2_B(phi, lam):
     return out
 
 
-@dataclass(frozen=True)
-class LaxPair:
-    """Callable pair (A, B) of the frame system at fixed lambda."""
-
-    lam: float
-
-    def A(self, phi_x):
-        return _lax_A(phi_x, self.lam)
-
-    def B(self, phi):
-        return _lax_B(phi, self.lam)
-
-
 def lax_matrices(phi, phi_x, lam):
     """The Lax pair (A, B) at a point; both skew for real lambda."""
     return _lax_A(phi_x, lam), _lax_B(phi, lam)
@@ -93,7 +82,10 @@ def lax_matrices(phi, phi_x, lam):
 
 @dataclass
 class ExtendedFrame:
-    """Grid of frame matrices U(x, y; lambda), optionally with dU/dlambda."""
+    """Grid of frame matrices U(x, y; lambda), optionally with dU/dlambda.
+
+    When lam is a 1-D array, U and dU carry it as a leading batch axis.
+    """
 
     grid: object
     lam: float
@@ -127,21 +119,21 @@ class _Sampler:
 
     def __init__(self, f: AngleField):
         self.f = f
-        self.g = f.grid
+        self.xs, self.ys = f.grid.xs, f.grid.ys
         if not f.analytic:
-            self._sp_phix = CubicSpline(self.g.xs, f.dphi_dx, axis=0)
-            self._sp_phi = CubicSpline(self.g.ys, f.phi, axis=1)
+            self._sp_phix = CubicSpline(self.xs, f.dphi_dx, axis=0)
+            self._sp_phi = CubicSpline(self.ys, f.phi, axis=1)
 
     def phix_at_row(self, x, j):
         """phi_x(x, y_j) for scalar x (j may be an index array)."""
         if self.f.analytic:
-            return self.f.phix_fn(x, self.g.ys[j])
+            return self.f.phix_fn(x, self.ys[j])
         return self._sp_phix(x)[j]
 
     def phi_at_col(self, i, y):
         """phi(x_i, y) for scalar y (i may be an index array)."""
         if self.f.analytic:
-            return self.f.phi_fn(self.g.xs[i], y)
+            return self.f.phi_fn(self.xs[i], y)
         return self._sp_phi(y)[i]
 
 
@@ -163,127 +155,112 @@ def _rk4_pair(u, w, coeff, dcoeff, h):
     return un, wn
 
 
-def _project(u, complex_mode):
-    return orthogonal_project(u) if complex_mode else polar_project(u)
+def _project(u):
+    """Back onto the group of the state: complex orthogonal for a 3x3
+    frame at complex lambda, nearest orthogonal/unitary otherwise."""
+    if np.iscomplexobj(u) and u.shape[-1] == 3:
+        return orthogonal_project(u)
+    return polar_project(u)
+
+
+def _march(u, w, ts, start, stop, spacing, substeps, coeff, dcoeff=None):
+    """The RK4 transport kernel: march u' = u @ coeff(t), and its lambda
+    derivative w' = w @ coeff(t) + u @ dcoeff(t) when w is given, along a
+    grid line with node coordinates ts from node start to node stop, in
+    `substeps` steps per node. u is projected at every node; yields
+    (node, u, w) per node. States may carry leading batch axes."""
+    direction = 1 if stop >= start else -1
+    h_node = direction * spacing
+    h = h_node / substeps
+    for n in range(start, stop, direction):
+        for k in range(substeps):
+            t0 = ts[n] + h_node * k / substeps
+            u, w = _rk4_pair(u, w, lambda t: coeff(t0 + t),
+                             lambda t: dcoeff(t0 + t), h)
+        u = _project(u)
+        yield n + direction, u, w
 
 
 def _check_finite(u):
     if not np.all(np.isfinite(u)):
-        raise StepFailure("frame integration produced non-finite entries")
+        raise StepFailure("RK4 transport produced non-finite entries")
+
+
+def _lax_on_line(s, lam, axis, line, spinor=False):
+    """(coeff, dcoeff/dlambda) of the Lax system on a grid line: in x at
+    the y-node(s) `line` (axis 0) or in y at the x-node(s) `line`."""
+    if np.ndim(lam) and np.ndim(line):
+        lam = lam[:, None]  # lambda batch x line batch
+    if axis == 0:
+        lax = _lax2_A if spinor else _lax_A
+        dA = E23.astype(complex if np.iscomplexobj(lam) else float)
+        return (lambda x: lax(s.phix_at_row(x, line), lam)), (lambda x: dA)
+    lax = _lax2_B if spinor else _lax_B
+    dlam = np.asarray(lam)[..., None, None]
+
+    def coeff(y):
+        return lax(s.phi_at_col(line, y), lam)
+    return coeff, (lambda y: -coeff(y) / dlam)
+
+
+def _fill_grid(s, lam, order, u0, w0, substeps, spinor=False):
+    """March u0 (and w0) from the origin along the first axis of `order`,
+    then from that line along every line of the other axis. Returns U and
+    W (None without w0) of shape lam.shape + (nx, ny, m, m)."""
+    if order not in ("xy", "yx"):
+        raise ValueError("order must be 'xy' or 'yx'")
+    g = s.f.grid
+    shape = np.shape(lam) + (g.nx, g.ny) + u0.shape
+    U = np.zeros(shape, u0.dtype)
+    W = None if w0 is None else np.zeros(shape, u0.dtype)
+    a, b = (0, 1) if order == "xy" else (1, 0)
+    # views with the first-marched axis in front
+    V, X = (U, W) if a == 0 else (
+        np.swapaxes(U, -4, -3), None if W is None else np.swapaxes(W, -4, -3))
+    lines, origin = ((g.xs, g.hx, g.nx), (g.ys, g.hy, g.ny)), g.origin_index()
+    (ta, ha, na), (tb, hb, nb) = lines[a], lines[b]
+    oa, ob = origin[a], origin[b]
+    V[..., oa, ob, :, :] = u0
+    for stop in (na - 1, 0):
+        for n, u, w in _march(u0, w0, ta, oa, stop, ha, substeps,
+                              *_lax_on_line(s, lam, a, ob, spinor)):
+            V[..., n, ob, :, :] = u
+            if X is not None:
+                X[..., n, ob, :, :] = w
+    every = np.arange(na)
+    for stop in (nb - 1, 0):
+        u = V[..., :, ob, :, :].copy()
+        w = None if X is None else X[..., :, ob, :, :].copy()
+        for n, u, w in _march(u, w, tb, ob, stop, hb, substeps,
+                              *_lax_on_line(s, lam, b, every, spinor)):
+            V[..., :, n, :, :] = u
+            if X is not None:
+                X[..., :, n, :, :] = w
+    _check_finite(U)
+    return U, W
 
 
 def integrate_frame(f, lam, with_lambda_derivative=False, order="xy",
-                    substeps=1, initial=None, project=True):
+                    substeps=1, initial=None):
     """Integrate the extended frame over the whole grid from U(0,0) = I.
 
     order="xy" sweeps along the x axis through the origin first and then
     along every column (the default); "yx" is the transposed path, useful
     for path-independence checks. substeps > 1 subdivides each grid step
     (the spectral accuracy limit of plain RK4 at the grid step). initial
-    overrides the frame at the origin (a constant SO(3) matrix).
+    overrides the frame at the origin (a constant SO(3) matrix). lam is a
+    (complex) number or a 1-D array of positive numbers; an array becomes
+    the leading axis of U and dU, every member integrated at once.
     """
-    if np.iscomplexobj(np.asarray(lam)):
-        complex_mode = True
-    else:
-        lam = float(lam)
-        if lam <= 0:
-            raise ValueError("lambda must be positive")
-        complex_mode = False
-    g = f.grid
-    i0, j0 = g.origin_index()
-    s = _Sampler(f)
-    dtype = complex if complex_mode else float
-
-    U = np.zeros((g.nx, g.ny, 3, 3), dtype)
-    W = np.zeros((g.nx, g.ny, 3, 3), dtype) if with_lambda_derivative else None
+    dtype = complex if np.iscomplexobj(np.asarray(lam)) else float
+    if dtype is float:
+        lam = np.asarray(lam, dtype=float) if np.ndim(lam) else float(lam)
+        if np.ndim(lam) > 1 or np.any(lam <= 0):
+            raise ValueError("lambda must be positive (a number or a 1-D array)")
     u0 = np.eye(3, dtype=dtype) if initial is None else np.asarray(initial, dtype)
-
-    dE23 = E23.astype(dtype)
-
-    def sweep_x(u, w, i_start, direction, j):
-        """March u (batched over j) along x from node i_start; yields per node."""
-        i = i_start
-        while 0 <= i + direction < g.nx:
-            h = direction * g.hx / substeps
-            for k in range(substeps):
-                x = g.xs[i] + direction * g.hx * k / substeps
-
-                def coeff(t):
-                    return _lax_A(s.phix_at_row(x + t, j), lam)
-
-                u, w = _rk4_pair(u, w, coeff, lambda t: dE23, h)
-            if project:
-                u = _project(u, complex_mode)
-            i += direction
-            yield i, u, w
-
-    def sweep_y(u, w, j_start, direction, i):
-        j = j_start
-        while 0 <= j + direction < g.ny:
-            h = direction * g.hy / substeps
-            for k in range(substeps):
-                y = g.ys[j] + direction * g.hy * k / substeps
-
-                def coeff(t):
-                    return _lax_B(s.phi_at_col(i, y + t), lam)
-
-                def dcoeff(t):
-                    return -coeff(t) / lam
-
-                u, w = _rk4_pair(u, w, coeff, dcoeff, h)
-            if project:
-                u = _project(u, complex_mode)
-            j += direction
-            yield j, u, w
-
-    def fill_xy():
-        U[i0, j0] = u0
-        if W is not None:
-            W[i0, j0] = 0.0
-        w0 = np.zeros((3, 3), dtype) if W is not None else None
-        for direction in (1, -1):
-            for i, u, w in sweep_x(u0, w0, i0, direction, j0):
-                U[i, j0] = u
-                if W is not None:
-                    W[i, j0] = w
-        all_i = np.arange(g.nx)
-        for direction in (1, -1):
-            uc = U[:, j0].copy()
-            wc = W[:, j0].copy() if W is not None else None
-            for j, u, w in sweep_y(uc, wc, j0, direction, all_i):
-                U[:, j] = u
-                if W is not None:
-                    W[:, j] = w
-                uc, wc = u, w
-
-    def fill_yx():
-        U[i0, j0] = u0
-        if W is not None:
-            W[i0, j0] = 0.0
-        w0 = np.zeros((3, 3), dtype) if W is not None else None
-        for direction in (1, -1):
-            for j, u, w in sweep_y(u0, w0, j0, direction, i0):
-                U[i0, j] = u
-                if W is not None:
-                    W[i0, j] = w
-        all_j = np.arange(g.ny)
-        for direction in (1, -1):
-            ur = U[i0, :].copy()
-            wr = W[i0, :].copy() if W is not None else None
-            for i, u, w in sweep_x(ur, wr, i0, direction, all_j):
-                U[i, :] = u
-                if W is not None:
-                    W[i, :] = w
-                ur, wr = u, w
-
-    if order == "xy":
-        fill_xy()
-    elif order == "yx":
-        fill_yx()
-    else:
-        raise ValueError("order must be 'xy' or 'yx'")
-    _check_finite(U)
-    return ExtendedFrame(g, lam, U, W)
+    w0 = np.zeros((3, 3), dtype) if with_lambda_derivative else None
+    U, W = _fill_grid(_Sampler(f), lam, order, u0, w0, substeps)
+    return ExtendedFrame(f.grid, lam, U, W)
 
 
 def compatibility_residual(f, lam):
@@ -392,7 +369,7 @@ def gauge(frame, theta):
     return ExtendedFrame(frame.grid, frame.lam, frame.U @ rinv, dU)
 
 
-def su2_frame(f, lam, order="xy", substeps=1, project=True):
+def su2_frame(f, lam, order="xy", substeps=1):
     """Integrate the 2x2 spinor frame P with P(0,0) = I.
 
     The su(2) Lax matrices are the images of A and B under the double
@@ -400,49 +377,8 @@ def su2_frame(f, lam, order="xy", substeps=1, project=True):
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    g = f.grid
-    i0, j0 = g.origin_index()
-    s = _Sampler(f)
-    P = np.zeros((g.nx, g.ny, 2, 2), complex)
-
-    def proj(u):
-        return polar_project(u) if project else u
-
-    def step_x(u, i, direction, j):
-        h = direction * g.hx / substeps
-        for k in range(substeps):
-            x = g.xs[i] + direction * g.hx * k / substeps
-            u, _ = _rk4_pair(u, None, lambda t: _lax2_A(s.phix_at_row(x + t, j), lam),
-                             None, h)
-        return proj(u)
-
-    def step_y(u, j, direction, i):
-        h = direction * g.hy / substeps
-        for k in range(substeps):
-            y = g.ys[j] + direction * g.hy * k / substeps
-            u, _ = _rk4_pair(u, None, lambda t: _lax2_B(s.phi_at_col(i, y + t), lam),
-                             None, h)
-        return proj(u)
-
-    if order != "xy":
-        raise ValueError("su2_frame integrates along the xy path")
-    P[i0, j0] = np.eye(2)
-    for direction in (1, -1):
-        u = np.eye(2, dtype=complex)
-        i = i0
-        while 0 <= i + direction < g.nx:
-            u = step_x(u, i, direction, j0)
-            i += direction
-            P[i, j0] = u
-    all_i = np.arange(g.nx)
-    for direction in (1, -1):
-        u = P[:, j0].copy()
-        j = j0
-        while 0 <= j + direction < g.ny:
-            u = step_y(u, j, direction, all_i)
-            j += direction
-            P[:, j] = u
-    _check_finite(P)
+    P, _ = _fill_grid(_Sampler(f), lam, order, np.eye(2, dtype=complex), None,
+                      substeps, spinor=True)
     return P
 
 
@@ -497,36 +433,18 @@ def sample_frame_loop(f, i, j, n=64, substeps=1):
     origin -> (x_i, y_origin) -> (x_i, y_j). The result is twisted and has
     real Fourier coefficients (conjugation symmetry of the Lax system).
     """
-    from .loops import SampledLoop
+    from .loops import SampledLoop, _circle_points
 
     g = f.grid
     i0, j0 = g.origin_index()
     s = _Sampler(f)
-    lams = np.exp(2j * np.pi * np.arange(n) / n)
+    lams = _circle_points(n)
     u = np.broadcast_to(np.eye(3, dtype=complex), (n, 3, 3)).copy()
-
-    direction = 1 if i >= i0 else -1
-    ii = i0
-    while ii != i:
-        h = direction * g.hx / substeps
-        for k in range(substeps):
-            x = g.xs[ii] + direction * g.hx * k / substeps
-            u, _ = _rk4_pair(u, None,
-                             lambda t: _lax_A(s.phix_at_row(x + t, j0), lams),
-                             None, h)
-        u = orthogonal_project(u)
-        ii += direction
-
-    direction = 1 if j >= j0 else -1
-    jj = j0
-    while jj != j:
-        h = direction * g.hy / substeps
-        for k in range(substeps):
-            y = g.ys[jj] + direction * g.hy * k / substeps
-            u, _ = _rk4_pair(u, None,
-                             lambda t: _lax_B(s.phi_at_col(i, y + t), lams),
-                             None, h)
-        u = orthogonal_project(u)
-        jj += direction
+    for _, u, _ in _march(u, None, g.xs, i0, i, g.hx, substeps,
+                         *_lax_on_line(s, lams, 0, j0)):
+        pass
+    for _, u, _ in _march(u, None, g.ys, j0, j, g.hy, substeps,
+                         *_lax_on_line(s, lams, 1, i)):
+        pass
     _check_finite(u)
     return SampledLoop(u, twisted=True, real=True)

@@ -24,7 +24,7 @@ from .errors import BigCellViolation, TruncationTooSmall, ZeroSpectralParameter
 
 __all__ = [
     "LaurentLoop", "SampledLoop", "loop_norm", "multiply", "loop_eval",
-    "check_twist", "check_reality", "birkhoff_split",
+    "twist_deviation", "check_twist", "check_reality", "birkhoff_split",
     "save_loop_json", "load_loop_json",
 ]
 
@@ -107,15 +107,13 @@ class SampledLoop:
         return self.values.shape[0]
 
     def points(self):
-        return np.exp(2j * np.pi * np.arange(self.n) / self.n)
+        return _circle_points(self.n)
 
     def to_laurent(self, detect_tol=1e-6):
         """Fourier coefficients of the samples as a LaurentLoop
         (modes -n/2 .. n/2-1). Twist/reality flags are taken from the
         sampled loop when set, detected at detect_tol otherwise."""
-        c = np.fft.fft(self.values, axis=0) / self.n
-        ks = np.fft.fftfreq(self.n, 1.0 / self.n).astype(int)
-        loop = LaurentLoop({int(k): c[i] for i, k in enumerate(ks)}).trim(1e-300)
+        loop = LaurentLoop(_fft_coeffs(self.values)).trim(1e-300)
         loop.twisted = self.twisted if self.twisted is not None \
             else check_twist(loop, tol=detect_tol)
         loop.real = self.real if self.real is not None \
@@ -154,13 +152,15 @@ def loop_eval(x, lam):
     return out
 
 
+def twist_deviation(x):
+    """Largest entry that breaks X_k = (-1)^k P X_k P, over all powers k."""
+    return max((float(np.abs(c[_CROSS if k % 2 == 0 else _BLOCK]).max())
+                for k, c in x.coeffs.items()), default=0.0)
+
+
 def check_twist(x, tol=1e-11):
     """True iff X_k = (-1)^k P X_k P for every coefficient."""
-    for k, c in x.coeffs.items():
-        bad = c[_CROSS] if k % 2 == 0 else c[_BLOCK]
-        if bad.size and np.abs(bad).max() > tol:
-            return False
-    return True
+    return twist_deviation(x) <= tol
 
 
 def check_reality(x, tol=1e-11):
@@ -171,15 +171,9 @@ def check_reality(x, tol=1e-11):
     return True
 
 
-def _sample_points(n):
+def _circle_points(n):
+    """The n-th roots of unity exp(2 pi i s / n), s = 0 .. n-1."""
     return np.exp(2j * np.pi * np.arange(n) / n)
-
-
-def _eval_coeffs(coeffs, lams):
-    out = np.zeros(lams.shape + (3, 3), dtype=complex)
-    for k, c in coeffs.items():
-        out += lams[..., None, None] ** k * c
-    return out
 
 
 def _fft_coeffs(samples):
@@ -305,8 +299,8 @@ def birkhoff_split(g, direction="minus-first", truncation=16, tol=1e-10,
     prev_res = np.inf
     while True:
         n = n_samples or 1 << int(np.ceil(np.log2(4 * (trunc + spread + 1))))
-        lams = _sample_points(n)
-        g_samples = _eval_coeffs(gc, lams)
+        lams = _circle_points(n)
+        g_samples = loop_eval(loop, lams)
         dev = np.abs(np.swapaxes(g_samples, -1, -2) @ g_samples - np.eye(3)).max()
         if ortho_tol is not None and dev > ortho_tol:
             raise ValueError(

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-__all__ = ["deriv4", "polar_project", "orthogonal_project", "rk4_step"]
+__all__ = ["deriv4", "polar_project", "orthogonal_project"]
 
 # 4th-order one-sided stencils for the first derivative at the two
 # leading nodes; mirrored (negated, reversed) at the trailing edge.
@@ -46,18 +46,3 @@ def orthogonal_project(u, sweeps=2):
         u = 0.5 * (u + np.linalg.inv(np.swapaxes(u, -1, -2)))
     return u
 
-
-def rk4_step(u, coeff, h):
-    """One RK4 step of the right-invariant system u' = u @ a(t).
-
-    coeff(s) must return the coefficient matrix at offset s in [0, h]
-    (batched shapes broadcasting against u).
-    """
-    a1 = coeff(0.0)
-    a2 = coeff(0.5 * h)
-    a3 = coeff(h)
-    k1 = u @ a1
-    k2 = (u + 0.5 * h * k1) @ a2
-    k3 = (u + 0.5 * h * k2) @ a2
-    k4 = (u + h * k3) @ a3
-    return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

@@ -15,10 +15,9 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .algebra import E13, E23, gauge_rotation
-from .errors import NonpositiveProfile, StepFailure
-from .frames import _rk4_pair, sample_frame_loop
+from .errors import NonpositiveProfile
+from .frames import _check_finite, _march, sample_frame_loop
 from .loops import birkhoff_split, loop_eval
-from .numerics import orthogonal_project, polar_project
 
 __all__ = [
     "PotentialForm", "BoundaryForms", "boundary_forms", "rotation_V0",
@@ -141,56 +140,40 @@ def eta_general(f, Afn, Bfn):
             PotentialForm("y", ys, B[:, None, None] * ey.samples, -1))
 
 
-def _integrate_axis(pot, factor, origin_idx, substeps, project):
-    """Solve U' = U * (factor * eta(t)) from the origin node outward."""
+def _integrate_axis(pot, axis, lam, substeps):
+    """Solve U' = -U * xi(t) outward from U = I at the origin node, where
+    xi = lambda * eta_x (axis "x") or eta_y / lambda (axis "y")."""
+    if pot.axis != axis:
+        raise ValueError(f"expected an {axis}-potential, got {pot.axis!r}")
+    if not np.iscomplexobj(np.asarray(lam)) and lam <= 0:
+        raise ValueError("lambda must be positive")
+    factor = -lam if axis == "x" else -1.0 / lam
     coords = pot.coords
     spline = CubicSpline(coords, pot.samples, axis=0)
-    n = len(coords)
-    complex_mode = np.iscomplexobj(np.asarray(factor)) \
-        or np.iscomplexobj(pot.samples)
-    dtype = complex if complex_mode else float
-    out = np.zeros((n, 3, 3), dtype)
-    out[origin_idx] = np.eye(3)
-    h_grid = coords[1] - coords[0]
-    for direction in (1, -1):
-        u = np.eye(3, dtype=dtype)
-        k = origin_idx
-        while 0 <= k + direction < n:
-            h = direction * h_grid / substeps
-            for m in range(substeps):
-                t0 = coords[k] + direction * h_grid * m / substeps
-                u, _ = _rk4_pair(u, None,
-                                 lambda t: factor * spline(t0 + t), None, h)
-            if project:
-                u = orthogonal_project(u) if complex_mode else polar_project(u)
-            k += direction
+    u0 = np.eye(3, dtype=np.result_type(factor, pot.samples))
+    out = np.zeros((len(coords),) + u0.shape, u0.dtype)
+    origin = int(np.argmin(np.abs(coords)))
+    out[origin] = u0
+    for stop in (len(coords) - 1, 0):
+        for k, u, _ in _march(u0, None, coords, origin, stop,
+                              coords[1] - coords[0], substeps,
+                              lambda t: factor * spline(t)):
             out[k] = u
-    if not np.all(np.isfinite(out)):
-        raise StepFailure("potential integration produced non-finite entries")
+    _check_finite(out)
     return out
 
 
-def integrate_plus(pot, lam, substeps=4, project=True):
+def integrate_plus(pot, lam, substeps=4):
     """Integrate the plus Birkhoff factor: U+^{-1} dU+/dx = -lambda eta_x,
     U+(0) = I. Returns the factor along the x axis at one lambda (complex
     lambda admitted for circle sampling)."""
-    if pot.axis != "x":
-        raise ValueError("integrate_plus consumes an x-potential")
-    if not np.iscomplexobj(np.asarray(lam)) and lam <= 0:
-        raise ValueError("lambda must be positive")
-    i0 = int(np.argmin(np.abs(pot.coords)))
-    return _integrate_axis(pot, -lam, i0, substeps, project)
+    return _integrate_axis(pot, "x", lam, substeps)
 
 
-def integrate_minus(pot, lam, substeps=4, project=True):
+def integrate_minus(pot, lam, substeps=4):
     """Integrate the minus Birkhoff factor: U-^{-1} dU-/dy = -eta_y/lambda,
     U-(0) = I. Returns the factor along the y axis at one lambda."""
-    if pot.axis != "y":
-        raise ValueError("integrate_minus consumes a y-potential")
-    if not np.iscomplexobj(np.asarray(lam)) and lam <= 0:
-        raise ValueError("lambda must be positive")
-    j0 = int(np.argmin(np.abs(pot.coords)))
-    return _integrate_axis(pot, -1.0 / lam, j0, substeps, project)
+    return _integrate_axis(pot, "y", lam, substeps)
 
 
 def cross_check_split(f, i, j, lam_eval=1.0, n_samples=64, substeps=2,

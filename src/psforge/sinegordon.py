@@ -217,6 +217,10 @@ def goursat_solve(x_data, y_data, grid, max_iter=20, tol=1e-12,
     y_data = np.asarray(y_data, dtype=float)
     if x_data.shape != (grid.nx,) or y_data.shape != (grid.ny,):
         raise ValueError("characteristic data lengths must match the grid")
+    for name, data in (("x", x_data), ("y", y_data)):
+        if not np.isfinite(data).all():
+            raise ValueError(f"non-finite {name} characteristic data at node "
+                             f"{np.flatnonzero(~np.isfinite(data))[0]}")
     i0, j0 = grid.origin_index()
     if abs(x_data[i0] - y_data[j0]) > 1e-12:
         raise IncompatibleCorner(
@@ -261,7 +265,8 @@ def save_angle_csv(f, path, derivative_path=None):
 
 
 def load_angle_csv(path, derivative_path=None):
-    """Read an angle field written by save_angle_csv."""
+    """Read an angle field written by save_angle_csv; a non-finite value
+    raises ValueError naming the file and the node."""
     def read_one(p):
         with open(p) as fh:
             header = fh.readline().split()
@@ -272,7 +277,13 @@ def load_angle_csv(path, derivative_path=None):
             rows = [np.fromstring(line, sep=",") for line in fh if line.strip()]
         if len(rows) != ny or any(r.size != nx for r in rows):
             raise ValueError(f"{p}: data block does not match header")
-        return GridSpec(x0, y0, nx, ny, hx, hy), np.stack(rows, axis=1)
+        data = np.stack(rows, axis=1)
+        bad = np.argwhere(~np.isfinite(data.T))
+        if bad.size:
+            j, i = bad[0]
+            raise ValueError(f"{p}: non-finite value {float(data[i, j])!r} "
+                             f"at node (i={i}, j={j})")
+        return GridSpec(x0, y0, nx, ny, hx, hy), data
 
     grid, phi = read_one(path)
     dphi = None

@@ -8,31 +8,31 @@ convention of the algebra module. All derivative estimates on the grid are
 (sin(phi) -> 0, the cuspidal edges) are masked, not fatal.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IOFailure, NotSkew, SingularAngle
-from .frames import integrate_frame
+from .frames import ExtendedFrame, integrate_frame
 from .numerics import deriv4
 
 __all__ = [
     "Immersion", "SurfaceGeometry", "HarmonicityReport",
     "sym_immersion", "fundamental_forms", "principal_curvatures",
     "gauss_map", "harmonicity_check", "associated_family",
-    "export_mesh", "read_obj", "worker_count",
+    "export_mesh", "read_obj",
 ]
 
 
 @dataclass
 class Immersion:
-    """Grid of points of one member of the associated family."""
+    """Grid of points of one member of the associated family, and the
+    frame it was read from (when built by sym_immersion)."""
 
     grid: object
     lam: float
     points: np.ndarray
+    frame: ExtendedFrame = None
 
 
 @dataclass
@@ -70,18 +70,6 @@ class HarmonicityReport:
     ny_norm: np.ndarray
 
 
-def worker_count(n_jobs):
-    """Thread budget: min(jobs, cpu count, PSFORGE_THREADS if set)."""
-    cap = os.cpu_count() or 1
-    env = os.environ.get("PSFORGE_THREADS")
-    if env:
-        try:
-            cap = min(cap, max(1, int(env)))
-        except ValueError:
-            pass
-    return max(1, min(n_jobs, cap))
-
-
 def sym_immersion(f, lam, substeps=2, skew_tol=1e-6, frame=None):
     """Reconstruct the immersion psi = lam * dU/dlam * U^{-1}.
 
@@ -100,7 +88,7 @@ def sym_immersion(f, lam, substeps=2, skew_tol=1e-6, frame=None):
     if dev > skew_tol:
         raise NotSkew(f"Sym matrix deviates from so(3) by {dev:.3e}")
     from .algebra import unhat
-    return Immersion(f.grid, lam, unhat(S, check=False))
+    return Immersion(f.grid, lam, unhat(S, check=False), frame)
 
 
 def fundamental_forms(s, degenerate_eps=1e-4):
@@ -198,29 +186,22 @@ def harmonicity_check(N, geom=None, grid=None):
                              np.linalg.norm(Ny, axis=-1))
 
 
-def associated_family(f, lambdas, substeps=2, workers=None):
+def associated_family(f, lambdas, substeps=2):
     """Sym immersion and geometry for each lambda, plus invariance report.
 
-    Members are computed concurrently (capped by PSFORGE_THREADS). The
-    report holds the sup deviation across members of the mixed second-form
-    coefficient M and of the recovered asymptotic angle from phi, both on
-    the non-degenerate mask intersection.
+    All members' frames are integrated together, lambda as a batch axis.
+    The report holds the sup deviation across members of the mixed
+    second-form coefficient M and of the recovered asymptotic angle from
+    phi, both on the non-degenerate mask intersection.
     """
     lambdas = [float(l) for l in lambdas]
-    if any(l <= 0 for l in lambdas):
-        raise ValueError("every lambda must be positive")
-
-    def member(lam):
-        s = sym_immersion(f, lam, substeps=substeps)
-        return s, fundamental_forms(s)
-
-    if workers is None:
-        workers = worker_count(len(lambdas))
-    if workers > 1 and len(lambdas) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            members = list(pool.map(member, lambdas))
-    else:
-        members = [member(l) for l in lambdas]
+    batch = integrate_frame(f, np.array(lambdas), with_lambda_derivative=True,
+                            substeps=substeps)
+    members = []
+    for k, lam in enumerate(lambdas):
+        s = sym_immersion(f, lam, frame=ExtendedFrame(
+            f.grid, lam, batch.U[k], batch.dU[k]))
+        members.append((s, fundamental_forms(s)))
 
     mask = np.logical_and.reduce([geom.mask for _, geom in members])
     Ms = np.stack([geom.M for _, geom in members])

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +11,8 @@ from psforge.cli import main
 from psforge.loops import (LaurentLoop, load_loop_json, multiply,
                            save_loop_json)
 from psforge.potentials import load_potential_csv
-from psforge.sinegordon import GridSpec, constant_angle, save_angle_csv
+from psforge.sinegordon import (GridSpec, constant_angle, save_angle_csv,
+                                soliton_angle)
 from psforge.surfaces import read_obj
 from util import random_twisted_factor
 
@@ -208,3 +213,43 @@ def test_verify_determinism(solved, tmp_path):
         assert code == 0
     assert (out1 / "report.json").read_bytes() == \
         (out2 / "report.json").read_bytes()
+
+
+def test_verify_rejects_non_finite_angle_exit_2(tmp_path, capsys):
+    # the residual sups skip non-finite values, so a NaN must stop at load
+    g = GridSpec(-0.5, -0.5, 51, 51, 0.02, 0.02)
+    phi = tmp_path / "phi.csv"
+    save_angle_csv(soliton_angle(1.0, g), phi)
+    lines = phi.read_text().splitlines()
+    row = lines[1 + 30].split(",")
+    row[20] = "nan"
+    lines[1 + 30] = ",".join(row)
+    phi.write_text("\n".join(lines) + "\n")
+    code = main(["verify", "--phi", str(phi), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "phi.csv" in err and "(i=20, j=30)" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_solve_rejects_non_finite_data_exit_2(tmp_path, capsys):
+    data = np.zeros(41)
+    data[7] = np.inf
+    np.savetxt(tmp_path / "xd.txt", data)
+    np.savetxt(tmp_path / "yd.txt", np.zeros(41))
+    code = main(["solve", "--x-data", str(tmp_path / "xd.txt"),
+                 "--y-data", str(tmp_path / "yd.txt"),
+                 "--domain", "0", "2", "0", "2", "--h", "0.05",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "non-finite x characteristic data at node 7" in capsys.readouterr().err
+
+
+def test_python_dash_m_psforge():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run([sys.executable, "-m", "psforge", "--help"],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 0
+    assert run.stderr == ""
+    assert "usage: psforge" in run.stdout

@@ -70,6 +70,8 @@ def test_frame_rejects_bad_lambda(soliton):
         integrate_frame(soliton, -1.0)
     with pytest.raises(ValueError):
         integrate_frame(soliton, 1.0, order="diagonal")
+    with pytest.raises(ValueError):
+        integrate_frame(soliton, np.array([0.5, 0.0]))
 
 
 def test_compatibility_residual(soliton):
@@ -233,14 +235,31 @@ def test_gauge(soliton_frame):
 
 def test_su2_frame_matches_adjoint(small_soliton):
     lam = 1.0
-    p = su2_frame(small_soliton, lam, substeps=4)
     i0, j0 = small_soliton.grid.origin_index()
-    assert np.array_equal(p[i0, j0], np.eye(2))
-    ph = np.conj(np.swapaxes(p, -1, -2))
-    assert np.abs(ph @ p - np.eye(2)).max() < 1e-9
-    assert np.abs(np.linalg.det(p) - 1.0).max() < 1e-9
-    fr = integrate_frame(small_soliton, lam, substeps=4)
-    assert np.abs(adjoint_map(p) - fr.U).max() < 1e-8
+    for order in ("xy", "yx"):
+        p = su2_frame(small_soliton, lam, order=order, substeps=4)
+        assert np.array_equal(p[i0, j0], np.eye(2))
+        ph = np.conj(np.swapaxes(p, -1, -2))
+        assert np.abs(ph @ p - np.eye(2)).max() < 1e-9
+        assert np.abs(np.linalg.det(p) - 1.0).max() < 1e-9
+        fr = integrate_frame(small_soliton, lam, order=order, substeps=4)
+        assert np.abs(adjoint_map(p) - fr.U).max() < 1e-8
+
+
+@pytest.mark.parametrize("order", ["xy", "yx"])
+def test_frame_lambda_batch_equals_scalar_frames(order):
+    exact = soliton_angle(1.0, GridSpec(-0.4, -0.3, 21, 17, 0.05, 0.05))
+    sampled = AngleField(exact.grid, exact.phi, exact.dphi_dx)  # splines
+    lams = np.array([0.5, 1.0, 2.0])
+    for f in (exact, sampled):
+        batch = integrate_frame(f, lams, with_lambda_derivative=True,
+                                order=order, substeps=2)
+        assert batch.U.shape == batch.dU.shape == (3, 21, 17, 3, 3)
+        for k, lam in enumerate(lams):
+            one = integrate_frame(f, lam, with_lambda_derivative=True,
+                                  order=order, substeps=2)
+            assert np.array_equal(batch.U[k], one.U)
+            assert np.array_equal(batch.dU[k], one.dU)
 
 
 def test_frame_reality_at_conjugate_lambda(small_soliton):

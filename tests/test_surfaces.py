@@ -26,14 +26,6 @@ def test_pseudosphere_curvature(pseudosphere, sin_mask):
     assert np.nanmax(np.abs(geom.K[mask] + 1.0)) < 1e-3
 
 
-def test_worker_count_env(monkeypatch):
-    from psforge.surfaces import worker_count
-    monkeypatch.setenv("PSFORGE_THREADS", "1")
-    assert worker_count(8) == 1
-    monkeypatch.delenv("PSFORGE_THREADS")
-    assert worker_count(1) == 1
-
-
 def test_chebyshev_first_form(pseudosphere, soliton, sin_mask):
     _, geom = pseudosphere
     mask = geom.mask & sin_mask
