@@ -8,21 +8,23 @@ The extended frame U(x, y; lambda) solves the right-invariant system
 
 with U = I at the origin. Every ODE of psforge is integrated by one march,
 `_march`: classical RK4 along a grid line, projected back onto the group
-at every node, with the lambda derivative needed by the Sym formula
-integrated jointly from the closed-form lambda derivatives of A and B.
-Grid frames (3x3 or spinor, one lambda or a batch), frame loops on the
-unit circle and the potentials' Birkhoff-factor ODEs all call it.
+at every node by one Newton-Schulz step, with the lambda derivative
+needed by the Sym formula integrated jointly from the closed-form lambda
+derivatives of A and B. Grid frames (3x3 or spinor, one lambda or a
+batch), frame loops on the unit circle and the potentials' Birkhoff-factor
+ODEs all call it. Between grid nodes a sampled angle field is read from
+tables refined onto the march's RK4 stage points (6-point Lagrange
+interpolation, `numerics.refine`).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .algebra import E12, E13, E23, gauge_rotation
 from .errors import StepFailure
-from .numerics import deriv4, orthogonal_project, polar_project
-from .sinegordon import AngleField
+from .numerics import deriv4, group_deviation, polar_project, refine
+from .sinegordon import AngleField, _read_rows
 
 __all__ = [
     "ExtendedFrame", "MaurerCartanForm", "FormField",
@@ -113,28 +115,41 @@ class FormField:
     q: np.ndarray
 
 
-class _Sampler:
-    """Angle values along grid lines, exact when the field is analytic,
-    cubic-spline interpolated otherwise (RK4 needs half-step values)."""
+def _stage_table(values, t0, h, substeps):
+    """values sampled at the grid nodes t0 + k*h, as a function of t read
+    from a table at the points where `_march` evaluates coefficients: every
+    half substep, h / (2 * substeps) apart."""
+    r = 2 * substeps
+    table, step = refine(values, r), h / r
+    return lambda t: table[round((t - t0) / step)]
 
-    def __init__(self, f: AngleField):
+
+class _Sampler:
+    """Angle values along grid lines for a march of `substeps` RK4 steps
+    per grid step: exact when the field is analytic, otherwise read from
+    tables of phi_x and phi refined onto the march's stage points (every
+    half substep) with `refine`."""
+
+    def __init__(self, f: AngleField, substeps):
         self.f = f
         self.xs, self.ys = f.grid.xs, f.grid.ys
         if not f.analytic:
-            self._sp_phix = CubicSpline(self.xs, f.dphi_dx, axis=0)
-            self._sp_phi = CubicSpline(self.ys, f.phi, axis=1)
+            g = f.grid
+            # tables indexed [stage point, line]
+            self._phix = _stage_table(f.dphi_dx, g.x0, g.hx, substeps)
+            self._phi = _stage_table(f.phi.T, g.y0, g.hy, substeps)
 
     def phix_at_row(self, x, j):
         """phi_x(x, y_j) for scalar x (j may be an index array)."""
         if self.f.analytic:
             return self.f.phix_fn(x, self.ys[j])
-        return self._sp_phix(x)[j]
+        return self._phix(x)[j]
 
     def phi_at_col(self, i, y):
         """phi(x_i, y) for scalar y (i may be an index array)."""
         if self.f.analytic:
             return self.f.phi_fn(self.xs[i], y)
-        return self._sp_phi(y)[i]
+        return self._phi(y)[i]
 
 
 def _rk4_pair(u, w, coeff, dcoeff, h):
@@ -155,14 +170,6 @@ def _rk4_pair(u, w, coeff, dcoeff, h):
     return un, wn
 
 
-def _project(u):
-    """Back onto the group of the state: complex orthogonal for a 3x3
-    frame at complex lambda, nearest orthogonal/unitary otherwise."""
-    if np.iscomplexobj(u) and u.shape[-1] == 3:
-        return orthogonal_project(u)
-    return polar_project(u)
-
-
 def _march(u, w, ts, start, stop, spacing, substeps, coeff, dcoeff=None):
     """The RK4 transport kernel: march u' = u @ coeff(t), and its lambda
     derivative w' = w @ coeff(t) + u @ dcoeff(t) when w is given, along a
@@ -177,13 +184,27 @@ def _march(u, w, ts, start, stop, spacing, substeps, coeff, dcoeff=None):
             t0 = ts[n] + h_node * k / substeps
             u, w = _rk4_pair(u, w, lambda t: coeff(t0 + t),
                              lambda t: dcoeff(t0 + t), h)
-        u = _project(u)
+        u = polar_project(u)
         yield n + direction, u, w
 
 
-def _check_finite(u):
+# resolved marches stay near 1e-15; a 101^2 soliton frame at this
+# deviation is already about 1e-2 off a substeps-16 reference
+_GROUP_TOL = 1e-8
+
+
+def _check_transport(u):
+    """Raise StepFailure unless the marched states u are finite and on
+    their group. A resolved march stays within eps * |u|^2 of it; one
+    Newton-Schulz step per node does not pull back a march whose step is
+    too coarse for the Lax system (large h * max(lambda, 1/lambda))."""
     if not np.all(np.isfinite(u)):
         raise StepFailure("RK4 transport produced non-finite entries")
+    dev = group_deviation(u)
+    if dev > _GROUP_TOL:
+        raise StepFailure(f"RK4 transport left the group by {dev:.1e}: "
+                          "the step does not resolve the Lax system; use "
+                          "more substeps or a finer grid")
 
 
 def _lax_on_line(s, lam, axis, line, spinor=False):
@@ -236,7 +257,7 @@ def _fill_grid(s, lam, order, u0, w0, substeps, spinor=False):
             V[..., :, n, :, :] = u
             if X is not None:
                 X[..., :, n, :, :] = w
-    _check_finite(U)
+    _check_transport(U)
     return U, W
 
 
@@ -250,7 +271,9 @@ def integrate_frame(f, lam, with_lambda_derivative=False, order="xy",
     (the spectral accuracy limit of plain RK4 at the grid step). initial
     overrides the frame at the origin (a constant SO(3) matrix). lam is a
     (complex) number or a 1-D array of positive numbers; an array becomes
-    the leading axis of U and dU, every member integrated at once.
+    the leading axis of U and dU, every member integrated at once. Raises
+    StepFailure when the march leaves the group, i.e. when the step is too
+    coarse for lambda; more substeps resolve it.
     """
     dtype = complex if np.iscomplexobj(np.asarray(lam)) else float
     if dtype is float:
@@ -259,7 +282,7 @@ def integrate_frame(f, lam, with_lambda_derivative=False, order="xy",
             raise ValueError("lambda must be positive (a number or a 1-D array)")
     u0 = np.eye(3, dtype=dtype) if initial is None else np.asarray(initial, dtype)
     w0 = np.zeros((3, 3), dtype) if with_lambda_derivative else None
-    U, W = _fill_grid(_Sampler(f), lam, order, u0, w0, substeps)
+    U, W = _fill_grid(_Sampler(f, substeps), lam, order, u0, w0, substeps)
     return ExtendedFrame(f.grid, lam, U, W)
 
 
@@ -377,8 +400,8 @@ def su2_frame(f, lam, order="xy", substeps=1):
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    P, _ = _fill_grid(_Sampler(f), lam, order, np.eye(2, dtype=complex), None,
-                      substeps, spinor=True)
+    P, _ = _fill_grid(_Sampler(f, substeps), lam, order,
+                      np.eye(2, dtype=complex), None, substeps, spinor=True)
     return P
 
 
@@ -419,7 +442,7 @@ def load_frame(path):
             raise ValueError(f"{path}: malformed frame header")
         nx, ny = int(header[1]), int(header[2])
         x0, y0, hx, hy, lam = map(float, header[3:8])
-        rows = [np.fromstring(line, sep=",") for line in fh if line.strip()]
+        rows = _read_rows(fh, path)
     if len(rows) != nx * ny or any(r.size != 9 for r in rows):
         raise ValueError(f"{path}: data block does not match header")
     U = np.stack(rows).reshape(nx, ny, 3, 3)
@@ -437,7 +460,7 @@ def sample_frame_loop(f, i, j, n=64, substeps=1):
 
     g = f.grid
     i0, j0 = g.origin_index()
-    s = _Sampler(f)
+    s = _Sampler(f, substeps)
     lams = _circle_points(n)
     u = np.broadcast_to(np.eye(3, dtype=complex), (n, 3, 3)).copy()
     for _, u, _ in _march(u, None, g.xs, i0, i, g.hx, substeps,
@@ -446,5 +469,5 @@ def sample_frame_loop(f, i, j, n=64, substeps=1):
     for _, u, _ in _march(u, None, g.ys, j0, j, g.hy, substeps,
                          *_lax_on_line(s, lams, 1, i)):
         pass
-    _check_finite(u)
+    _check_transport(u)
     return SampledLoop(u, twisted=True, real=True)

@@ -1,8 +1,11 @@
-"""Shared numerical helpers: finite differences and matrix projections."""
+"""Shared numerical helpers: finite differences, grid refinement and the
+projection back onto the group."""
 
 import numpy as np
 
-__all__ = ["deriv4", "polar_project", "orthogonal_project"]
+__all__ = ["deriv4", "refine", "polar_project", "group_deviation"]
+
+_STENCIL = 6  # nodes per refine() interpolant
 
 # 4th-order one-sided stencils for the first derivative at the two
 # leading nodes; mirrored (negated, reversed) at the trailing edge.
@@ -29,20 +32,48 @@ def deriv4(f, h, axis=0):
     return np.moveaxis(out, 0, axis)
 
 
-def polar_project(u):
-    """Nearest (special) orthogonal/unitary matrix via SVD, batched.
+def refine(values, r):
+    """Samples on the r-fold refined uniform grid along the leading axis.
 
-    For real input the result lands in SO(3) when det(u) > 0, which holds
-    for every state produced by integrating a skew Lax system.
+    Returns the (n-1)*r + 1 values at node positions k/r, k = 0..(n-1)*r,
+    each the Lagrange interpolant through the 6 nodes nearest its interval
+    (the 6 nodes nearest the edge near an edge, every node when the axis
+    has fewer than 6). Exact at the original nodes.
     """
-    w, _, vt = np.linalg.svd(u)
-    return w @ vt
+    v = np.asarray(values)
+    n = v.shape[0]
+    width = min(_STENCIL, n)
+    m = np.arange(n - 1)
+    start = np.clip(m - 2, 0, n - width)  # nodes m-2 .. m+3 around interval m
+    t = (m - start)[:, None] + np.arange(r) / r  # (n-1, r), in node units
+    k = np.arange(width)
+    same = np.eye(width, dtype=bool)
+    # Lagrange weights prod_{l != k} (t - l) / (k - l), shape (n-1, r, width)
+    weights = np.where(same, 1.0, (t[..., None, None] - k)
+                       / (k[:, None] - k + same)).prod(-1)
+    fine = np.einsum("mqk,mk...->mq...", weights, v[start[:, None] + k])
+    return np.concatenate([fine.reshape((-1,) + v.shape[1:]), v[-1:]])
 
 
-def orthogonal_project(u, sweeps=2):
-    """Project onto complex orthogonal matrices (g^T g = I) by Newton
-    iteration u <- (u + u^{-T})/2. Quadratic near the manifold."""
-    for _ in range(sweeps):
-        u = 0.5 * (u + np.linalg.inv(np.swapaxes(u, -1, -2)))
-    return u
+def _adjoint(u):
+    """u* of the group u lives in: the conjugate transpose (orthogonal or
+    unitary u), except for complex 3x3 frames, which live in the complex
+    orthogonal group (g^T g = I) and use the plain transpose."""
+    ut = np.swapaxes(u, -1, -2)
+    return ut.conj() if np.iscomplexobj(u) and u.shape[-1] != 3 else ut
 
+
+def polar_project(u):
+    """One Newton-Schulz step u (3I - u* u) / 2 back onto the group, batched.
+
+    u* is the adjoint of the group u lives in (`_adjoint`). The step
+    squares the distance to the group: it suits states near the group,
+    such as the nodes of an RK4 march whose step resolves the Lax system,
+    and does not bring back a state far from it.
+    """
+    return 0.5 * u @ (3.0 * np.eye(u.shape[-1]) - _adjoint(u) @ u)
+
+
+def group_deviation(u):
+    """sup |u* u - I| over a batch, u* the group's adjoint (`_adjoint`)."""
+    return np.abs(_adjoint(u) @ u - np.eye(u.shape[-1])).max()

@@ -12,11 +12,10 @@ the boundary form gamma1 itself.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .algebra import E13, E23, gauge_rotation
 from .errors import NonpositiveProfile
-from .frames import _check_finite, _march, sample_frame_loop
+from .frames import _check_transport, _march, _stage_table, sample_frame_loop
 from .loops import birkhoff_split, loop_eval
 
 __all__ = [
@@ -149,17 +148,17 @@ def _integrate_axis(pot, axis, lam, substeps):
         raise ValueError("lambda must be positive")
     factor = -lam if axis == "x" else -1.0 / lam
     coords = pot.coords
-    spline = CubicSpline(coords, pot.samples, axis=0)
+    h = coords[1] - coords[0]
+    coeff = _stage_table(factor * pot.samples, coords[0], h, substeps)
     u0 = np.eye(3, dtype=np.result_type(factor, pot.samples))
     out = np.zeros((len(coords),) + u0.shape, u0.dtype)
     origin = int(np.argmin(np.abs(coords)))
     out[origin] = u0
     for stop in (len(coords) - 1, 0):
-        for k, u, _ in _march(u0, None, coords, origin, stop,
-                              coords[1] - coords[0], substeps,
-                              lambda t: factor * spline(t)):
+        for k, u, _ in _march(u0, None, coords, origin, stop, h, substeps,
+                              coeff):
             out[k] = u
-    _check_finite(out)
+    _check_transport(out)
     return out
 
 

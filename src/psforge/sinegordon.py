@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IncompatibleCorner, NonconvergentCell
-from .numerics import deriv4
+from .numerics import deriv4, refine
 
 __all__ = [
     "GridSpec", "AngleField", "soliton_angle", "constant_angle",
@@ -66,7 +66,8 @@ class AngleField:
     phi and dphi_dx have shape (nx, ny); regular_mask is True exactly where
     0 < phi < pi. When a field comes from a closed-form solution the
     callables phi_fn, phix_fn, ... give exact values off the grid nodes;
-    numerical consumers fall back to splines when they are absent.
+    numerical consumers interpolate the samples (6-point Lagrange,
+    `numerics.refine`) when they are absent.
     """
 
     grid: GridSpec
@@ -207,12 +208,11 @@ def goursat_solve(x_data, y_data, grid, max_iter=20, tol=1e-12,
     through the origin (which must be a grid node). Cell-by-cell
     trapezoidal quadrature of the conservation form, Picard-iterated.
     The plain sweep is second order; by default a half-step sweep (with
-    spline-subdivided data) is combined by Richardson extrapolation,
-    which removes the leading error term while leaving the boundary data
-    reproduced to machine precision.
+    the data refined by 6-point Lagrange interpolation, exact at the
+    nodes) is combined by Richardson extrapolation, which removes the
+    leading error term while leaving the boundary data reproduced to
+    machine precision.
     """
-    from scipy.interpolate import CubicSpline
-
     x_data = np.asarray(x_data, dtype=float)
     y_data = np.asarray(y_data, dtype=float)
     if x_data.shape != (grid.nx,) or y_data.shape != (grid.ny,):
@@ -231,10 +231,8 @@ def goursat_solve(x_data, y_data, grid, max_iter=20, tol=1e-12,
         return AngleField(grid, coarse)
     half = GridSpec(grid.x0, grid.y0, 2 * grid.nx - 1, 2 * grid.ny - 1,
                     grid.hx / 2.0, grid.hy / 2.0)
-    x_half = CubicSpline(grid.xs, x_data)(half.xs)
-    y_half = CubicSpline(grid.ys, y_data)(half.ys)
-    x_half[::2], y_half[::2] = x_data, y_data
-    fine = _goursat_raw(x_half, y_half, half, max_iter, tol)
+    fine = _goursat_raw(refine(x_data, 2), refine(y_data, 2), half,
+                        max_iter, tol)
     return AngleField(grid, (4.0 * fine[::2, ::2] - coarse) / 3.0)
 
 
@@ -264,9 +262,25 @@ def save_angle_csv(f, path, derivative_path=None):
             fh.write("\n".join(lines) + "\n")
 
 
+def _read_rows(fh, path):
+    """Float rows of the non-blank comma-separated lines left in fh, the
+    first of them line 2 of the file; a token that is not a number raises
+    ValueError naming path:line."""
+    rows = []
+    for n, line in enumerate(fh, 2):
+        if not line.strip():
+            continue
+        try:
+            rows.append(np.array(line.split(","), dtype=float))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{n}: {exc}") from None
+    return rows
+
+
 def load_angle_csv(path, derivative_path=None):
-    """Read an angle field written by save_angle_csv; a non-finite value
-    raises ValueError naming the file and the node."""
+    """Read an angle field written by save_angle_csv; a malformed or
+    non-finite value raises ValueError naming the file and its line or
+    node."""
     def read_one(p):
         with open(p) as fh:
             header = fh.readline().split()
@@ -274,7 +288,7 @@ def load_angle_csv(path, derivative_path=None):
                 raise ValueError(f"{p}: malformed angle CSV header")
             nx, ny = int(header[1]), int(header[2])
             x0, y0, hx, hy = map(float, header[3:7])
-            rows = [np.fromstring(line, sep=",") for line in fh if line.strip()]
+            rows = _read_rows(fh, p)
         if len(rows) != ny or any(r.size != nx for r in rows):
             raise ValueError(f"{p}: data block does not match header")
         data = np.stack(rows, axis=1)

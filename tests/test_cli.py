@@ -215,16 +215,23 @@ def test_verify_determinism(solved, tmp_path):
         (out2 / "report.json").read_bytes()
 
 
-def test_verify_rejects_non_finite_angle_exit_2(tmp_path, capsys):
-    # the residual sups skip non-finite values, so a NaN must stop at load
+def _phi_with_token(tmp_path, token):
+    """phi.csv of a 51^2 one-soliton with node (i=20, j=30), on line 32 of
+    the file, replaced by `token`."""
     g = GridSpec(-0.5, -0.5, 51, 51, 0.02, 0.02)
     phi = tmp_path / "phi.csv"
     save_angle_csv(soliton_angle(1.0, g), phi)
     lines = phi.read_text().splitlines()
     row = lines[1 + 30].split(",")
-    row[20] = "nan"
+    row[20] = token
     lines[1 + 30] = ",".join(row)
     phi.write_text("\n".join(lines) + "\n")
+    return phi
+
+
+def test_verify_rejects_non_finite_angle_exit_2(tmp_path, capsys):
+    # the residual sups skip non-finite values, so a NaN must stop at load
+    phi = _phi_with_token(tmp_path, "nan")
     code = main(["verify", "--phi", str(phi), "--out", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
@@ -245,6 +252,15 @@ def test_solve_rejects_non_finite_data_exit_2(tmp_path, capsys):
     assert "non-finite x characteristic data at node 7" in capsys.readouterr().err
 
 
+def test_verify_rejects_malformed_csv_line_exit_2(tmp_path, capsys):
+    phi = _phi_with_token(tmp_path, "abc")
+    code = main(["verify", "--phi", str(phi), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "phi.csv:32" in err and "'abc'" in err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_python_dash_m_psforge():
     src = str(Path(__file__).resolve().parents[1] / "src")
     run = subprocess.run([sys.executable, "-m", "psforge", "--help"],
@@ -253,3 +269,20 @@ def test_python_dash_m_psforge():
     assert run.returncode == 0
     assert run.stderr == ""
     assert "usage: psforge" in run.stdout
+
+
+@pytest.mark.parametrize("args", [["-c", "import psforge"],
+                                  ["-m", "psforge", "--help"]])
+def test_runtime_imports_no_scipy(args):
+    # numpy is the only runtime dependency; -X importtime lists every
+    # module the interpreter imports
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run([sys.executable, "-X", "importtime", *args],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 0
+    modules = [line.rsplit("|", 1)[-1].strip()
+               for line in run.stderr.splitlines()
+               if line.startswith("import time:")]
+    assert "psforge.cli" in modules
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []

@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from psforge.algebra import E12, E23, P_TWIST, adjoint_map
+from psforge.errors import StepFailure
 from psforge.frames import (check_conditions_K, compatibility_residual,
                             flatness_residual, gauge, integrate_frame,
                             lambda_forms, lax_matrices, maurer_cartan,
@@ -101,6 +102,16 @@ def test_frame_dump_round_trip(tmp_path, small_soliton):
     save_frame(fr, tmp_path / "u.npz")
     back2 = load_frame(tmp_path / "u.npz")
     assert np.array_equal(back2.U, fr.U)
+
+
+def test_frame_load_names_malformed_line(tmp_path, small_soliton):
+    from psforge.frames import load_frame, save_frame
+    save_frame(integrate_frame(small_soliton, 1.5), tmp_path / "u.csv")
+    lines = (tmp_path / "u.csv").read_text().splitlines()
+    lines[4] = lines[4].replace(",", ",1.0.0,", 1)
+    (tmp_path / "u.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"u\.csv:5: .*'1\.0\.0'"):
+        load_frame(tmp_path / "u.csv")
 
 
 def test_maurer_cartan_coefficients(soliton):
@@ -249,7 +260,7 @@ def test_su2_frame_matches_adjoint(small_soliton):
 @pytest.mark.parametrize("order", ["xy", "yx"])
 def test_frame_lambda_batch_equals_scalar_frames(order):
     exact = soliton_angle(1.0, GridSpec(-0.4, -0.3, 21, 17, 0.05, 0.05))
-    sampled = AngleField(exact.grid, exact.phi, exact.dphi_dx)  # splines
+    sampled = AngleField(exact.grid, exact.phi, exact.dphi_dx)  # refine tables
     lams = np.array([0.5, 1.0, 2.0])
     for f in (exact, sampled):
         batch = integrate_frame(f, lams, with_lambda_derivative=True,
@@ -260,6 +271,17 @@ def test_frame_lambda_batch_equals_scalar_frames(order):
                                   order=order, substeps=2)
             assert np.array_equal(batch.U[k], one.U)
             assert np.array_equal(batch.dU[k], one.dU)
+
+
+@pytest.mark.parametrize("lam", [0.01, 50.0])
+def test_frame_unresolved_lambda_raises(small_soliton, lam):
+    # h * max(lambda, 1/lambda) = 2 and 1: one Newton-Schulz step per node
+    # cannot hold the march on SO(3), so the frame must not be returned
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(StepFailure, match="left the group"):
+            integrate_frame(small_soliton, lam)
+    fr = integrate_frame(small_soliton, 0.2)  # h / lambda = 0.1 resolves it
+    assert np.abs(np.swapaxes(fr.U, -1, -2) @ fr.U - np.eye(3)).max() < 1e-13
 
 
 def test_frame_reality_at_conjugate_lambda(small_soliton):
