@@ -125,16 +125,20 @@ def _write_json(payload, path):
         fh.write("\n")
 
 
+def _finite_stat(a, stat):
+    """stat of the finite entries of a (NaN marks masked nodes); NaN when
+    there are none."""
+    vals = np.asarray(a, dtype=float)
+    vals = vals[np.isfinite(vals)]
+    return float(stat(vals)) if vals.size else float("nan")
+
+
 def _nan_sup(a):
-    a = np.asarray(a, dtype=float)
-    good = np.isfinite(a)
-    return float(np.abs(a[good]).max()) if good.any() else float("nan")
+    return _finite_stat(a, lambda v: np.abs(v).max())
 
 
 def _nan_mean(a):
-    a = np.asarray(a, dtype=float)
-    good = np.isfinite(a)
-    return float(np.abs(a[good]).mean()) if good.any() else float("nan")
+    return _finite_stat(a, lambda v: np.abs(v).mean())
 
 
 def cmd_solve(args):
@@ -187,7 +191,7 @@ def cmd_surface(args):
         _write_geometry_csv(geom, os.path.join(outdir, f"geometry_lam{tag}.csv"))
         member = {
             "lambda": lam,
-            "K_mean": _nan_mean_signed(geom.K, mask),
+            "K_mean": _finite_stat(np.where(mask, geom.K, np.nan), np.mean),
             "K_dev_sup": _nan_sup(np.where(mask, geom.K + 1.0, np.nan)),
             "metricA_mean": _nan_mean(np.where(mask, geom.metricA, np.nan)),
             "metricB_mean": _nan_mean(np.where(mask, geom.metricB, np.nan)),
@@ -200,12 +204,6 @@ def cmd_surface(args):
                         if k != "lambda"})
     _write_json(summary, os.path.join(outdir, "surface_summary.json"))
     return EXIT_OK
-
-
-def _nan_mean_signed(a, mask):
-    vals = np.asarray(a)[mask]
-    vals = vals[np.isfinite(vals)]
-    return float(vals.mean()) if vals.size else float("nan")
 
 
 def _write_geometry_csv(geom, path):

@@ -449,16 +449,15 @@ def load_frame(path):
     return ExtendedFrame(GridSpec(x0, y0, nx, ny, hx, hy), lam, U)
 
 
-def sample_frame_loop(f, i, j, n=64, substeps=1):
-    """Frame loop lambda -> U(x_i, y_j; lambda) at the n-th roots of unity.
-
-    Integrates the Lax system jointly for all sample points along the path
-    origin -> (x_i, y_origin) -> (x_i, y_j). The result is twisted and has
-    real Fourier coefficients (conjugation symmetry of the Lax system).
-    """
-    from .loops import SampledLoop, _circle_points
+def _frame_loop_legs(f, i, j, n, substeps):
+    """Frame-loop values at the n-th roots of unity at the end of the
+    x-leg, (x_i, y_origin), and at the end of the y-leg, (x_i, y_j), of
+    the path origin -> (x_i, y_origin) -> (x_i, y_j)."""
+    from .loops import _circle_points
 
     g = f.grid
+    if not (0 <= i < g.nx and 0 <= j < g.ny):
+        raise ValueError(f"node ({i}, {j}) is outside the {g.nx}x{g.ny} grid")
     i0, j0 = g.origin_index()
     s = _Sampler(f, substeps)
     lams = _circle_points(n)
@@ -466,8 +465,24 @@ def sample_frame_loop(f, i, j, n=64, substeps=1):
     for _, u, _ in _march(u, None, g.xs, i0, i, g.hx, substeps,
                          *_lax_on_line(s, lams, 0, j0)):
         pass
+    u_axis = u
     for _, u, _ in _march(u, None, g.ys, j0, j, g.hy, substeps,
                          *_lax_on_line(s, lams, 1, i)):
         pass
+    _check_transport(u_axis)
     _check_transport(u)
-    return SampledLoop(u, twisted=True, real=True)
+    return u_axis, u
+
+
+def sample_frame_loop(f, i, j, n=64, substeps=1):
+    """Frame loop lambda -> U(x_i, y_j; lambda) at the n-th roots of unity.
+
+    Integrates the Lax system jointly for all sample points along the path
+    origin -> (x_i, y_origin) -> (x_i, y_j). The result is twisted and has
+    real Fourier coefficients (conjugation symmetry of the Lax system).
+    Raises ValueError unless (i, j) is a grid node.
+    """
+    from .loops import SampledLoop
+
+    return SampledLoop(_frame_loop_legs(f, i, j, n, substeps)[1],
+                       twisted=True, real=True)

@@ -15,8 +15,9 @@ import numpy as np
 
 from .algebra import E13, E23, gauge_rotation
 from .errors import NonpositiveProfile
-from .frames import _check_transport, _march, _stage_table, sample_frame_loop
-from .loops import birkhoff_split, loop_eval
+from .frames import (_check_transport, _frame_loop_legs, _march,
+                     _stage_table)
+from .loops import SampledLoop, birkhoff_split, loop_eval
 
 __all__ = [
     "PotentialForm", "BoundaryForms", "boundary_forms", "rotation_V0",
@@ -139,9 +140,11 @@ def eta_general(f, Afn, Bfn):
             PotentialForm("y", ys, B[:, None, None] * ey.samples, -1))
 
 
-def _integrate_axis(pot, axis, lam, substeps):
+def _integrate_axis(pot, axis, lam, substeps, node=None):
     """Solve U' = -U * xi(t) outward from U = I at the origin node, where
-    xi = lambda * eta_x (axis "x") or eta_y / lambda (axis "y")."""
+    xi = lambda * eta_x (axis "x") or eta_y / lambda (axis "y"). Returns
+    the solution at every node, or, given a node, only at that node,
+    marching from the origin to it and no further."""
     if pot.axis != axis:
         raise ValueError(f"expected an {axis}-potential, got {pot.axis!r}")
     if not np.iscomplexobj(np.asarray(lam)) and lam <= 0:
@@ -151,25 +154,30 @@ def _integrate_axis(pot, axis, lam, substeps):
     h = coords[1] - coords[0]
     coeff = _stage_table(factor * pot.samples, coords[0], h, substeps)
     u0 = np.eye(3, dtype=np.result_type(factor, pot.samples))
-    out = np.zeros((len(coords),) + u0.shape, u0.dtype)
     origin = int(np.argmin(np.abs(coords)))
-    out[origin] = u0
-    for stop in (len(coords) - 1, 0):
+    lo, hi = (0, len(coords) - 1) if node is None else sorted((origin, node))
+    out = np.zeros((hi - lo + 1,) + u0.shape, u0.dtype)
+    out[origin - lo] = u0
+    for stop in (hi, lo):
         for k, u, _ in _march(u0, None, coords, origin, stop, h, substeps,
                               coeff):
-            out[k] = u
+            out[k - lo] = u
     _check_transport(out)
-    return out
+    return out if node is None else out[node - lo]
 
 
-def integrate_plus(pot, lam, substeps=4):
+# axis substeps of integrate_plus / integrate_minus and of the split check
+_AXIS_SUBSTEPS = 4
+
+
+def integrate_plus(pot, lam, substeps=_AXIS_SUBSTEPS):
     """Integrate the plus Birkhoff factor: U+^{-1} dU+/dx = -lambda eta_x,
     U+(0) = I. Returns the factor along the x axis at one lambda (complex
     lambda admitted for circle sampling)."""
     return _integrate_axis(pot, "x", lam, substeps)
 
 
-def integrate_minus(pot, lam, substeps=4):
+def integrate_minus(pot, lam, substeps=_AXIS_SUBSTEPS):
     """Integrate the minus Birkhoff factor: U-^{-1} dU-/dy = -eta_y/lambda,
     U-(0) = I. Returns the factor along the y axis at one lambda."""
     return _integrate_axis(pot, "y", lam, substeps)
@@ -185,16 +193,22 @@ def cross_check_split(f, i, j, lam_eval=1.0, n_samples=64, substeps=2,
     j is off the x axis, re-splits on the axis to verify that the plus
     factor does not depend on y. On the axis the constant complementary
     factor is checked against the closed-form rotation V0. Returns a dict
-    of sup deviations.
+    of sup deviations. Raises ValueError unless (i, j) is a grid node.
+
+    Only what the result needs is marched: the frame loop along
+    origin -> (x_i, y_0) -> (x_i, y_j), whose x-leg ends in the on-axis
+    loop at (x_i, y_0), and the two axis ODEs from the origin to node i
+    and to node j. Each equals, bit for bit, the value read from
+    sample_frame_loop, integrate_plus or integrate_minus.
     """
-    g = f.grid
-    i0, j0 = g.origin_index()
-    loop = sample_frame_loop(f, i, j, n=n_samples, substeps=substeps)
+    _, j0 = f.grid.origin_index()
+    axis_values, values = _frame_loop_legs(f, i, j, n_samples, substeps)
+    loop = SampledLoop(values, twisted=True, real=True)
     u_plus, v_minus = birkhoff_split(loop, "plus-first", tol=split_tol)
     u_minus, v_plus = birkhoff_split(loop, "minus-first", tol=split_tol)
 
-    plus_ode = integrate_plus(eta_x(f), lam_eval)[i]
-    minus_ode = integrate_minus(eta_y(f), lam_eval)[j]
+    plus_ode = _integrate_axis(eta_x(f), "x", lam_eval, _AXIS_SUBSTEPS, i)
+    minus_ode = _integrate_axis(eta_y(f), "y", lam_eval, _AXIS_SUBSTEPS, j)
     report = {
         "plus_factor_dev": float(np.abs(
             loop_eval(u_plus, lam_eval) - plus_ode).max()),
@@ -202,7 +216,7 @@ def cross_check_split(f, i, j, lam_eval=1.0, n_samples=64, substeps=2,
             loop_eval(u_minus, lam_eval) - minus_ode).max()),
     }
     if j != j0:
-        axis_loop = sample_frame_loop(f, i, j0, n=n_samples, substeps=substeps)
+        axis_loop = SampledLoop(axis_values, twisted=True, real=True)
         u_plus_axis, _ = birkhoff_split(axis_loop, "plus-first", tol=split_tol)
         ks = set(u_plus.coeffs) | set(u_plus_axis.coeffs)
         dev = max(np.abs(u_plus.coeff(k) - u_plus_axis.coeff(k)).max()
@@ -232,19 +246,29 @@ def save_potential_csv(pot, path):
 
 
 def load_potential_csv(path):
+    """Read a 3x3 potential written by save_potential_csv; a line without
+    eight fields or with a token that is not a number raises ValueError
+    naming path:line."""
     axis = None
     coords, mats = [], []
     with open(path) as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split(",")
+            if len(parts) != 8:
+                raise ValueError(f"{path}:{n}: expected 8 comma-separated "
+                                 f"fields, got {len(parts)}")
+            try:
+                vals = [float(v) for v in parts[1:]]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{n}: {exc}") from None
             axis = parts[0]
-            coords.append(float(parts[1]))
+            coords.append(vals[0])
             m = np.zeros((3, 3))
-            for (r, s), v in zip(_COLS, parts[2:8]):
-                m[r, s] = float(v)
+            for (r, s), v in zip(_COLS, vals[1:]):
+                m[r, s] = v
             mats.append(m)
     if axis not in ("x", "y"):
         raise ValueError(f"{path}: unknown potential axis {axis!r}")

@@ -3,9 +3,10 @@ import pytest
 from scipy.interpolate import CubicSpline
 from scipy.linalg import expm
 
-from psforge.algebra import E13, E23, so3_to_su2
+from psforge.algebra import E13, E23, gauge_rotation, so3_to_su2
 from psforge.errors import NonpositiveProfile
-from psforge.frames import _rk4_pair
+from psforge.frames import _frame_loop_legs, _rk4_pair, sample_frame_loop
+from psforge.loops import birkhoff_split, loop_eval
 from psforge.numerics import deriv4
 from psforge.potentials import (PotentialForm, boundary_forms,
                                 cross_check_split, eta_2x2, eta_general,
@@ -13,7 +14,10 @@ from psforge.potentials import (PotentialForm, boundary_forms,
                                 integrate_plus, load_potential_csv,
                                 rotation_V0, save_potential_csv,
                                 save_potential2_csv)
-from psforge.sinegordon import AngleField, constant_angle
+from psforge.sinegordon import (AngleField, GridSpec, constant_angle,
+                                load_angle_csv, save_angle_csv,
+                                soliton_angle)
+from util import coeff_dev
 
 BETA1 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
 
@@ -195,6 +199,78 @@ def test_cross_check_split_y_independence(soliton):
     assert rep["plus_factor_dev"] < 1e-4
     assert rep["minus_factor_dev"] < 1e-4
     assert rep["uplus_y_independence"] < 1e-4
+
+
+def _split_from_public_pieces(f, i, j):
+    """cross_check_split(f, i, j) at its defaults, assembled from the
+    public functions: whole-axis ODE solutions and separately sampled
+    loops."""
+    i0, j0 = f.grid.origin_index()
+    loop = sample_frame_loop(f, i, j, n=64, substeps=2)
+    u_plus, v_minus = birkhoff_split(loop, "plus-first", tol=1e-6)
+    u_minus, _ = birkhoff_split(loop, "minus-first", tol=1e-6)
+    rep = {
+        "plus_factor_dev": float(np.abs(loop_eval(u_plus, 1.0)
+                                        - integrate_plus(eta_x(f), 1.0)[i]).max()),
+        "minus_factor_dev": float(np.abs(loop_eval(u_minus, 1.0)
+                                         - integrate_minus(eta_y(f), 1.0)[j]).max()),
+    }
+    if j != j0:
+        axis_loop = sample_frame_loop(f, i, j0, n=64, substeps=2)
+        u_plus_axis, _ = birkhoff_split(axis_loop, "plus-first", tol=1e-6)
+        rep["uplus_y_independence"] = coeff_dev(u_plus, u_plus_axis)
+    else:
+        xrow = f.phi[:, j0]
+        v0 = gauge_rotation(xrow[i0] - xrow[i])
+        rep["v0_dev"] = float(np.abs(loop_eval(v_minus, 1.0) - v0).max())
+    return rep
+
+
+@pytest.fixture(scope="module")
+def soliton_51():
+    return soliton_angle(1.0, GridSpec(-1.0, -1.0, 51, 51, 0.04, 0.04))
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+def test_cross_check_split_equals_public_pieces(tmp_path, soliton_51, sampled):
+    # the probe-local marches give the whole-axis results bit for bit
+    f = soliton_51
+    if sampled:
+        save_angle_csv(f, tmp_path / "phi.csv", tmp_path / "phi_x.csv")
+        f = load_angle_csv(tmp_path / "phi.csv", tmp_path / "phi_x.csv")
+        assert not f.analytic
+    _, j0 = f.grid.origin_index()
+    for i, j in [(40, 12), (9, 44), (40, j0), (9, j0)]:
+        rep = cross_check_split(f, i, j)
+        assert rep == _split_from_public_pieces(f, i, j)
+        assert ("uplus_y_independence" in rep) == (j != j0)
+        x_leg, _ = _frame_loop_legs(f, i, j, 64, 2)
+        assert np.array_equal(x_leg, sample_frame_loop(f, i, j0, n=64,
+                                                       substeps=2).values)
+
+
+@pytest.mark.parametrize("node", ["i=-1", "j=-1", "i=nx", "j=ny"])
+def test_probe_node_out_of_range(soliton_51, node):
+    g = soliton_51.grid
+    i, j = {"i=-1": (-1, 30), "j=-1": (30, -1),
+            "i=nx": (g.nx, 30), "j=ny": (30, g.ny)}[node]
+    with pytest.raises(ValueError, match="outside the 51x51 grid"):
+        cross_check_split(soliton_51, i, j)
+    with pytest.raises(ValueError, match="outside the 51x51 grid"):
+        sample_frame_loop(soliton_51, i, j, n=16)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("x,0,1,2", "eta_x.csv:3: expected 8 comma-separated fields, got 4"),
+    ("abc", "eta_x.csv:3: expected 8 comma-separated fields, got 1"),
+    ("x,0.5,0,abc,0,0,0,0", "eta_x.csv:3: could not convert string to float: 'abc'"),
+])
+def test_potential_csv_rejects_malformed_line(tmp_path, line, message):
+    path = tmp_path / "eta_x.csv"
+    path.write_text("# axis,coord,s12,s13,s23,s21,s31,s32\n"
+                    "x,0,0,0,-1,0,0,1\n" + line + "\n")
+    with pytest.raises(ValueError, match=message):
+        load_potential_csv(path)
 
 
 def test_potential_csv_round_trip(tmp_path, soliton):
