@@ -16,8 +16,9 @@ import numpy as np
 from . import frames, loops, potentials, surfaces
 from .errors import (BigCellViolation, IncompatibleCorner, NonconvergentCell,
                      NotSkew, PsforgeError, StepFailure, TruncationTooSmall)
-from .sinegordon import (GridSpec, goursat_solve, load_angle_csv,
-                         save_angle_csv, sg_residual, soliton_angle)
+from .sinegordon import (GridSpec, _write_rows, goursat_solve,
+                         load_angle_csv, save_angle_csv, sg_residual,
+                         soliton_angle)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -44,10 +45,6 @@ _CONFIG_TYPES = {
     "x_data": str, "y_data": str, "loop": str, "direction": str,
     "truncation": int, "tol": float, "su2": bool, "mesh": bool,
 }
-
-
-def _fmt(v):
-    return f"{v:.17g}"
 
 
 def _load_config(path, args):
@@ -207,16 +204,16 @@ def cmd_surface(args):
 
 
 def _write_geometry_csv(geom, path):
+    """Write the fundamental forms and K of one member: header
+    '# i,j,E,F,G,L,M,N2,K', then one line per node (i outer, j inner)
+    formatted by `sinegordon._write_rows`; masked K is nan."""
     g = geom.grid
     cols = ("E", "F", "G", "L", "M", "N2", "K")
-    lines = ["# i,j," + ",".join(cols)]
-    data = [getattr(geom, c) for c in cols]
-    for i in range(g.nx):
-        for j in range(g.ny):
-            vals = ",".join(_fmt(float(d[i, j])) for d in data)
-            lines.append(f"{i},{j},{vals}")
+    i, j = np.indices((g.nx, g.ny))
+    table = np.stack([i, j] + [getattr(geom, c) for c in cols], axis=-1)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("# i,j," + ",".join(cols) + "\n")
+        _write_rows(fh, table.reshape(-1, 2 + len(cols)), ints=2)
 
 
 def cmd_potentials(args):
@@ -393,11 +390,9 @@ def run_verification(field, lambdas, tolerances=None, substeps=2):
         record("twist", dev, dev)
 
     def c_split():
-        i0, j0 = field.grid.origin_index()
-        rep_axis = potentials.cross_check_split(field, pi, j0,
-                                                substeps=substeps)
-        rep_off = potentials.cross_check_split(field, pi, pj,
-                                               substeps=substeps)
+        # cross_check_split at (pi, j0) and (pi, pj), sharing the x-leg
+        rep_axis, rep_off = potentials._cross_check(
+            field, pi, pj, substeps=substeps, with_axis=True)
         vals = list(rep_axis.values()) + list(rep_off.values())
         record("split_cross_check", max(vals), float(np.mean(vals)),
                extra={"axis": rep_axis, "off_axis": rep_off})

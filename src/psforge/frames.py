@@ -24,7 +24,7 @@ import numpy as np
 from .algebra import E12, E13, E23, gauge_rotation
 from .errors import StepFailure
 from .numerics import deriv4, group_deviation, polar_project, refine
-from .sinegordon import AngleField, _read_rows
+from .sinegordon import AngleField, _read_rows, _write_rows
 
 __all__ = [
     "ExtendedFrame", "MaurerCartanForm", "FormField",
@@ -406,23 +406,34 @@ def su2_frame(f, lam, order="xy", substeps=1):
 
 
 def save_frame(frame, path):
-    """Dump a frame grid to CSV (9 row-major entries per node) or, when
-    the path ends in .npz, to a binary archive. The header repeats the
-    grid layout and lambda."""
+    """Dump a frame grid to CSV (9 row-major entries per node, formatted by
+    `sinegordon._write_rows`) or, when the path ends in .npz, to a binary
+    archive. The header repeats the grid layout and lambda.
+
+    Only what load_frame reads back is written: a lambda-batched or
+    complex-lambda frame raises ValueError, and so, for CSV, does any
+    frame other than a real 3x3 one (spinor frames go to .npz); nothing
+    is written then."""
     g = frame.grid
     path = str(path)
+    lam = np.asarray(frame.lam)
+    if lam.ndim or np.iscomplexobj(lam):
+        raise ValueError(f"{path}: save_frame writes a frame at one real "
+                         f"lambda, not {frame.lam!r}; save each member of a "
+                         f"batch on its own")
     if path.endswith(".npz"):
         np.savez(path, U=frame.U, lam=frame.lam,
                  grid=np.array([g.x0, g.y0, g.nx, g.ny, g.hx, g.hy]))
         return
-    header = (f"# {g.nx} {g.ny} {g.x0:.17g} {g.y0:.17g} "
-              f"{g.hx:.17g} {g.hy:.17g} {frame.lam:.17g}")
-    lines = [header]
-    for i in range(g.nx):
-        for j in range(g.ny):
-            lines.append(",".join(f"{v:.17g}" for v in frame.U[i, j].ravel()))
+    U = frame.U
+    if np.iscomplexobj(U) or U.shape != (g.nx, g.ny, 3, 3):
+        raise ValueError(f"{path}: the CSV format holds real 3x3 frames on "
+                         f"the {g.nx}x{g.ny} grid, not {U.dtype} {U.shape}; "
+                         f"use .npz")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        _write_rows(fh, [[g.nx, g.ny, g.x0, g.y0, g.hx, g.hy, frame.lam]],
+                    head="# ", sep=" ", ints=2)
+        _write_rows(fh, U.reshape(-1, 9))
 
 
 def load_frame(path):

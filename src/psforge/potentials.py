@@ -18,6 +18,7 @@ from .errors import NonpositiveProfile
 from .frames import (_check_transport, _frame_loop_legs, _march,
                      _stage_table)
 from .loops import SampledLoop, birkhoff_split, loop_eval
+from .sinegordon import _write_rows
 
 __all__ = [
     "PotentialForm", "BoundaryForms", "boundary_forms", "rotation_V0",
@@ -144,7 +145,9 @@ def _integrate_axis(pot, axis, lam, substeps, node=None):
     """Solve U' = -U * xi(t) outward from U = I at the origin node, where
     xi = lambda * eta_x (axis "x") or eta_y / lambda (axis "y"). Returns
     the solution at every node, or, given a node, only at that node,
-    marching from the origin to it and no further."""
+    marching from the origin to it and no further. The march steps by
+    the first spacing of the coordinates, so any other spacing raises
+    ValueError."""
     if pot.axis != axis:
         raise ValueError(f"expected an {axis}-potential, got {pot.axis!r}")
     if not np.iscomplexobj(np.asarray(lam)) and lam <= 0:
@@ -152,6 +155,13 @@ def _integrate_axis(pot, axis, lam, substeps, node=None):
     factor = -lam if axis == "x" else -1.0 / lam
     coords = pot.coords
     h = coords[1] - coords[0]
+    steps = np.diff(coords)
+    bad = np.flatnonzero(np.abs(steps - h) > 1e-9 * abs(h))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"{axis}-potential axis is not uniform: step "
+                         f"{steps[k]:.6g} from node {k} to {k + 1} differs "
+                         f"from the first step {h:.6g}")
     coeff = _stage_table(factor * pot.samples, coords[0], h, substeps)
     u0 = np.eye(3, dtype=np.result_type(factor, pot.samples))
     origin = int(np.argmin(np.abs(coords)))
@@ -201,34 +211,54 @@ def cross_check_split(f, i, j, lam_eval=1.0, n_samples=64, substeps=2,
     and to node j. Each equals, bit for bit, the value read from
     sample_frame_loop, integrate_plus or integrate_minus.
     """
+    return _cross_check(f, i, j, lam_eval, n_samples, substeps,
+                        split_tol)[-1]
+
+
+def _cross_check(f, i, j, lam_eval=1.0, n_samples=64, substeps=2,
+                 split_tol=1e-6, with_axis=False):
+    """The cross_check_split reports at node (i, j) and, with_axis, first
+    at the on-axis node (i, j0) too, as a list (one report when j is j0).
+    Both come from one march of the x-leg, one plus ODE to node i and one
+    plus-first split of the on-axis loop, so each equals, bit for bit, the
+    report of its own cross_check_split call."""
     _, j0 = f.grid.origin_index()
     axis_values, values = _frame_loop_legs(f, i, j, n_samples, substeps)
-    loop = SampledLoop(values, twisted=True, real=True)
-    u_plus, v_minus = birkhoff_split(loop, "plus-first", tol=split_tol)
-    u_minus, v_plus = birkhoff_split(loop, "minus-first", tol=split_tol)
-
     plus_ode = _integrate_axis(eta_x(f), "x", lam_eval, _AXIS_SUBSTEPS, i)
-    minus_ode = _integrate_axis(eta_y(f), "y", lam_eval, _AXIS_SUBSTEPS, j)
-    report = {
-        "plus_factor_dev": float(np.abs(
-            loop_eval(u_plus, lam_eval) - plus_ode).max()),
-        "minus_factor_dev": float(np.abs(
-            loop_eval(u_minus, lam_eval) - minus_ode).max()),
-    }
-    if j != j0:
-        axis_loop = SampledLoop(axis_values, twisted=True, real=True)
-        u_plus_axis, _ = birkhoff_split(axis_loop, "plus-first", tol=split_tol)
-        ks = set(u_plus.coeffs) | set(u_plus_axis.coeffs)
-        dev = max(np.abs(u_plus.coeff(k) - u_plus_axis.coeff(k)).max()
-                  for k in ks)
-        report["uplus_y_independence"] = float(dev)
-    else:
+    eta_minus = eta_y(f)
+
+    def factor_devs(loop, u_plus, node):
+        u_minus, _ = birkhoff_split(loop, "minus-first", tol=split_tol)
+        minus_ode = _integrate_axis(eta_minus, "y", lam_eval, _AXIS_SUBSTEPS,
+                                    node)
+        return {
+            "plus_factor_dev": float(np.abs(
+                loop_eval(u_plus, lam_eval) - plus_ode).max()),
+            "minus_factor_dev": float(np.abs(
+                loop_eval(u_minus, lam_eval) - minus_ode).max()),
+        }
+
+    axis_loop = SampledLoop(axis_values, twisted=True, real=True)
+    u_plus_axis, v_minus_axis = birkhoff_split(axis_loop, "plus-first",
+                                               tol=split_tol)
+    reports = []
+    if with_axis or j == j0:
+        report = factor_devs(axis_loop, u_plus_axis, j0)
         # on the axis the complement of U+ is the constant rotation V0
-        i0_, _, xrow, _ = _axis_data(f)
-        v0 = gauge_rotation(xrow[i0_] - xrow[i])
+        i0, _, xrow, _ = _axis_data(f)
+        v0 = gauge_rotation(xrow[i0] - xrow[i])
         report["v0_dev"] = float(np.abs(
-            loop_eval(v_minus, lam_eval) - v0).max())
-    return report
+            loop_eval(v_minus_axis, lam_eval) - v0).max())
+        reports.append(report)
+    if j != j0:
+        loop = SampledLoop(values, twisted=True, real=True)
+        u_plus, _ = birkhoff_split(loop, "plus-first", tol=split_tol)
+        report = factor_devs(loop, u_plus, j)
+        ks = set(u_plus.coeffs) | set(u_plus_axis.coeffs)
+        report["uplus_y_independence"] = float(max(
+            np.abs(u_plus.coeff(k) - u_plus_axis.coeff(k)).max() for k in ks))
+        reports.append(report)
+    return reports
 
 
 _COLS = [(0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1)]
@@ -236,19 +266,19 @@ _COLS = [(0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1)]
 
 def save_potential_csv(pot, path):
     """Write a 3x3 potential: axis, coordinate, then the six off-diagonal
-    entries s12,s13,s23,s21,s31,s32 of the (skew) coefficient matrix."""
-    lines = ["# axis,coord,s12,s13,s23,s21,s31,s32"]
-    for c, m in zip(pot.coords, pot.samples):
-        vals = ",".join(f"{m[r, s]:.17g}" for r, s in _COLS)
-        lines.append(f"{pot.axis},{c:.17g},{vals}")
+    entries s12,s13,s23,s21,s31,s32 of the (skew) coefficient matrix, one
+    line per axis node formatted by `sinegordon._write_rows`."""
+    rows, cols = zip(*_COLS)
+    table = np.column_stack([pot.coords, pot.samples[:, rows, cols]])
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("# axis,coord,s12,s13,s23,s21,s31,s32\n")
+        _write_rows(fh, table, head=f"{pot.axis},")
 
 
 def load_potential_csv(path):
     """Read a 3x3 potential written by save_potential_csv; a line without
-    eight fields or with a token that is not a number raises ValueError
-    naming path:line."""
+    eight fields, with a token that is not a number or with another axis
+    than the first line's raises ValueError naming path:line."""
     axis = None
     coords, mats = [], []
     with open(path) as fh:
@@ -264,7 +294,11 @@ def load_potential_csv(path):
                 vals = [float(v) for v in parts[1:]]
             except ValueError as exc:
                 raise ValueError(f"{path}:{n}: {exc}") from None
-            axis = parts[0]
+            if axis is None:
+                axis = parts[0]
+            elif parts[0] != axis:
+                raise ValueError(f"{path}:{n}: axis {parts[0]!r} differs "
+                                 f"from the first line's {axis!r}")
             coords.append(vals[0])
             m = np.zeros((3, 3))
             for (r, s), v in zip(_COLS, vals[1:]):
@@ -278,10 +312,11 @@ def load_potential_csv(path):
 
 def save_potential2_csv(pot, path):
     """Write a 2x2 potential: axis, coordinate, re/im of both off-diagonal
-    entries."""
-    lines = ["# axis,coord,re01,im01,re10,im10"]
-    for c, m in zip(pot.coords, pot.samples):
-        lines.append(f"{pot.axis},{c:.17g},{m[0, 1].real:.17g},"
-                     f"{m[0, 1].imag:.17g},{m[1, 0].real:.17g},{m[1, 0].imag:.17g}")
+    entries, one line per axis node formatted by
+    `sinegordon._write_rows`."""
+    s01, s10 = pot.samples[:, 0, 1], pot.samples[:, 1, 0]
+    table = np.column_stack([pot.coords, s01.real, s01.imag,
+                             s10.real, s10.imag])
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("# axis,coord,re01,im01,re10,im10\n")
+        _write_rows(fh, table, head=f"{pot.axis},")

@@ -243,23 +243,43 @@ def sg_residual(f):
     return cross - np.sin(f.phi)
 
 
-def _fmt(v):
-    return f"{v:.17g}"
-
-
 def save_angle_csv(f, path, derivative_path=None):
     """Write an angle field as CSV: header '# nx ny x0 y0 hx hy', then
-    ny lines of nx comma-separated values (line j holds phi(:, y_j))."""
+    ny lines of nx comma-separated values (line j holds phi(:, y_j)),
+    formatted by `_write_rows`."""
     g = f.grid
-    header = f"# {g.nx} {g.ny} {_fmt(g.x0)} {_fmt(g.y0)} {_fmt(g.hx)} {_fmt(g.hy)}"
     for data, p in ((f.phi, path), (f.dphi_dx, derivative_path)):
         if p is None:
             continue
-        lines = [header]
-        for j in range(g.ny):
-            lines.append(",".join(_fmt(v) for v in data[:, j]))
         with open(p, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            _write_rows(fh, [[g.nx, g.ny, g.x0, g.y0, g.hx, g.hy]],
+                        head="# ", sep=" ", ints=2)
+            _write_rows(fh, data.T)
+
+
+# values formatted by one % in _write_rows: a block's template, tuple and
+# text stay a few hundred kB whatever the size of the table
+_BLOCK_VALUES = 8192
+
+
+def _write_rows(fh, rows, head="", sep=",", ints=0):
+    """Write a 2-D numeric table to the text file fh, one line per row:
+    head, then the row's values joined by sep, the first `ints` of them
+    as integers (%d) and the rest with 17 significant digits (%.17g),
+    which read back to the same float64. Every CSV and OBJ file psforge
+    writes is made of such tables. Rows are formatted a block at a time,
+    one % per block of at most _BLOCK_VALUES values, so no Python loop
+    runs per value and memory does not grow with the table; the bytes
+    equal those of formatting each value on its own with f"{v:.17g}"
+    (also for -0.0, nan, inf and subnormals)."""
+    rows = np.asarray(rows)
+    ncols = rows.shape[1]
+    line = head.replace("%", "%%") + sep.join(
+        ["%d"] * ints + ["%.17g"] * (ncols - ints)) + "\n"
+    step = max(1, _BLOCK_VALUES // ncols)
+    for k in range(0, len(rows), step):
+        block = rows[k:k + step]
+        fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _read_rows(fh, path):

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import IOFailure, NotSkew, SingularAngle
 from .frames import ExtendedFrame, integrate_frame
 from .numerics import deriv4
+from .sinegordon import _write_rows
 
 __all__ = [
     "Immersion", "SurfaceGeometry", "HarmonicityReport",
@@ -230,29 +231,27 @@ def export_mesh(s, path, mask=None):
     """Write the immersion as a Wavefront OBJ triangle mesh.
 
     Vertices appear in row-major node order; each grid cell contributes
-    two triangles. Faces touching a masked-out node are dropped.
+    two triangles. Faces touching a masked-out node are dropped. Both
+    blocks are tables formatted by `sinegordon._write_rows`. Complex
+    points (an immersion at complex lambda) raise ValueError before
+    anything is written.
     """
     g = s.grid
-    p = s.points
-    if mask is None:
-        mask = np.ones((g.nx, g.ny), dtype=bool)
+    if np.iscomplexobj(s.points):
+        raise ValueError(f"{path}: an OBJ mesh holds real points, not the "
+                         f"complex immersion at lambda {s.lam!r}")
+    mask = (np.ones((g.nx, g.ny), dtype=bool) if mask is None
+            else np.asarray(mask, dtype=bool))
+    cells = mask[:-1, :-1] & mask[1:, :-1] & mask[:-1, 1:] & mask[1:, 1:]
+    i, j = np.nonzero(cells)
+    a = i * g.ny + j + 1
+    b = a + g.ny
+    # two triangles (a, b, b + 1) and (a, b + 1, a + 1) per kept cell
+    faces = np.stack([a, b, b + 1, a, b + 1, a + 1], axis=-1).reshape(-1, 3)
     try:
         with open(path, "w") as fh:
-            for i in range(g.nx):
-                for j in range(g.ny):
-                    x, y, z = p[i, j]
-                    fh.write(f"v {x:.17g} {y:.17g} {z:.17g}\n")
-            for i in range(g.nx - 1):
-                for j in range(g.ny - 1):
-                    if not (mask[i, j] and mask[i + 1, j]
-                            and mask[i, j + 1] and mask[i + 1, j + 1]):
-                        continue
-                    a = i * g.ny + j + 1
-                    b = (i + 1) * g.ny + j + 1
-                    c = (i + 1) * g.ny + j + 2
-                    d = i * g.ny + j + 2
-                    fh.write(f"f {a} {b} {c}\n")
-                    fh.write(f"f {a} {c} {d}\n")
+            _write_rows(fh, s.points.reshape(-1, 3), head="v ", sep=" ")
+            _write_rows(fh, faces, head="f ", sep=" ", ints=3)
     except OSError as exc:
         raise IOFailure(f"cannot write mesh to {path}: {exc}") from exc
 

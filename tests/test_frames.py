@@ -104,6 +104,31 @@ def test_frame_dump_round_trip(tmp_path, small_soliton):
     assert np.array_equal(back2.U, fr.U)
 
 
+@pytest.mark.parametrize("suffix", [".csv", ".npz"])
+@pytest.mark.parametrize("kind", ["batched", "complex"])
+def test_frame_dump_rejects_unreadable_frame(tmp_path, small_soliton, kind,
+                                             suffix):
+    # neither a lambda batch nor a complex lambda reads back through
+    # load_frame, so nothing is written
+    from psforge.frames import save_frame
+    lam = np.array([0.5, 1.0]) if kind == "batched" else np.exp(0.4j)
+    fr = integrate_frame(small_soliton, lam)
+    path = tmp_path / ("u" + suffix)
+    with pytest.raises(ValueError, match="one real lambda"):
+        save_frame(fr, path)
+    assert not path.exists()
+
+
+def test_frame_dump_csv_rejects_spinor_frame(tmp_path, small_soliton):
+    from psforge.frames import ExtendedFrame, load_frame, save_frame
+    fr = ExtendedFrame(small_soliton.grid, 1.0, su2_frame(small_soliton, 1.0))
+    with pytest.raises(ValueError, match="real 3x3 frames"):
+        save_frame(fr, tmp_path / "u.csv")
+    assert not (tmp_path / "u.csv").exists()
+    save_frame(fr, tmp_path / "u.npz")
+    assert np.array_equal(load_frame(tmp_path / "u.npz").U, fr.U)
+
+
 def test_frame_load_names_malformed_line(tmp_path, small_soliton):
     from psforge.frames import load_frame, save_frame
     save_frame(integrate_frame(small_soliton, 1.5), tmp_path / "u.csv")

@@ -249,6 +249,18 @@ def test_cross_check_split_equals_public_pieces(tmp_path, soliton_51, sampled):
                                                        substeps=2).values)
 
 
+def test_cross_check_pair_equals_separate_calls(soliton_51):
+    # verify's split check: one x-leg, both reports bit for bit
+    from psforge.potentials import _cross_check
+    _, j0 = soliton_51.grid.origin_index()
+    for i, j in [(40, 12), (9, 44)]:
+        assert _cross_check(soliton_51, i, j, with_axis=True) == [
+            cross_check_split(soliton_51, i, j0),
+            cross_check_split(soliton_51, i, j)]
+    assert _cross_check(soliton_51, 40, j0, with_axis=True) == [
+        cross_check_split(soliton_51, 40, j0)]
+
+
 @pytest.mark.parametrize("node", ["i=-1", "j=-1", "i=nx", "j=ny"])
 def test_probe_node_out_of_range(soliton_51, node):
     g = soliton_51.grid
@@ -285,3 +297,33 @@ def test_potential_csv_round_trip(tmp_path, soliton):
     save_potential2_csv(ex2, tmp_path / "eta_x2.csv")
     lines = (tmp_path / "eta_x2.csv").read_text().splitlines()
     assert len(lines) == 1 + soliton.grid.nx
+
+
+def test_potential_csv_rejects_mixed_axes(tmp_path):
+    path = tmp_path / "eta.csv"
+    path.write_text("# axis,coord,s12,s13,s23,s21,s31,s32\n"
+                    "x,0,0,0,-1,0,0,1\n"
+                    "x,0.5,0,0,-1,0,0,1\n"
+                    "y,1,0,0,-1,0,0,1\n")
+    with pytest.raises(ValueError, match=r"eta\.csv:4: axis 'y' differs "
+                                         r"from the first line's 'x'"):
+        load_potential_csv(path)
+
+
+def test_nonuniform_potential_axis_raises(tmp_path):
+    # coordinates 0, 0.5, 0.6 were integrated as 0, 0.5, 1.0
+    path = tmp_path / "eta_x.csv"
+    path.write_text("# axis,coord,s12,s13,s23,s21,s31,s32\n"
+                    "x,0,0,0,-1,0,0,1\n"
+                    "x,0.5,0,0,-1,0,0,1\n"
+                    "x,0.60000000000000001,0,0,-1,0,0,1\n")
+    pot = load_potential_csv(path)
+    with pytest.raises(ValueError, match="x-potential axis is not uniform: "
+                                         "step 0.1 from node 1 to 2 differs from "
+                                         "the first step 0.5"):
+        integrate_plus(pot, 1.0)
+    pot.axis = "y"
+    with pytest.raises(ValueError, match="y-potential axis is not uniform"):
+        integrate_minus(pot, 1.0)
+    pot.coords = np.array([0.0, 0.5, 1.0])
+    assert np.allclose(integrate_minus(pot, 1.0)[-1][1, 1], np.cos(1.0))

@@ -182,3 +182,11 @@ def test_export_mesh_mask_drops_faces(tmp_path):
     export_mesh(Immersion(grid, 1.0, pts), path, mask=mask)
     _, faces = read_obj(path)
     assert len(faces) == 0  # every cell touches the masked center node
+
+
+def test_export_mesh_rejects_complex_immersion(tmp_path, small_soliton):
+    s = sym_immersion(small_soliton, np.exp(0.4j), substeps=1)
+    path = tmp_path / "c.obj"
+    with pytest.raises(ValueError, match="complex immersion"):
+        export_mesh(s, path)
+    assert not path.exists()

@@ -42,3 +42,93 @@ def coeff_dev(a, b):
     """Sup over powers of the entrywise difference of two loops."""
     keys = set(a.coeffs) | set(b.coeffs)
     return max(float(np.abs(a.coeff(k) - b.coeff(k)).max()) for k in keys)
+
+
+# Reference text writers: the per-node writers psforge used before its
+# table writer, kept unchanged so tests can require the same bytes.
+
+def _ref_fmt(v):
+    return f"{v:.17g}"
+
+
+def ref_write_geometry_csv(geom, path):
+    g = geom.grid
+    cols = ("E", "F", "G", "L", "M", "N2", "K")
+    lines = ["# i,j," + ",".join(cols)]
+    data = [getattr(geom, c) for c in cols]
+    for i in range(g.nx):
+        for j in range(g.ny):
+            vals = ",".join(_ref_fmt(float(d[i, j])) for d in data)
+            lines.append(f"{i},{j},{vals}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def ref_export_mesh(s, path, mask=None):
+    g = s.grid
+    p = s.points
+    if mask is None:
+        mask = np.ones((g.nx, g.ny), dtype=bool)
+    with open(path, "w") as fh:
+        for i in range(g.nx):
+            for j in range(g.ny):
+                x, y, z = p[i, j]
+                fh.write(f"v {x:.17g} {y:.17g} {z:.17g}\n")
+        for i in range(g.nx - 1):
+            for j in range(g.ny - 1):
+                if not (mask[i, j] and mask[i + 1, j]
+                        and mask[i, j + 1] and mask[i + 1, j + 1]):
+                    continue
+                a = i * g.ny + j + 1
+                b = (i + 1) * g.ny + j + 1
+                c = (i + 1) * g.ny + j + 2
+                d = i * g.ny + j + 2
+                fh.write(f"f {a} {b} {c}\n")
+                fh.write(f"f {a} {c} {d}\n")
+
+
+def ref_save_angle_csv(f, path, derivative_path=None):
+    g = f.grid
+    header = (f"# {g.nx} {g.ny} {_ref_fmt(g.x0)} {_ref_fmt(g.y0)} "
+              f"{_ref_fmt(g.hx)} {_ref_fmt(g.hy)}")
+    for data, p in ((f.phi, path), (f.dphi_dx, derivative_path)):
+        if p is None:
+            continue
+        lines = [header]
+        for j in range(g.ny):
+            lines.append(",".join(_ref_fmt(v) for v in data[:, j]))
+        with open(p, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+
+
+def ref_save_frame(frame, path):
+    g = frame.grid
+    header = (f"# {g.nx} {g.ny} {g.x0:.17g} {g.y0:.17g} "
+              f"{g.hx:.17g} {g.hy:.17g} {frame.lam:.17g}")
+    lines = [header]
+    for i in range(g.nx):
+        for j in range(g.ny):
+            lines.append(",".join(f"{v:.17g}" for v in frame.U[i, j].ravel()))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+_REF_COLS = [(0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1)]
+
+
+def ref_save_potential_csv(pot, path):
+    lines = ["# axis,coord,s12,s13,s23,s21,s31,s32"]
+    for c, m in zip(pot.coords, pot.samples):
+        vals = ",".join(f"{m[r, s]:.17g}" for r, s in _REF_COLS)
+        lines.append(f"{pot.axis},{c:.17g},{vals}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def ref_save_potential2_csv(pot, path):
+    lines = ["# axis,coord,re01,im01,re10,im10"]
+    for c, m in zip(pot.coords, pot.samples):
+        lines.append(f"{pot.axis},{c:.17g},{m[0, 1].real:.17g},"
+                     f"{m[0, 1].imag:.17g},{m[1, 0].real:.17g},{m[1, 0].imag:.17g}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
