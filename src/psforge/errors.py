@@ -35,7 +35,8 @@ class NonconvergentCell(PsforgeError):
 
 
 class StepFailure(PsforgeError):
-    """A frame/potential ODE integration step produced a non-finite state."""
+    """A frame/potential ODE integration produced a non-finite state or
+    left its group: the step does not resolve the equations."""
 
 
 class SingularAngle(PsforgeError):

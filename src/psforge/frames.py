@@ -6,22 +6,25 @@ The extended frame U(x, y; lambda) solves the right-invariant system
     U^{-1} U_x = A = -phi_x E12 + lambda E23
     U^{-1} U_y = B = (1/lambda) (-sin(phi) E13 - cos(phi) E23)
 
-with U = I at the origin. Every ODE of psforge is integrated by one march,
-`_march`: classical RK4 along a grid line, projected back onto the group
-at every node by one Newton-Schulz step, with the lambda derivative
-needed by the Sym formula integrated jointly from the closed-form lambda
-derivatives of A and B. Grid frames (3x3 or spinor, one lambda or a
-batch), frame loops on the unit circle and the potentials' Birkhoff-factor
-ODEs all call it. Between grid nodes a sampled angle field is read from
-tables refined onto the march's RK4 stage points (6-point Lagrange
-interpolation, `numerics.refine`).
+with U = I at the origin. The Sym position psi = lambda U_lambda U^{-1}
+(a vector through `algebra.hat`) has psi_x = -lambda U e1 and
+psi_y = -U unhat(B), so the surface's Euclidean frame F = [[U, psi], [0, 1]]
+solves F^{-1} dF = [[A, tau], [0, 0]], tau = -lambda e1 dx - unhat(B) dy:
+grid frames are marched as the 3x4 state [U | psi]. Every ODE of psforge
+is integrated by one march, `_march`: classical RK4 along a grid line,
+the square block of the state projected back onto its group at every
+node by one Newton-Schulz step. Grid frames (one lambda or a batch),
+spinor frames, frame loops on the unit circle and the potentials'
+Birkhoff-factor ODEs all call it. Between grid nodes a sampled angle
+field is read from tables refined onto the march's RK4 stage points
+(6-point Lagrange interpolation, `numerics.refine`).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import E12, E13, E23, gauge_rotation
+from .algebra import E12, E13, E23, gauge_rotation, unhat
 from .errors import StepFailure
 from .numerics import deriv4, group_deviation, polar_project, refine
 from .sinegordon import AngleField, _read_rows, _write_rows
@@ -35,10 +38,11 @@ __all__ = [
 ]
 
 
-def _lax_A(phi_x, lam):
+def _lax_A(phi_x, lam, m=3):
+    # A in the leading block of an m x m zero matrix
     phi_x = np.asarray(phi_x)
     dtype = complex if np.iscomplexobj(np.asarray(lam)) else float
-    out = np.zeros(np.broadcast_shapes(phi_x.shape, np.shape(lam)) + (3, 3), dtype)
+    out = np.zeros(np.broadcast_shapes(phi_x.shape, np.shape(lam)) + (m, m), dtype)
     out[..., 0, 1] = -phi_x
     out[..., 1, 0] = phi_x
     out[..., 1, 2] = lam
@@ -46,11 +50,12 @@ def _lax_A(phi_x, lam):
     return out
 
 
-def _lax_B(phi, lam):
+def _lax_B(phi, lam, m=3):
+    # B in the leading block of an m x m zero matrix
     phi = np.asarray(phi)
     s, c = np.sin(phi) / lam, np.cos(phi) / lam
     dtype = complex if np.iscomplexobj(np.asarray(lam)) else float
-    out = np.zeros(np.broadcast_shapes(phi.shape, np.shape(lam)) + (3, 3), dtype)
+    out = np.zeros(np.broadcast_shapes(phi.shape, np.shape(lam)) + (m, m), dtype)
     out[..., 0, 2] = -s
     out[..., 2, 0] = s
     out[..., 1, 2] = -c
@@ -77,6 +82,27 @@ def _lax2_B(phi, lam):
     return out
 
 
+def _se3_A(phi_x, lam):
+    # F^{-1} F_x = [[A, -lambda e1], [0, 0]]
+    out = _lax_A(phi_x, lam, 4)
+    out[..., 0, 3] = -lam
+    return out
+
+
+def _se3_B(phi, lam):
+    # F^{-1} F_y = [[B, -unhat(B)], [0, 0]]
+    out = _lax_B(phi, lam, 4)
+    out[..., :3, 3] = -unhat(out[..., :3, :3], check=False)
+    return out
+
+
+# generator pairs (x, y) of the frame equations: the Euclidean frame
+# [U | psi], the rotation frame U alone and its spinor lift
+_SE3 = (_se3_A, _se3_B)
+_SO3 = (_lax_A, _lax_B)
+_SU2 = (_lax2_A, _lax2_B)
+
+
 def lax_matrices(phi, phi_x, lam):
     """The Lax pair (A, B) at a point; both skew for real lambda."""
     return _lax_A(phi_x, lam), _lax_B(phi, lam)
@@ -84,15 +110,18 @@ def lax_matrices(phi, phi_x, lam):
 
 @dataclass
 class ExtendedFrame:
-    """Grid of frame matrices U(x, y; lambda), optionally with dU/dlambda.
+    """Grid of frame matrices U(x, y; lambda) and Sym positions psi.
 
-    When lam is a 1-D array, U and dU carry it as a leading batch axis.
+    F = [[U, psi], [0, 1]] solves F^{-1} dF = [[A, tau], [0, 0]] with
+    tau = -lambda e1 dx - unhat(B) dy. psi is None for a frame read back
+    by load_frame. When lam is a 1-D array, U and psi carry it as a
+    leading batch axis.
     """
 
     grid: object
     lam: float
     U: np.ndarray
-    dU: np.ndarray = None
+    psi: np.ndarray = None
 
 
 @dataclass
@@ -152,40 +181,27 @@ class _Sampler:
         return self._phi(y)[i]
 
 
-def _rk4_pair(u, w, coeff, dcoeff, h):
-    a1, a2, a3 = coeff(0.0), coeff(0.5 * h), coeff(h)
-    k1 = u @ a1
-    k2 = (u + 0.5 * h * k1) @ a2
-    k3 = (u + 0.5 * h * k2) @ a2
-    k4 = (u + h * k3) @ a3
-    un = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if w is None:
-        return un, None
-    d1, d2, d3 = dcoeff(0.0), dcoeff(0.5 * h), dcoeff(h)
-    l1 = w @ a1 + u @ d1
-    l2 = (w + 0.5 * h * l1) @ a2 + (u + 0.5 * h * k1) @ d2
-    l3 = (w + 0.5 * h * l2) @ a2 + (u + 0.5 * h * k2) @ d2
-    l4 = (w + h * l3) @ a3 + (u + h * k3) @ d3
-    wn = w + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
-    return un, wn
-
-
-def _march(u, w, ts, start, stop, spacing, substeps, coeff, dcoeff=None):
-    """The RK4 transport kernel: march u' = u @ coeff(t), and its lambda
-    derivative w' = w @ coeff(t) + u @ dcoeff(t) when w is given, along a
-    grid line with node coordinates ts from node start to node stop, in
-    `substeps` steps per node. u is projected at every node; yields
-    (node, u, w) per node. States may carry leading batch axes."""
+def _march(u, ts, start, stop, spacing, substeps, coeff):
+    """The RK4 transport kernel: march u' = u @ coeff(t) along a grid line
+    with node coordinates ts from node start to node stop, in `substeps`
+    steps per node. The square block u[..., :m] (m rows) is projected onto
+    its group at every node; a Euclidean frame's psi column rides along.
+    Yields (node, u) per node. States may carry leading batch axes."""
     direction = 1 if stop >= start else -1
     h_node = direction * spacing
     h = h_node / substeps
+    m = u.shape[-2]
     for n in range(start, stop, direction):
         for k in range(substeps):
             t0 = ts[n] + h_node * k / substeps
-            u, w = _rk4_pair(u, w, lambda t: coeff(t0 + t),
-                             lambda t: dcoeff(t0 + t), h)
-        u = polar_project(u)
-        yield n + direction, u, w
+            a1, a2, a3 = coeff(t0), coeff(t0 + 0.5 * h), coeff(t0 + h)
+            k1 = u @ a1
+            k2 = (u + 0.5 * h * k1) @ a2
+            k3 = (u + 0.5 * h * k2) @ a2
+            k4 = (u + h * k3) @ a3
+            u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        u[..., :m] = polar_project(u[..., :m])
+        yield n + direction, u
 
 
 # resolved marches stay near 1e-15; a 101^2 soliton frame at this
@@ -194,10 +210,12 @@ _GROUP_TOL = 1e-8
 
 
 def _check_transport(u):
-    """Raise StepFailure unless the marched states u are finite and on
-    their group. A resolved march stays within eps * |u|^2 of it; one
-    Newton-Schulz step per node does not pull back a march whose step is
-    too coarse for the Lax system (large h * max(lambda, 1/lambda))."""
+    """Raise StepFailure unless the square blocks u[..., :m] of the marched
+    states are finite and on their group. A resolved march stays within
+    eps * |u|^2 of it; one Newton-Schulz step per node does not pull back
+    a march whose step is too coarse for the Lax system (large
+    h * max(lambda, 1/lambda))."""
+    u = u[..., :u.shape[-2]]
     if not np.all(np.isfinite(u)):
         raise StepFailure("RK4 transport produced non-finite entries")
     dev = group_deviation(u)
@@ -207,63 +225,49 @@ def _check_transport(u):
                           "more substeps or a finer grid")
 
 
-def _lax_on_line(s, lam, axis, line, spinor=False):
-    """(coeff, dcoeff/dlambda) of the Lax system on a grid line: in x at
-    the y-node(s) `line` (axis 0) or in y at the x-node(s) `line`."""
+def _lax_on_line(s, lam, axis, line, gens):
+    """The coefficient of the frame equations on a grid line, from the
+    generator pair gens (`_SE3`, `_SO3` or `_SU2`): in x at the y-node(s)
+    `line` (axis 0) or in y at the x-node(s) `line`."""
     if np.ndim(lam) and np.ndim(line):
         lam = lam[:, None]  # lambda batch x line batch
     if axis == 0:
-        lax = _lax2_A if spinor else _lax_A
-        dA = E23.astype(complex if np.iscomplexobj(lam) else float)
-        return (lambda x: lax(s.phix_at_row(x, line), lam)), (lambda x: dA)
-    lax = _lax2_B if spinor else _lax_B
-    dlam = np.asarray(lam)[..., None, None]
-
-    def coeff(y):
-        return lax(s.phi_at_col(line, y), lam)
-    return coeff, (lambda y: -coeff(y) / dlam)
+        return lambda x: gens[0](s.phix_at_row(x, line), lam)
+    return lambda y: gens[1](s.phi_at_col(line, y), lam)
 
 
-def _fill_grid(s, lam, order, u0, w0, substeps, spinor=False):
-    """March u0 (and w0) from the origin along the first axis of `order`,
-    then from that line along every line of the other axis. Returns U and
-    W (None without w0) of shape lam.shape + (nx, ny, m, m)."""
+def _fill_grid(s, lam, order, u0, substeps, gens):
+    """March u0 from the origin along the first axis of `order`, then from
+    that line along every line of the other axis, under the generator pair
+    gens. Returns the states, of shape lam.shape + (nx, ny) + u0.shape."""
     if order not in ("xy", "yx"):
         raise ValueError("order must be 'xy' or 'yx'")
     g = s.f.grid
-    shape = np.shape(lam) + (g.nx, g.ny) + u0.shape
-    U = np.zeros(shape, u0.dtype)
-    W = None if w0 is None else np.zeros(shape, u0.dtype)
+    U = np.zeros(np.shape(lam) + (g.nx, g.ny) + u0.shape, u0.dtype)
     a, b = (0, 1) if order == "xy" else (1, 0)
-    # views with the first-marched axis in front
-    V, X = (U, W) if a == 0 else (
-        np.swapaxes(U, -4, -3), None if W is None else np.swapaxes(W, -4, -3))
+    # view with the first-marched axis in front
+    V = U if a == 0 else np.swapaxes(U, -4, -3)
     lines, origin = ((g.xs, g.hx, g.nx), (g.ys, g.hy, g.ny)), g.origin_index()
     (ta, ha, na), (tb, hb, nb) = lines[a], lines[b]
     oa, ob = origin[a], origin[b]
     V[..., oa, ob, :, :] = u0
     for stop in (na - 1, 0):
-        for n, u, w in _march(u0, w0, ta, oa, stop, ha, substeps,
-                              *_lax_on_line(s, lam, a, ob, spinor)):
+        for n, u in _march(u0, ta, oa, stop, ha, substeps,
+                           _lax_on_line(s, lam, a, ob, gens)):
             V[..., n, ob, :, :] = u
-            if X is not None:
-                X[..., n, ob, :, :] = w
     every = np.arange(na)
     for stop in (nb - 1, 0):
-        u = V[..., :, ob, :, :].copy()
-        w = None if X is None else X[..., :, ob, :, :].copy()
-        for n, u, w in _march(u, w, tb, ob, stop, hb, substeps,
-                              *_lax_on_line(s, lam, b, every, spinor)):
+        for n, u in _march(V[..., :, ob, :, :].copy(), tb, ob, stop, hb,
+                           substeps, _lax_on_line(s, lam, b, every, gens)):
             V[..., :, n, :, :] = u
-            if X is not None:
-                X[..., :, n, :, :] = w
     _check_transport(U)
-    return U, W
+    return U
 
 
-def integrate_frame(f, lam, with_lambda_derivative=False, order="xy",
-                    substeps=1, initial=None):
-    """Integrate the extended frame over the whole grid from U(0,0) = I.
+def integrate_frame(f, lam, order="xy", substeps=1, initial=None):
+    """Integrate the extended frame U and the Sym position psi over the
+    whole grid from U(0,0) = I, psi(0,0) = 0, marching the Euclidean frame
+    [U | psi] (see `ExtendedFrame`).
 
     order="xy" sweeps along the x axis through the origin first and then
     along every column (the default); "yx" is the transposed path, useful
@@ -271,7 +275,7 @@ def integrate_frame(f, lam, with_lambda_derivative=False, order="xy",
     (the spectral accuracy limit of plain RK4 at the grid step). initial
     overrides the frame at the origin (a constant SO(3) matrix). lam is a
     (complex) number or a 1-D array of positive numbers; an array becomes
-    the leading axis of U and dU, every member integrated at once. Raises
+    the leading axis of U and psi, every member integrated at once. Raises
     StepFailure when the march leaves the group, i.e. when the step is too
     coarse for lambda; more substeps resolve it.
     """
@@ -280,10 +284,10 @@ def integrate_frame(f, lam, with_lambda_derivative=False, order="xy",
         lam = np.asarray(lam, dtype=float) if np.ndim(lam) else float(lam)
         if np.ndim(lam) > 1 or np.any(lam <= 0):
             raise ValueError("lambda must be positive (a number or a 1-D array)")
-    u0 = np.eye(3, dtype=dtype) if initial is None else np.asarray(initial, dtype)
-    w0 = np.zeros((3, 3), dtype) if with_lambda_derivative else None
-    U, W = _fill_grid(_Sampler(f, substeps), lam, order, u0, w0, substeps)
-    return ExtendedFrame(f.grid, lam, U, W)
+    u0 = np.zeros((3, 4), dtype)
+    u0[:, :3] = np.eye(3) if initial is None else initial
+    F = _fill_grid(_Sampler(f, substeps), lam, order, u0, substeps, _SE3)
+    return ExtendedFrame(f.grid, lam, F[..., :3].copy(), F[..., 3].copy())
 
 
 def compatibility_residual(f, lam):
@@ -384,12 +388,11 @@ def check_conditions_K(forms):
 
 def gauge(frame, theta):
     """Right gauge action U -> U R(theta)^{-1}; the Gauss map (third
-    column) is untouched."""
+    column) and the Sym position psi are untouched."""
     theta = np.broadcast_to(np.asarray(theta, dtype=float),
                             (frame.grid.nx, frame.grid.ny))
     rinv = np.swapaxes(gauge_rotation(theta), -1, -2)
-    dU = None if frame.dU is None else frame.dU @ rinv
-    return ExtendedFrame(frame.grid, frame.lam, frame.U @ rinv, dU)
+    return ExtendedFrame(frame.grid, frame.lam, frame.U @ rinv, frame.psi)
 
 
 def su2_frame(f, lam, order="xy", substeps=1):
@@ -400,9 +403,8 @@ def su2_frame(f, lam, order="xy", substeps=1):
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    P, _ = _fill_grid(_Sampler(f, substeps), lam, order,
-                      np.eye(2, dtype=complex), None, substeps, spinor=True)
-    return P
+    return _fill_grid(_Sampler(f, substeps), lam, order,
+                      np.eye(2, dtype=complex), substeps, _SU2)
 
 
 def save_frame(frame, path):
@@ -473,12 +475,12 @@ def _frame_loop_legs(f, i, j, n, substeps):
     s = _Sampler(f, substeps)
     lams = _circle_points(n)
     u = np.broadcast_to(np.eye(3, dtype=complex), (n, 3, 3)).copy()
-    for _, u, _ in _march(u, None, g.xs, i0, i, g.hx, substeps,
-                         *_lax_on_line(s, lams, 0, j0)):
+    for _, u in _march(u, g.xs, i0, i, g.hx, substeps,
+                       _lax_on_line(s, lams, 0, j0, _SO3)):
         pass
     u_axis = u
-    for _, u, _ in _march(u, None, g.ys, j0, j, g.hy, substeps,
-                         *_lax_on_line(s, lams, 1, i)):
+    for _, u in _march(u, g.ys, j0, j, g.hy, substeps,
+                       _lax_on_line(s, lams, 1, i, _SO3)):
         pass
     _check_transport(u_axis)
     _check_transport(u)

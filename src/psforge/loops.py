@@ -54,14 +54,6 @@ class LaurentLoop:
         self.coeffs = clean
 
     @classmethod
-    def from_coeffs(cls, coeffs, tol=1e-11):
-        """Build a loop and auto-detect its twist/reality flags."""
-        loop = cls(coeffs)
-        loop.twisted = check_twist(loop, tol=tol)
-        loop.real = check_reality(loop, tol=tol)
-        return loop
-
-    @classmethod
     def identity(cls):
         return cls({0: np.eye(3)}, twisted=True, real=True)
 

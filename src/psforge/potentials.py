@@ -169,8 +169,7 @@ def _integrate_axis(pot, axis, lam, substeps, node=None):
     out = np.zeros((hi - lo + 1,) + u0.shape, u0.dtype)
     out[origin - lo] = u0
     for stop in (hi, lo):
-        for k, u, _ in _march(u0, None, coords, origin, stop, h, substeps,
-                              coeff):
+        for k, u in _march(u0, coords, origin, stop, h, substeps, coeff):
             out[k - lo] = u
     _check_transport(out)
     return out if node is None else out[node - lo]

@@ -1,9 +1,11 @@
 """Sym reconstruction of immersions, fundamental forms and curvatures,
 Gauss map, Lorentz-harmonicity checks and the associated family.
 
-The immersion is read off the extended frame as psi = lam * dU/dlam * U^{-1},
-an so(3)-valued field converted to points of R^3 through the hat-map
-convention of the algebra module. All derivative estimates on the grid are
+The immersion is the Sym position psi = lam * dU/dlam * U^{-1} as points
+of R^3 (the hat map of the algebra module), taken without a lambda
+derivative from the Euclidean frame F = [[U, psi], [0, 1]] that
+`frames.integrate_frame` marches: F^{-1} dF = [[A, tau], [0, 0]],
+tau = -lam e1 dx - unhat(B) dy. All derivative estimates on the grid are
 4th-order centered differences; nodes where the induced metric degenerates
 (sin(phi) -> 0, the cuspidal edges) are masked, not fatal.
 """
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IOFailure, NotSkew, SingularAngle
+from .errors import IOFailure, SingularAngle
 from .frames import ExtendedFrame, integrate_frame
 from .numerics import deriv4
 from .sinegordon import _write_rows
@@ -71,25 +73,19 @@ class HarmonicityReport:
     ny_norm: np.ndarray
 
 
-def sym_immersion(f, lam, substeps=2, skew_tol=1e-6, frame=None):
+def sym_immersion(f, lam, substeps=2, frame=None):
     """Reconstruct the immersion psi = lam * dU/dlam * U^{-1}.
 
     psi vanishes at the origin because U(0,0) = I for every lambda. A
-    pre-integrated frame (carrying dU) can be passed to skip integration.
-    Raises NotSkew when the Sym matrix drifts off so(3), which signals an
-    integration failure.
+    pre-integrated frame can be passed to skip integration; it must carry
+    psi (a frame from load_frame does not, and raises ValueError).
     """
     if frame is None:
-        frame = integrate_frame(f, lam, with_lambda_derivative=True,
-                                substeps=substeps)
-    if frame.dU is None:
-        raise ValueError("frame must carry the lambda derivative")
-    S = lam * (frame.dU @ np.swapaxes(frame.U, -1, -2))
-    dev = np.abs(S + np.swapaxes(S, -1, -2)).max()
-    if dev > skew_tol:
-        raise NotSkew(f"Sym matrix deviates from so(3) by {dev:.3e}")
-    from .algebra import unhat
-    return Immersion(f.grid, lam, unhat(S, check=False), frame)
+        frame = integrate_frame(f, lam, substeps=substeps)
+    if frame.psi is None:
+        raise ValueError("frame carries no Sym position psi; integrate it "
+                         "with integrate_frame")
+    return Immersion(f.grid, lam, frame.psi, frame)
 
 
 def fundamental_forms(s, degenerate_eps=1e-4):
@@ -196,12 +192,11 @@ def associated_family(f, lambdas, substeps=2):
     phi, both on the non-degenerate mask intersection.
     """
     lambdas = [float(l) for l in lambdas]
-    batch = integrate_frame(f, np.array(lambdas), with_lambda_derivative=True,
-                            substeps=substeps)
+    batch = integrate_frame(f, np.array(lambdas), substeps=substeps)
     members = []
     for k, lam in enumerate(lambdas):
         s = sym_immersion(f, lam, frame=ExtendedFrame(
-            f.grid, lam, batch.U[k], batch.dU[k]))
+            f.grid, lam, batch.U[k], batch.psi[k]))
         members.append((s, fundamental_forms(s)))
 
     mask = np.logical_and.reduce([geom.mask for _, geom in members])

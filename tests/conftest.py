@@ -28,8 +28,7 @@ def small_soliton():
 
 @pytest.fixture(scope="session")
 def soliton_frame(soliton):
-    return integrate_frame(soliton, 1.0, with_lambda_derivative=True,
-                           substeps=2)
+    return integrate_frame(soliton, 1.0, substeps=2)
 
 
 @pytest.fixture(scope="session")

@@ -177,7 +177,7 @@ def test_criterion_07_birkhoff_oracle():
 
 def test_criterion_08_potential_consistency(soliton):
     from scipy.interpolate import CubicSpline
-    from psforge.frames import _rk4_pair
+    from util import _rk4_pair
     from psforge.potentials import boundary_forms, rotation_V0
 
     # (a) closed forms against the conjugation/ODE definitions

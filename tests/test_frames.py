@@ -94,6 +94,7 @@ def test_compatibility_lambda_independent(soliton):
 
 def test_frame_dump_round_trip(tmp_path, small_soliton):
     from psforge.frames import load_frame, save_frame
+    from psforge.surfaces import sym_immersion
     fr = integrate_frame(small_soliton, 1.5)
     save_frame(fr, tmp_path / "u.csv")
     back = load_frame(tmp_path / "u.csv")
@@ -102,6 +103,10 @@ def test_frame_dump_round_trip(tmp_path, small_soliton):
     save_frame(fr, tmp_path / "u.npz")
     back2 = load_frame(tmp_path / "u.npz")
     assert np.array_equal(back2.U, fr.U)
+    # the files hold U only, so no Sym immersion can be read off them
+    for loaded in (back, back2):
+        with pytest.raises(ValueError, match="no Sym position"):
+            sym_immersion(small_soliton, 1.5, frame=loaded)
 
 
 @pytest.mark.parametrize("suffix", [".csv", ".npz"])
@@ -265,6 +270,7 @@ def test_gauge(soliton_frame):
     theta = rng.uniform(-np.pi, np.pi, (g.nx, g.ny))
     gauged = gauge(soliton_frame, theta)
     assert np.array_equal(gauged.U[..., :, 2], soliton_frame.U[..., :, 2])
+    assert np.array_equal(gauged.psi, soliton_frame.psi)
     back = gauge(gauged, -theta)
     assert np.abs(back.U - soliton_frame.U).max() < 1e-13
 
@@ -288,14 +294,13 @@ def test_frame_lambda_batch_equals_scalar_frames(order):
     sampled = AngleField(exact.grid, exact.phi, exact.dphi_dx)  # refine tables
     lams = np.array([0.5, 1.0, 2.0])
     for f in (exact, sampled):
-        batch = integrate_frame(f, lams, with_lambda_derivative=True,
-                                order=order, substeps=2)
-        assert batch.U.shape == batch.dU.shape == (3, 21, 17, 3, 3)
+        batch = integrate_frame(f, lams, order=order, substeps=2)
+        assert batch.U.shape == (3, 21, 17, 3, 3)
+        assert batch.psi.shape == (3, 21, 17, 3)
         for k, lam in enumerate(lams):
-            one = integrate_frame(f, lam, with_lambda_derivative=True,
-                                  order=order, substeps=2)
+            one = integrate_frame(f, lam, order=order, substeps=2)
             assert np.array_equal(batch.U[k], one.U)
-            assert np.array_equal(batch.dU[k], one.dU)
+            assert np.array_equal(batch.psi[k], one.psi)
 
 
 @pytest.mark.parametrize("lam", [0.01, 50.0])

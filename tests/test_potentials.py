@@ -5,7 +5,7 @@ from scipy.linalg import expm
 
 from psforge.algebra import E13, E23, gauge_rotation, so3_to_su2
 from psforge.errors import NonpositiveProfile
-from psforge.frames import _frame_loop_legs, _rk4_pair, sample_frame_loop
+from psforge.frames import _frame_loop_legs, sample_frame_loop
 from psforge.loops import birkhoff_split, loop_eval
 from psforge.numerics import deriv4
 from psforge.potentials import (PotentialForm, boundary_forms,
@@ -17,7 +17,7 @@ from psforge.potentials import (PotentialForm, boundary_forms,
 from psforge.sinegordon import (AngleField, GridSpec, constant_angle,
                                 load_angle_csv, save_angle_csv,
                                 soliton_angle)
-from util import coeff_dev
+from util import _rk4_pair, coeff_dev
 
 BETA1 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
 

@@ -19,6 +19,24 @@ def test_sym_origin_is_zero(soliton):
         assert np.array_equal(s.points[i0, j0], np.zeros(3))
 
 
+@pytest.mark.parametrize("substeps, bound", [(1, 1e-6), (2, 1e-7)])
+def test_sym_position_matches_lambda_difference(small_soliton, substeps,
+                                                bound):
+    # oracle: the Sym formula psi = lam * U_lam * U^T with U_lam a central
+    # difference of two plain frame integrations at lam (1 +- 1e-4)
+    from psforge.algebra import unhat
+    lams = np.array([0.5, 1.0, 2.0])
+    sampled = AngleField(small_soliton.grid, small_soliton.phi,
+                         small_soliton.dphi_dx)
+    for f in (small_soliton, sampled):
+        fr = integrate_frame(f, lams, substeps=substeps)
+        up = integrate_frame(f, lams * (1 + 1e-4), substeps=substeps).U
+        um = integrate_frame(f, lams * (1 - 1e-4), substeps=substeps).U
+        lam = lams[:, None, None, None, None]
+        sym = lam * (up - um) / (2e-4 * lam) @ np.swapaxes(fr.U, -1, -2)
+        assert np.abs(fr.psi - unhat(sym, check=False)).max() < bound
+
+
 def test_pseudosphere_curvature(pseudosphere, sin_mask):
     _, geom = pseudosphere
     mask = geom.mask & sin_mask
@@ -134,8 +152,7 @@ def test_rigid_motion_equivariance(soliton):
     from psforge.algebra import hat
     r0 = expm(hat(np.array([0.3, -0.2, 0.5])))
     base = sym_immersion(soliton, 1.0, substeps=2)
-    fr = integrate_frame(soliton, 1.0, with_lambda_derivative=True,
-                         substeps=2, initial=r0)
+    fr = integrate_frame(soliton, 1.0, substeps=2, initial=r0)
     moved = sym_immersion(soliton, 1.0, frame=fr)
     assert np.abs(moved.points - base.points @ r0.T).max() < 1e-6
 

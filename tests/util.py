@@ -1,4 +1,7 @@
-"""Shared test helpers: random twisted loop-group factors."""
+"""Shared test helpers: random twisted loop-group factors, an RK4 ODE
+oracle independent of psforge's march (`_rk4_pair`, one step of u' = u a
+and, given w, of its derivative w' = w a + u d) and per-node reference
+writers."""
 
 import numpy as np
 from scipy.linalg import expm
@@ -36,6 +39,24 @@ def group_loop_from_algebra(coeffs, n=64, tail_tol=1e-14):
 def random_twisted_factor(kmin, kmax, rng, total_norm=0.25):
     return group_loop_from_algebra(
         random_twisted_algebra(kmin, kmax, total_norm, rng))
+
+
+def _rk4_pair(u, w, coeff, dcoeff, h):
+    a1, a2, a3 = coeff(0.0), coeff(0.5 * h), coeff(h)
+    k1 = u @ a1
+    k2 = (u + 0.5 * h * k1) @ a2
+    k3 = (u + 0.5 * h * k2) @ a2
+    k4 = (u + h * k3) @ a3
+    un = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if w is None:
+        return un, None
+    d1, d2, d3 = dcoeff(0.0), dcoeff(0.5 * h), dcoeff(h)
+    l1 = w @ a1 + u @ d1
+    l2 = (w + 0.5 * h * l1) @ a2 + (u + 0.5 * h * k1) @ d2
+    l3 = (w + 0.5 * h * l2) @ a2 + (u + 0.5 * h * k2) @ d2
+    l4 = (w + h * l3) @ a3 + (u + h * k3) @ d3
+    wn = w + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
+    return un, wn
 
 
 def coeff_dev(a, b):
