@@ -14,8 +14,7 @@ import sys
 import numpy as np
 
 from . import frames, loops, potentials, surfaces
-from .errors import (BigCellViolation, IncompatibleCorner, NonconvergentCell,
-                     NotSkew, PsforgeError, StepFailure, TruncationTooSmall)
+from .errors import BigCellViolation, IncompatibleCorner, PsforgeError
 from .sinegordon import (GridSpec, _write_rows, goursat_solve,
                          load_angle_csv, save_angle_csv, sg_residual,
                          soliton_angle)
@@ -38,6 +37,8 @@ DEFAULT_TOLERANCES = {
     "twist": 1e-8,
     "split_cross_check": 1e-4,
 }
+
+_SUBSTEPS = 2    # frame substeps of every march run_verification makes
 
 _CONFIG_TYPES = {
     "soliton": float, "h": float, "hx": float, "hy": float,
@@ -175,18 +176,16 @@ def cmd_surface(args):
     os.makedirs(outdir, exist_ok=True)
     members, family_report = surfaces.associated_family(field, lambdas)
 
-    sin_mask = np.abs(np.sin(field.phi)) > 0.1
     summary = {"lambdas": lambdas, "members": [],
                "M_deviation_sup": family_report["M_deviation_sup"],
                "angle_deviation_sup": family_report["angle_deviation_sup"]}
-    for (imm, geom), lam in zip(members, lambdas):
-        mask = geom.mask & sin_mask
+    for (imm, geom, mask), lam in zip(_masked(field, members), lambdas):
         tag = f"{lam:g}"
         if args.mesh is not False:
             surfaces.export_mesh(imm, os.path.join(outdir, f"mesh_lam{tag}.obj"),
                                  mask=geom.mask)
         _write_geometry_csv(geom, os.path.join(outdir, f"geometry_lam{tag}.csv"))
-        member = {
+        summary["members"].append({
             "lambda": lam,
             "K_mean": _finite_stat(np.where(mask, geom.K, np.nan), np.mean),
             "K_dev_sup": _nan_sup(np.where(mask, geom.K + 1.0, np.nan)),
@@ -194,8 +193,7 @@ def cmd_surface(args):
             "metricB_mean": _nan_mean(np.where(mask, geom.metricB, np.nan)),
             "chebyshev_F_dev": _nan_sup(np.where(
                 mask, geom.F - np.cos(field.phi), np.nan)),
-        }
-        summary["members"].append(member)
+        })
     if len(members) == 1:
         summary.update({k: v for k, v in summary["members"][0].items()
                         if k != "lambda"})
@@ -236,11 +234,8 @@ def cmd_split(args):
         raise SystemExit("psforge: --loop is required")
     loop = loops.load_loop_json(args.loop)
     direction = args.direction or "minus-first"
-    kwargs = {}
-    if args.truncation is not None:
-        kwargs["truncation"] = args.truncation
-    if args.tol is not None:
-        kwargs["tol"] = args.tol
+    kwargs = {k: getattr(args, k) for k in ("truncation", "tol")
+              if getattr(args, k) is not None}
     f1, f2 = loops.birkhoff_split(loop, direction, **kwargs)
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
@@ -263,151 +258,128 @@ def _probe_indices(grid):
     return i0 + si * max(1, di // 2), j0 + sj * max(1, dj // 2)
 
 
-def run_verification(field, lambdas, tolerances=None, substeps=2):
-    """Run the full invariant suite; returns (report dict, all_passed)."""
+def _masked(field, members):
+    """Each family member as (immersion, geometry, statistics mask); the
+    mask geom.mask & |sin phi| > 0.1 also leaves out the cuspidal edges."""
+    sin_mask = np.abs(np.sin(field.phi)) > 0.1
+    return [(imm, geom, geom.mask & sin_mask) for imm, geom in members]
+
+
+def _sup_mean(arrays):
+    """Largest _nan_sup and largest _nan_mean over the arrays."""
+    sups, means = zip(*[(_nan_sup(a), _nan_mean(a)) for a in arrays])
+    return max(sups), max(means)
+
+
+class _Checks:
+    """The checks of run_verification: one method per DEFAULT_TOLERANCES
+    key, returning (sup, mean) or (sup, mean, extra report entries). The
+    associated family is built once; every march takes _SUBSTEPS."""
+
+    def __init__(self, field, lambdas, tol):
+        self.field, self.lambdas, self.tol = field, lambdas, tol
+        self.at_one = int(np.argmin(np.abs(np.asarray(lambdas) - 1.0)))
+        try:
+            members, self.report = surfaces.associated_family(
+                field, lambdas, substeps=_SUBSTEPS)
+            self._members = _masked(field, members)
+        except (PsforgeError, ValueError) as exc:
+            self._members = exc
+        self.probe = _probe_indices(field.grid)
+
+    def members(self):
+        """_masked members; raises the error that stopped the family."""
+        if isinstance(self._members, Exception):
+            raise self._members
+        return self._members
+
+    def compatibility(self):
+        return _sup_mean(frames.compatibility_residual(self.field, lam)
+                         for lam in self.lambdas)
+
+    def flatness(self):
+        form = frames.maurer_cartan(self.field)
+        return _sup_mean(frames.flatness_residual(form, lam)
+                         for lam in self.lambdas)
+
+    def conditions_K(self):
+        return _sup_mean(r for lam in self.lambdas for r in
+                         frames.check_conditions_K(frames.lambda_forms(
+                             self.field, lam)).values())
+
+    def curvature(self):
+        _, geom, mask = self.members()[self.at_one]
+        sup, mean = _sup_mean([np.where(mask, geom.K + 1.0, np.nan)])
+        tol = self.tol["curvature"]
+        return sup, mean, {"mean_tolerance": tol / 10.0, "pass": bool(
+            np.isfinite(sup) and sup <= tol and mean <= tol / 10.0)}
+
+    def chebyshev(self):
+        devs = []
+        for (_, geom, mask), lam in zip(self.members(), self.lambdas):
+            devs += [np.where(mask, geom.metricA - lam, np.nan),
+                     np.where(mask, geom.metricB - 1.0 / lam, np.nan)]
+        sup, mean = _sup_mean(devs)
+        return sup, mean, {"pass": bool(mean <= self.tol["chebyshev"])}
+
+    def II_invariance(self):
+        self.members()  # raises when there is no family to report on
+        devs = {k: self.report[k]
+                for k in ("M_deviation_sup", "angle_deviation_sup")}
+        return max(devs.values()), max(devs.values()), devs
+
+    def harmonicity(self):
+        imm, geom, mask = self.members()[self.at_one]
+        rep = surfaces.harmonicity_check(surfaces.gauss_map(imm.frame),
+                                         grid=self.field.grid)
+        return _sup_mean([rep.tangential_residual,
+                          np.where(mask, rep.nx_norm - geom.metricA, np.nan)])
+
+    def gauge_invariance(self):
+        frame = self.members()[0][0].frame
+        theta = np.random.default_rng(7).uniform(-np.pi, np.pi, frame.U.shape[:2])
+        dev = float(np.abs(surfaces.gauss_map(frame) - surfaces.gauss_map(
+            frames.gauge(frame, theta))).max())
+        return dev, dev
+
+    def twist(self):
+        loop = frames.sample_frame_loop(self.field, *self.probe, n=32,
+                                        substeps=_SUBSTEPS).to_laurent()
+        dev = max(loops.twist_deviation(loop), max(
+            float(np.abs(c.imag).max()) for c in loop.coeffs.values()))
+        return dev, dev
+
+    def split_cross_check(self):
+        # cross_check_split at (pi, j0) and (pi, pj), sharing the x-leg
+        axis, off_axis = potentials._cross_check(
+            self.field, *self.probe, substeps=_SUBSTEPS, with_axis=True)
+        vals = [*axis.values(), *off_axis.values()]
+        return max(vals), float(np.mean(vals)), dict(axis=axis, off_axis=off_axis)
+
+
+def run_verification(field, lambdas, tolerances=None):
+    """Run the full invariant suite; returns (report dict, all_passed).
+
+    A check passes when its sup is finite and within its tolerance, unless
+    its extra entries carry their own "pass" (curvature: the mean within a
+    tenth of the tolerance too; chebyshev: the mean alone). A check that
+    raises PsforgeError or ValueError fails with sup = mean = inf and the
+    error as "reason". Frames are marched with _SUBSTEPS = 2 substeps.
+    """
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
         tol.update(tolerances)
+    suite = _Checks(field, lambdas, tol)
     checks = {}
-
-    def record(name, sup, mean, extra=None):
-        entry = {"sup": sup, "mean": mean, "tolerance": tol[name],
-                 "pass": bool(np.isfinite(sup) and sup <= tol[name])}
-        if extra:
-            entry.update(extra)
-        checks[name] = entry
-
-    def guarded(name, fn):
+    for name in DEFAULT_TOLERANCES:
         try:
-            fn()
+            sup, mean, *extra = getattr(suite, name)()
         except (PsforgeError, ValueError) as exc:
-            checks[name] = {"sup": float("inf"), "mean": float("inf"),
-                            "tolerance": tol[name], "pass": False,
-                            "reason": f"{type(exc).__name__}: {exc}"}
-
-    def c_compatibility():
-        sups, means = [], []
-        for lam in lambdas:
-            r = frames.compatibility_residual(field, lam)
-            sups.append(_nan_sup(r))
-            means.append(_nan_mean(r))
-        record("compatibility", max(sups), max(means))
-
-    def c_flatness():
-        form = frames.maurer_cartan(field)
-        sups, means = [], []
-        for lam in lambdas:
-            r = frames.flatness_residual(form, lam)
-            sups.append(_nan_sup(r))
-            means.append(_nan_mean(r))
-        record("flatness", max(sups), max(means))
-
-    def c_conditions():
-        sups, means = [], []
-        for lam in lambdas:
-            res = frames.check_conditions_K(frames.lambda_forms(field, lam))
-            for r in res.values():
-                sups.append(_nan_sup(r))
-                means.append(_nan_mean(r))
-        record("conditions_K", max(sups), max(means))
-
-    family_error = None
-    try:
-        members, family_report = surfaces.associated_family(
-            field, lambdas, substeps=substeps)
-    except (PsforgeError, ValueError) as exc:
-        members, family_report, family_error = None, None, exc
-    sin_mask = np.abs(np.sin(field.phi)) > 0.1
-
-    def need_members():
-        if members is None:
-            raise family_error
-
-    def c_curvature():
-        need_members()
-        idx = int(np.argmin(np.abs(np.asarray(lambdas) - 1.0)))
-        geom = members[idx][1]
-        mask = geom.mask & sin_mask
-        dev = np.where(mask, np.abs(geom.K + 1.0), np.nan)
-        sup, mean = _nan_sup(dev), _nan_mean(dev)
-        entry_pass = sup <= tol["curvature"] and mean <= tol["curvature"] / 10.0
-        checks["curvature"] = {"sup": sup, "mean": mean,
-                               "tolerance": tol["curvature"],
-                               "mean_tolerance": tol["curvature"] / 10.0,
-                               "pass": bool(np.isfinite(sup) and entry_pass)}
-
-    def c_chebyshev():
-        need_members()
-        devs_mean, devs_sup = [], []
-        for (_, geom), lam in zip(members, lambdas):
-            mask = geom.mask & sin_mask
-            da = np.where(mask, geom.metricA - lam, np.nan)
-            db = np.where(mask, geom.metricB - 1.0 / lam, np.nan)
-            devs_mean += [_nan_mean(da), _nan_mean(db)]
-            devs_sup += [_nan_sup(da), _nan_sup(db)]
-        entry_pass = max(devs_mean) <= tol["chebyshev"]
-        checks["chebyshev"] = {"sup": max(devs_sup), "mean": max(devs_mean),
-                               "tolerance": tol["chebyshev"],
-                               "pass": bool(entry_pass)}
-
-    def c_invariance():
-        need_members()
-        dev = max(family_report["M_deviation_sup"],
-                  family_report["angle_deviation_sup"])
-        record("II_invariance", dev, dev,
-               extra={"M_deviation_sup": family_report["M_deviation_sup"],
-                      "angle_deviation_sup": family_report["angle_deviation_sup"]})
-
-    def c_harmonicity():
-        need_members()
-        idx = int(np.argmin(np.abs(np.asarray(lambdas) - 1.0)))
-        N = surfaces.gauss_map(members[idx][0].frame)
-        rep = surfaces.harmonicity_check(N, grid=field.grid)
-        geom = members[idx][1]
-        mask = geom.mask & sin_mask
-        metric_dev = np.where(mask, rep.nx_norm - geom.metricA, np.nan)
-        sup = max(_nan_sup(rep.tangential_residual), _nan_sup(metric_dev))
-        mean = max(_nan_mean(rep.tangential_residual), _nan_mean(metric_dev))
-        record("harmonicity", sup, mean)
-
-    def c_gauge():
-        need_members()
-        frame = members[0][0].frame
-        rng = np.random.default_rng(7)
-        theta = rng.uniform(-np.pi, np.pi, size=(field.grid.nx, field.grid.ny))
-        n0 = surfaces.gauss_map(frame)
-        n1 = surfaces.gauss_map(frames.gauge(frame, theta))
-        dev = float(np.abs(n0 - n1).max())
-        record("gauge_invariance", dev, dev)
-
-    pi, pj = _probe_indices(field.grid)
-
-    def c_twist():
-        loop = frames.sample_frame_loop(field, pi, pj, n=32,
-                                        substeps=substeps).to_laurent()
-        dev = max(loops.twist_deviation(loop),
-                  max(float(np.abs(c.imag).max()) for c in loop.coeffs.values()))
-        record("twist", dev, dev)
-
-    def c_split():
-        # cross_check_split at (pi, j0) and (pi, pj), sharing the x-leg
-        rep_axis, rep_off = potentials._cross_check(
-            field, pi, pj, substeps=substeps, with_axis=True)
-        vals = list(rep_axis.values()) + list(rep_off.values())
-        record("split_cross_check", max(vals), float(np.mean(vals)),
-               extra={"axis": rep_axis, "off_axis": rep_off})
-
-    guarded("compatibility", c_compatibility)
-    guarded("flatness", c_flatness)
-    guarded("conditions_K", c_conditions)
-    guarded("curvature", c_curvature)
-    guarded("chebyshev", c_chebyshev)
-    guarded("II_invariance", c_invariance)
-    guarded("harmonicity", c_harmonicity)
-    guarded("gauge_invariance", c_gauge)
-    guarded("twist", c_twist)
-    guarded("split_cross_check", c_split)
-
+            sup = mean = float("inf")
+            extra = [{"reason": f"{type(exc).__name__}: {exc}"}]
+        checks[name] = {"sup": sup, "mean": mean, "tolerance": tol[name],
+                        "pass": bool(np.isfinite(sup) and sup <= tol[name])}
+        checks[name].update(*extra)
     failures = sorted(name for name, entry in checks.items()
                       if not entry["pass"])
     report = {"checks": checks, "failures": failures,
@@ -450,12 +422,15 @@ def build_parser():
                     "splitting and verification")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, field=True):
         p.add_argument("--config", help="key=value config file; flags win")
         p.add_argument("--out", help="output directory (default .)")
+        if field:
+            p.add_argument("--phi", help="angle field CSV")
+            p.add_argument("--phi-x", help="companion derivative CSV")
 
     p = sub.add_parser("solve", help="produce an angle field")
-    common(p)
+    common(p, field=False)
     p.add_argument("--soliton", type=float, help="one-soliton parameter a > 0")
     p.add_argument("--x-data", help="file with phi(x_i, 0) samples, one per line")
     p.add_argument("--y-data", help="file with phi(0, y_j) samples")
@@ -468,22 +443,18 @@ def build_parser():
 
     p = sub.add_parser("surface", help="Sym immersions and geometry reports")
     common(p)
-    p.add_argument("--phi", help="angle field CSV")
-    p.add_argument("--phi-x", help="companion derivative CSV")
     p.add_argument("--lambdas", help="comma list of positive lambdas")
     p.add_argument("--no-mesh", dest="mesh", action="store_false", default=None)
     p.set_defaults(func=cmd_surface)
 
     p = sub.add_parser("potentials", help="normalized x/y potentials")
     common(p)
-    p.add_argument("--phi", help="angle field CSV")
-    p.add_argument("--phi-x", help="companion derivative CSV")
     p.add_argument("--su2", action="store_true", default=None,
                    help="also write the 2x2 spinor potentials")
     p.set_defaults(func=cmd_potentials)
 
     p = sub.add_parser("split", help="Birkhoff-split a loop file")
-    common(p)
+    common(p, field=False)
     p.add_argument("--loop", help="loop JSON file")
     p.add_argument("--direction", choices=["minus-first", "plus-first"])
     p.add_argument("--truncation", type=int)
@@ -492,8 +463,6 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run the invariant suite")
     common(p)
-    p.add_argument("--phi", help="angle field CSV")
-    p.add_argument("--phi-x", help="companion derivative CSV")
     p.add_argument("--lambdas", help="comma list (default 0.5,1,2)")
     p.add_argument("--tolerance", action=_TolAction, metavar="NAME=VALUE",
                    help="override one check tolerance (repeatable)")
@@ -519,11 +488,10 @@ def main(argv=None):
     except BigCellViolation as exc:
         print(f"psforge: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_BIGCELL
-    except (IncompatibleCorner, FileNotFoundError, OSError, ValueError) as exc:
+    except (IncompatibleCorner, OSError, ValueError) as exc:
         print(f"psforge: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (StepFailure, NonconvergentCell, NotSkew, TruncationTooSmall,
-            PsforgeError) as exc:
+    except PsforgeError as exc:
         print(f"psforge: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

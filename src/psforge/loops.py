@@ -33,6 +33,11 @@ __all__ = [
 _BLOCK = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=bool)
 _CROSS = ~_BLOCK
 
+_MAX_TRUNCATION = 256   # largest Fourier truncation birkhoff_split tries
+_COND_THRESHOLD = 1e8   # split condition number beyond the big cell
+_CLEAN_TOL = 1e-7       # largest structure violation zeroed in a factor
+_ORTHO_TOL = 1e-6       # largest |g^T g - I| of a loop on the circle
+
 
 @dataclass
 class LaurentLoop:
@@ -101,15 +106,15 @@ class SampledLoop:
     def points(self):
         return _circle_points(self.n)
 
-    def to_laurent(self, detect_tol=1e-6):
+    def to_laurent(self):
         """Fourier coefficients of the samples as a LaurentLoop
         (modes -n/2 .. n/2-1). Twist/reality flags are taken from the
-        sampled loop when set, detected at detect_tol otherwise."""
+        sampled loop when set, detected at tolerance 1e-6 otherwise."""
         loop = LaurentLoop(_fft_coeffs(self.values)).trim(1e-300)
         loop.twisted = self.twisted if self.twisted is not None \
-            else check_twist(loop, tol=detect_tol)
+            else check_twist(loop, tol=1e-6)
         loop.real = self.real if self.real is not None \
-            else check_reality(loop, tol=detect_tol)
+            else check_reality(loop, tol=1e-6)
         return loop
 
 
@@ -175,16 +180,16 @@ def _fft_coeffs(samples):
     return {int(k): c[i] for i, k in enumerate(ks)}
 
 
-def _clean_factor(coeffs, twisted, real, clean_tol):
-    """Enforce inherited twist/reality structure, zeroing sub-tolerance
-    violations; larger violations are reported and the flag dropped."""
+def _clean_factor(coeffs, twisted, real):
+    """Enforce inherited twist/reality structure, zeroing violations up to
+    _CLEAN_TOL = 1e-7; larger ones are reported and the flag dropped."""
     out = {}
     for k, c in coeffs.items():
         c = np.array(c, dtype=complex)
         if twisted:
             mask = _CROSS if k % 2 == 0 else _BLOCK
             viol = np.abs(c[mask]).max() if mask.any() else 0.0
-            if viol > clean_tol:
+            if viol > _CLEAN_TOL:
                 warnings.warn(f"twist violation {viol:.2e} in factor "
                               f"coefficient {k}; flag dropped")
                 twisted = False
@@ -193,7 +198,7 @@ def _clean_factor(coeffs, twisted, real, clean_tol):
         out[k] = c
     if real:
         viol = max((np.abs(c.imag).max() for c in out.values()), default=0.0)
-        if viol > clean_tol:
+        if viol > _CLEAN_TOL:
             warnings.warn(f"reality violation {viol:.2e} in factor; flag dropped")
             real = False
         else:
@@ -201,13 +206,13 @@ def _clean_factor(coeffs, twisted, real, clean_tol):
     return LaurentLoop(out, twisted=twisted, real=real).trim()
 
 
-def _solve_minus(gc, g_samples, lams, trunc, margin=8):
+def _solve_minus(gc, g_samples, lams, trunc):
     """Least-squares solve for h = g_minus^{-1} = I + sum_{k<0} Y_k lam^k
-    such that h*g has no Fourier modes in -1 .. -(trunc+margin)."""
+    such that h*g has no Fourier modes in -1 .. -(trunc + 8)."""
     def g(k):
         return gc.get(k, np.zeros((3, 3)))
 
-    mrows = trunc + margin
+    mrows = trunc + 8
     t = np.zeros((3 * trunc, 3 * mrows), dtype=complex)
     b = np.zeros((3, 3 * mrows), dtype=complex)
     for mi in range(mrows):
@@ -243,23 +248,22 @@ def _residual_norm(gc, f1, f2):
     return float(tot)
 
 
-def birkhoff_split(g, direction="minus-first", truncation=16, tol=1e-10,
-                   max_truncation=256, cond_threshold=1e8, clean_tol=1e-7,
-                   ortho_tol=1e-6):
+def birkhoff_split(g, direction="minus-first", truncation=16, tol=1e-10):
     """Factor a loop as g = factor1 * factor2.
 
     minus-first: factor1 = I + (strictly negative powers), factor2 holds
     only nonnegative powers. plus-first is the mirror image (factor1
     normalized to I at lambda = 0, factor2 nonpositive). Twist and reality
-    flags of g are inherited by both factors.
+    flags of g are inherited by both factors, whose violations up to
+    _CLEAN_TOL = 1e-7 are zeroed.
 
     g may be a LaurentLoop or a SampledLoop; it must be orthogonal-valued
-    on the unit circle within ortho_tol. The Fourier truncation doubles
-    automatically until the reconstruction residual (Wiener norm of
-    g - factor1*factor2) drops below tol.
+    on the unit circle within _ORTHO_TOL = 1e-6. The Fourier truncation
+    doubles, up to _MAX_TRUNCATION = 256, until the reconstruction
+    residual (Wiener norm of g - factor1*factor2) drops below tol.
 
     Raises BigCellViolation when the truncated system is ill-conditioned
-    beyond cond_threshold (the loop lies outside the big cell), and
+    beyond _COND_THRESHOLD = 1e8 (the loop lies outside the big cell), and
     TruncationTooSmall when the residual stops decreasing.
     """
     if direction not in ("minus-first", "plus-first"):
@@ -278,8 +282,7 @@ def birkhoff_split(g, direction="minus-first", truncation=16, tol=1e-10,
 
     if direction == "plus-first":
         m1, m2 = birkhoff_split(loop.reversed(), "minus-first", truncation,
-                                tol, max_truncation, cond_threshold,
-                                clean_tol, ortho_tol)
+                                tol)
         return m1.reversed(), m2.reversed()
 
     gc = loop.coeffs
@@ -294,19 +297,19 @@ def birkhoff_split(g, direction="minus-first", truncation=16, tol=1e-10,
         lams = _circle_points(n)
         g_samples = loop_eval(loop, lams)
         dev = np.abs(np.swapaxes(g_samples, -1, -2) @ g_samples - np.eye(3)).max()
-        if ortho_tol is not None and dev > ortho_tol:
+        if dev > _ORTHO_TOL:
             raise ValueError(
                 f"loop is not orthogonal-valued on the circle (dev {dev:.2e})")
 
         f1c, f2c, cond = _solve_minus(gc, g_samples, lams, trunc)
-        if not np.isfinite(cond) or cond > cond_threshold:
+        if not np.isfinite(cond) or cond > _COND_THRESHOLD:
             raise BigCellViolation(
                 f"splitting system condition number {cond:.2e} exceeds "
-                f"{cond_threshold:.1e}; loop outside the big cell")
+                f"{_COND_THRESHOLD:.1e}; loop outside the big cell")
         res = _residual_norm(gc, f1c, f2c)
         if res <= tol:
             break
-        if trunc >= max_truncation:
+        if trunc >= _MAX_TRUNCATION:
             raise TruncationTooSmall(
                 f"residual {res:.2e} above {tol:.1e} at max truncation {trunc}")
         if sample_cap is not None and 2 * trunc > sample_cap:
@@ -319,8 +322,8 @@ def birkhoff_split(g, direction="minus-first", truncation=16, tol=1e-10,
         prev_res = res
         trunc *= 2
 
-    factor1 = _clean_factor(f1c, loop.twisted, loop.real, clean_tol)
-    factor2 = _clean_factor(f2c, loop.twisted, loop.real, clean_tol)
+    factor1 = _clean_factor(f1c, loop.twisted, loop.real)
+    factor2 = _clean_factor(f2c, loop.twisted, loop.real)
     return factor1, factor2
 
 

@@ -177,6 +177,8 @@ def _integrate_axis(pot, axis, lam, substeps, node=None):
 
 # axis substeps of integrate_plus / integrate_minus and of the split check
 _AXIS_SUBSTEPS = 4
+_LAM_EVAL = 1.0     # lambda at which the split check compares factors
+_SPLIT_TOL = 1e-6   # residual of the split check's Birkhoff splits
 
 
 def integrate_plus(pot, lam, substeps=_AXIS_SUBSTEPS):
@@ -192,17 +194,17 @@ def integrate_minus(pot, lam, substeps=_AXIS_SUBSTEPS):
     return _integrate_axis(pot, "y", lam, substeps)
 
 
-def cross_check_split(f, i, j, lam_eval=1.0, n_samples=64, substeps=2,
-                      split_tol=1e-6):
+def cross_check_split(f, i, j, n_samples=64, substeps=2):
     """Compare potential-integrated Birkhoff factors with factors from
     numerically splitting the sampled frame loop at node (i, j).
 
-    Splits U(x_i, y_j, .) both ways, evaluates the plus/minus factors at
-    lam_eval against the ODE solutions driven by eta_x / eta_y, and, when
-    j is off the x axis, re-splits on the axis to verify that the plus
-    factor does not depend on y. On the axis the constant complementary
-    factor is checked against the closed-form rotation V0. Returns a dict
-    of sup deviations. Raises ValueError unless (i, j) is a grid node.
+    Splits U(x_i, y_j, .) both ways (to residual _SPLIT_TOL = 1e-6),
+    evaluates the plus/minus factors at _LAM_EVAL = 1 against the ODE
+    solutions driven by eta_x / eta_y, and, when j is off the x axis,
+    re-splits on the axis to verify that the plus factor does not depend
+    on y. On the axis the constant complementary factor is checked against
+    the closed-form rotation V0. Returns a dict of sup deviations. Raises
+    ValueError unless (i, j) is a grid node.
 
     Only what the result needs is marched: the frame loop along
     origin -> (x_i, y_0) -> (x_i, y_j), whose x-leg ends in the on-axis
@@ -210,12 +212,10 @@ def cross_check_split(f, i, j, lam_eval=1.0, n_samples=64, substeps=2,
     and to node j. Each equals, bit for bit, the value read from
     sample_frame_loop, integrate_plus or integrate_minus.
     """
-    return _cross_check(f, i, j, lam_eval, n_samples, substeps,
-                        split_tol)[-1]
+    return _cross_check(f, i, j, n_samples, substeps)[-1]
 
 
-def _cross_check(f, i, j, lam_eval=1.0, n_samples=64, substeps=2,
-                 split_tol=1e-6, with_axis=False):
+def _cross_check(f, i, j, n_samples=64, substeps=2, with_axis=False):
     """The cross_check_split reports at node (i, j) and, with_axis, first
     at the on-axis node (i, j0) too, as a list (one report when j is j0).
     Both come from one march of the x-leg, one plus ODE to node i and one
@@ -223,23 +223,23 @@ def _cross_check(f, i, j, lam_eval=1.0, n_samples=64, substeps=2,
     report of its own cross_check_split call."""
     _, j0 = f.grid.origin_index()
     axis_values, values = _frame_loop_legs(f, i, j, n_samples, substeps)
-    plus_ode = _integrate_axis(eta_x(f), "x", lam_eval, _AXIS_SUBSTEPS, i)
+    plus_ode = _integrate_axis(eta_x(f), "x", _LAM_EVAL, _AXIS_SUBSTEPS, i)
     eta_minus = eta_y(f)
 
     def factor_devs(loop, u_plus, node):
-        u_minus, _ = birkhoff_split(loop, "minus-first", tol=split_tol)
-        minus_ode = _integrate_axis(eta_minus, "y", lam_eval, _AXIS_SUBSTEPS,
+        u_minus, _ = birkhoff_split(loop, "minus-first", tol=_SPLIT_TOL)
+        minus_ode = _integrate_axis(eta_minus, "y", _LAM_EVAL, _AXIS_SUBSTEPS,
                                     node)
         return {
             "plus_factor_dev": float(np.abs(
-                loop_eval(u_plus, lam_eval) - plus_ode).max()),
+                loop_eval(u_plus, _LAM_EVAL) - plus_ode).max()),
             "minus_factor_dev": float(np.abs(
-                loop_eval(u_minus, lam_eval) - minus_ode).max()),
+                loop_eval(u_minus, _LAM_EVAL) - minus_ode).max()),
         }
 
     axis_loop = SampledLoop(axis_values, twisted=True, real=True)
     u_plus_axis, v_minus_axis = birkhoff_split(axis_loop, "plus-first",
-                                               tol=split_tol)
+                                               tol=_SPLIT_TOL)
     reports = []
     if with_axis or j == j0:
         report = factor_devs(axis_loop, u_plus_axis, j0)
@@ -247,11 +247,11 @@ def _cross_check(f, i, j, lam_eval=1.0, n_samples=64, substeps=2,
         i0, _, xrow, _ = _axis_data(f)
         v0 = gauge_rotation(xrow[i0] - xrow[i])
         report["v0_dev"] = float(np.abs(
-            loop_eval(v_minus_axis, lam_eval) - v0).max())
+            loop_eval(v_minus_axis, _LAM_EVAL) - v0).max())
         reports.append(report)
     if j != j0:
         loop = SampledLoop(values, twisted=True, real=True)
-        u_plus, _ = birkhoff_split(loop, "plus-first", tol=split_tol)
+        u_plus, _ = birkhoff_split(loop, "plus-first", tol=_SPLIT_TOL)
         report = factor_devs(loop, u_plus, j)
         ks = set(u_plus.coeffs) | set(u_plus_axis.coeffs)
         report["uplus_y_independence"] = float(max(

@@ -88,11 +88,11 @@ def sym_immersion(f, lam, substeps=2, frame=None):
     return Immersion(f.grid, lam, frame.psi, frame)
 
 
-def fundamental_forms(s, degenerate_eps=1e-4):
+def fundamental_forms(s):
     """First/second fundamental forms, curvatures and cross-product normal
     from an immersion, by 4th-order differences (grid at least 5x5).
 
-    Nodes with E*G - F^2 < degenerate_eps are masked: the normal and every
+    Nodes with E*G - F^2 <= 1e-4 are masked: the normal and every
     normal-dependent quantity are NaN there, the first-form coefficients
     are kept.
     """
@@ -106,7 +106,7 @@ def fundamental_forms(s, degenerate_eps=1e-4):
     F = (px * py).sum(-1)
     G = (py * py).sum(-1)
     det = E * G - F * F
-    mask = det > degenerate_eps
+    mask = det > 1e-4
 
     cross = np.cross(px, py)
     cn = np.linalg.norm(cross, axis=-1)

@@ -203,6 +203,40 @@ def test_verify_non_solution_fails(tmp_path):
     assert "conditions_K" in report["failures"]
 
 
+@pytest.fixture(scope="module")
+def soliton_101(tmp_path_factory):
+    """phi.csv of a 101^2, h = 0.02 one-soliton: too coarse a grid for the
+    frame march at lambda = 0.01, which raises StepFailure."""
+    phi = tmp_path_factory.mktemp("soliton_101") / "phi.csv"
+    save_angle_csv(soliton_angle(1.0, GridSpec(-1.0, -1.0, 101, 101, 0.02,
+                                               0.02)), phi)
+    return phi
+
+
+def test_surface_step_failure_exit_3(soliton_101, tmp_path, capsys):
+    code = main(["surface", "--phi", str(soliton_101), "--lambdas", "0.01",
+                 "--no-mesh", "--out", str(tmp_path)])
+    assert code == 3
+    assert "StepFailure" in capsys.readouterr().err
+
+
+def test_verify_family_failure(soliton_101, tmp_path):
+    # the associated family cannot be built at lambda = 0.01: every check
+    # that reads it fails with the family's error, the others still run
+    code = main(["verify", "--phi", str(soliton_101), "--lambdas", "0.01,1",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    checks = json.loads((tmp_path / "report.json").read_text())["checks"]
+    for name in ("curvature", "chebyshev", "II_invariance", "harmonicity",
+                 "gauge_invariance"):
+        assert checks[name]["sup"] == float("inf")
+        assert checks[name]["reason"].startswith("StepFailure:")
+    for name in ("compatibility", "flatness", "conditions_K", "twist",
+                 "split_cross_check"):
+        assert "reason" not in checks[name]
+        assert checks[name]["pass"] is True
+
+
 def test_verify_determinism(solved, tmp_path):
     lams = "1"
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -78,6 +78,22 @@ def test_principal_curvatures():
         principal_curvatures(np.pi)
 
 
+def test_family_principal_and_mean_curvature(small_soliton):
+    # every member has the principal curvatures tan(phi/2), -cot(phi/2) and
+    # H = -cot(phi); the cross-product normal flips where sin(phi) changes
+    # sign, and with it the signs of k1, k2 and H
+    phi = small_soliton.phi
+    members, _ = associated_family(small_soliton, [0.5, 1.0, 2.0])
+    for _, geom in members:
+        mask = geom.mask & (np.abs(np.sin(phi)) > 0.1)
+        sign = np.sign(np.sin(phi[mask]))
+        got = np.sort(sign * np.stack([geom.k1[mask], geom.k2[mask]]), axis=0)
+        want = np.sort(np.stack(principal_curvatures(phi[mask])), axis=0)
+        assert np.abs((got - want) / want).max() <= 1e-3
+        assert np.abs(sign * geom.H[mask] + 1.0 / np.tan(phi[mask])).max() \
+            <= 1e-2
+
+
 def test_principal_curvatures_eigen_oracle():
     # eigenvalues of the shape operator written in curvature coordinates
     for phi in rng.uniform(0.2, np.pi - 0.2, 20):
