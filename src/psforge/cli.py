@@ -123,20 +123,17 @@ def _write_json(payload, path):
         fh.write("\n")
 
 
-def _finite_stat(a, stat):
-    """stat of the finite entries of a (NaN marks masked nodes); NaN when
-    there are none."""
+def _stats(a, mask=None):
+    """(sup, mean) of abs(a) over the nodes of mask, or over every node
+    without one: (inf, inf) when one of those values is not finite, so
+    that a check reading it fails; (nan, nan) when there are none."""
     vals = np.asarray(a, dtype=float)
-    vals = vals[np.isfinite(vals)]
-    return float(stat(vals)) if vals.size else float("nan")
-
-
-def _nan_sup(a):
-    return _finite_stat(a, lambda v: np.abs(v).max())
-
-
-def _nan_mean(a):
-    return _finite_stat(a, lambda v: np.abs(v).mean())
+    vals = np.abs(vals if mask is None else vals[mask])
+    if not vals.size:
+        return float("nan"), float("nan")
+    if not np.isfinite(vals).all():
+        return float("inf"), float("inf")
+    return float(vals.max()), float(vals.mean())
 
 
 def cmd_solve(args):
@@ -154,11 +151,11 @@ def cmd_solve(args):
     os.makedirs(outdir, exist_ok=True)
     save_angle_csv(field, os.path.join(outdir, "phi.csv"),
                    os.path.join(outdir, "phi_x.csv"))
-    res = sg_residual(field)
+    sup, mean = _stats(sg_residual(field))
     summary = {
         "nx": grid.nx, "ny": grid.ny,
-        "sg_residual_sup": _nan_sup(res),
-        "sg_residual_mean": _nan_mean(res),
+        "sg_residual_sup": sup,
+        "sg_residual_mean": mean,
         "regular_fraction": float(field.regular_mask.mean()),
     }
     if field.analytic and field.phixy_fn is not None:
@@ -187,12 +184,12 @@ def cmd_surface(args):
         _write_geometry_csv(geom, os.path.join(outdir, f"geometry_lam{tag}.csv"))
         summary["members"].append({
             "lambda": lam,
-            "K_mean": _finite_stat(np.where(mask, geom.K, np.nan), np.mean),
-            "K_dev_sup": _nan_sup(np.where(mask, geom.K + 1.0, np.nan)),
-            "metricA_mean": _nan_mean(np.where(mask, geom.metricA, np.nan)),
-            "metricB_mean": _nan_mean(np.where(mask, geom.metricB, np.nan)),
-            "chebyshev_F_dev": _nan_sup(np.where(
-                mask, geom.F - np.cos(field.phi), np.nan)),
+            "K_mean": (float(geom.K[mask].mean()) if mask.any()
+                       else float("nan")),
+            "K_dev_sup": _stats(geom.K + 1.0, mask)[0],
+            "metricA_mean": _stats(geom.metricA, mask)[1],
+            "metricB_mean": _stats(geom.metricB, mask)[1],
+            "chebyshev_F_dev": _stats(geom.F - np.cos(field.phi), mask)[0],
         })
     if len(members) == 1:
         summary.update({k: v for k, v in summary["members"][0].items()
@@ -265,9 +262,10 @@ def _masked(field, members):
     return [(imm, geom, geom.mask & sin_mask) for imm, geom in members]
 
 
-def _sup_mean(arrays):
-    """Largest _nan_sup and largest _nan_mean over the arrays."""
-    sups, means = zip(*[(_nan_sup(a), _nan_mean(a)) for a in arrays])
+def _sup_mean(pairs):
+    """Largest sup and largest mean of `_stats` over (residual, mask)
+    pairs; a mask of None counts every node of its residual."""
+    sups, means = zip(*[_stats(a, mask) for a, mask in pairs])
     return max(sups), max(means)
 
 
@@ -294,22 +292,22 @@ class _Checks:
         return self._members
 
     def compatibility(self):
-        return _sup_mean(frames.compatibility_residual(self.field, lam)
+        return _sup_mean((frames.compatibility_residual(self.field, lam), None)
                          for lam in self.lambdas)
 
     def flatness(self):
         form = frames.maurer_cartan(self.field)
-        return _sup_mean(frames.flatness_residual(form, lam)
+        return _sup_mean((frames.flatness_residual(form, lam), None)
                          for lam in self.lambdas)
 
     def conditions_K(self):
-        return _sup_mean(r for lam in self.lambdas for r in
+        return _sup_mean((r, None) for lam in self.lambdas for r in
                          frames.check_conditions_K(frames.lambda_forms(
                              self.field, lam)).values())
 
     def curvature(self):
         _, geom, mask = self.members()[self.at_one]
-        sup, mean = _sup_mean([np.where(mask, geom.K + 1.0, np.nan)])
+        sup, mean = _stats(geom.K + 1.0, mask)
         tol = self.tol["curvature"]
         return sup, mean, {"mean_tolerance": tol / 10.0, "pass": bool(
             np.isfinite(sup) and sup <= tol and mean <= tol / 10.0)}
@@ -317,8 +315,8 @@ class _Checks:
     def chebyshev(self):
         devs = []
         for (_, geom, mask), lam in zip(self.members(), self.lambdas):
-            devs += [np.where(mask, geom.metricA - lam, np.nan),
-                     np.where(mask, geom.metricB - 1.0 / lam, np.nan)]
+            devs += [(geom.metricA - lam, mask),
+                     (geom.metricB - 1.0 / lam, mask)]
         sup, mean = _sup_mean(devs)
         return sup, mean, {"pass": bool(mean <= self.tol["chebyshev"])}
 
@@ -332,8 +330,8 @@ class _Checks:
         imm, geom, mask = self.members()[self.at_one]
         rep = surfaces.harmonicity_check(surfaces.gauss_map(imm.frame),
                                          grid=self.field.grid)
-        return _sup_mean([rep.tangential_residual,
-                          np.where(mask, rep.nx_norm - geom.metricA, np.nan)])
+        return _sup_mean([(rep.tangential_residual, None),
+                          (rep.nx_norm - geom.metricA, mask)])
 
     def gauge_invariance(self):
         frame = self.members()[0][0].frame
@@ -343,8 +341,11 @@ class _Checks:
         return dev, dev
 
     def twist(self):
-        loop = frames.sample_frame_loop(self.field, *self.probe, n=32,
-                                        substeps=_SUBSTEPS).to_laurent()
+        # every root marched: a loop unfolded from the quarter circle
+        # would be twisted and real by construction
+        values = frames._loop_legs(self.field, *self.probe,
+                                   loops._circle_points(32), _SUBSTEPS)[1]
+        loop = loops.SampledLoop(values, twisted=True, real=True).to_laurent()
         dev = max(loops.twist_deviation(loop), max(
             float(np.abs(c.imag).max()) for c in loop.coeffs.values()))
         return dev, dev

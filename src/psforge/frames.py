@@ -11,20 +11,24 @@ with U = I at the origin. The Sym position psi = lambda U_lambda U^{-1}
 psi_y = -U unhat(B), so the surface's Euclidean frame F = [[U, psi], [0, 1]]
 solves F^{-1} dF = [[A, tau], [0, 0]], tau = -lambda e1 dx - unhat(B) dy:
 grid frames are marched as the 3x4 state [U | psi]. Every ODE of psforge
-is integrated by one march, `_march`: classical RK4 along a grid line,
+is integrated by one march, `_march`: classical RK4 along a grid line in
+propagator form, the RK4 step matrices of a block of nodes built at once
+from the coefficients at every stage point, then one product per node,
 the square block of the state projected back onto its group at every
 node by one Newton-Schulz step. Grid frames (one lambda or a batch),
 spinor frames, frame loops on the unit circle and the potentials'
-Birkhoff-factor ODEs all call it. Between grid nodes a sampled angle
-field is read from tables refined onto the march's RK4 stage points
-(6-point Lagrange interpolation, `numerics.refine`).
+Birkhoff-factor ODEs all call it. A frame loop sampled at the n-th roots
+of unity is marched at the n/4 + 1 roots of a quarter circle only; its
+reality and twist give the other samples. Between grid nodes a sampled
+angle field is read from tables refined onto the march's RK4 stage
+points (6-point Lagrange interpolation, `numerics.refine`).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import E12, E13, E23, gauge_rotation, unhat
+from .algebra import E12, E13, E23, P_TWIST, gauge_rotation, unhat
 from .errors import StepFailure
 from .numerics import deriv4, group_deviation, polar_project, refine
 from .sinegordon import AngleField, _read_rows, _write_rows
@@ -145,19 +149,21 @@ class FormField:
 
 
 def _stage_table(values, t0, h, substeps):
-    """values sampled at the grid nodes t0 + k*h, as a function of t read
-    from a table at the points where `_march` evaluates coefficients: every
-    half substep, h / (2 * substeps) apart."""
+    """values sampled at the grid nodes t0 + k*h, as a function of a 1-D
+    array of stage times t read from a table at the points where `_march`
+    evaluates coefficients: every half substep, h / (2 * substeps) apart.
+    Returns the rows t.shape + values.shape[1:]."""
     r = 2 * substeps
     table, step = refine(values, r), h / r
-    return lambda t: table[round((t - t0) / step)]
+    return lambda t: table[np.rint((t - t0) / step).astype(int)]
 
 
 class _Sampler:
     """Angle values along grid lines for a march of `substeps` RK4 steps
     per grid step: exact when the field is analytic, otherwise read from
     tables of phi_x and phi refined onto the march's stage points (every
-    half substep) with `refine`."""
+    half substep) with `refine`. Both methods take a 1-D array of stage
+    points and return values of shape points.shape + line.shape."""
 
     def __init__(self, f: AngleField, substeps):
         self.f = f
@@ -169,16 +175,24 @@ class _Sampler:
             self._phi = _stage_table(f.phi.T, g.y0, g.hy, substeps)
 
     def phix_at_row(self, x, j):
-        """phi_x(x, y_j) for scalar x (j may be an index array)."""
+        """phi_x(x, y_j) at the stage points x (j may be an index array)."""
         if self.f.analytic:
-            return self.f.phix_fn(x, self.ys[j])
-        return self._phix(x)[j]
+            return self.f.phix_fn(x.reshape(x.shape + (1,) * np.ndim(j)),
+                                  self.ys[j])
+        return self._phix(x)[:, j]
 
     def phi_at_col(self, i, y):
-        """phi(x_i, y) for scalar y (i may be an index array)."""
+        """phi(x_i, y) at the stage points y (i may be an index array)."""
         if self.f.analytic:
-            return self.f.phi_fn(self.xs[i], y)
-        return self._phi(y)[i]
+            return self.f.phi_fn(self.xs[i],
+                                 y.reshape(y.shape + (1,) * np.ndim(i)))
+        return self._phi(y)[:, i]
+
+
+# node steps x batched states per block of `_march`: the step matrices of
+# a block are built at once, and the bound keeps their coefficients and
+# products a few hundred kB whatever the batch
+_BLOCK_STATES = 512
 
 
 def _march(u, ts, start, stop, spacing, substeps, coeff):
@@ -186,22 +200,40 @@ def _march(u, ts, start, stop, spacing, substeps, coeff):
     with node coordinates ts from node start to node stop, in `substeps`
     steps per node. The square block u[..., :m] (m rows) is projected onto
     its group at every node; a Euclidean frame's psi column rides along.
-    Yields (node, u) per node. States may carry leading batch axes."""
+    Yields (node, u) per node. States may carry leading batch axes, those
+    of the coefficients.
+
+    On a linear equation an RK4 step is exactly u <- u P with
+    c2 = a2 + (h/2) a1 a2, c3 = a2 + (h/2) c2 a2, c4 = a3 + h c3 a3 and
+    P = I + (h/6)(a1 + 2 c2 + 2 c3 + c4), a1, a2, a3 the coefficients at
+    the start, middle and end of the step. The step matrices of a node's
+    substeps are composed, and those of a block of nodes (at most
+    _BLOCK_STATES node steps x batched states) are built at once from one
+    coeff call on a 1-D array of stage times, every half substep; only
+    u @ P and the projection run node by node."""
     direction = 1 if stop >= start else -1
-    h_node = direction * spacing
-    h = h_node / substeps
+    h = direction * spacing / substeps
     m = u.shape[-2]
-    for n in range(start, stop, direction):
-        for k in range(substeps):
-            t0 = ts[n] + h_node * k / substeps
-            a1, a2, a3 = coeff(t0), coeff(t0 + 0.5 * h), coeff(t0 + h)
-            k1 = u @ a1
-            k2 = (u + 0.5 * h * k1) @ a2
-            k3 = (u + 0.5 * h * k2) @ a2
-            k4 = (u + h * k3) @ a3
-            u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        u[..., :m] = polar_project(u[..., :m])
-        yield n + direction, u
+    eye = np.eye(u.shape[-1])
+    nodes = np.arange(start, stop, direction)
+    per_block = max(1, _BLOCK_STATES // max(1, u[..., 0, 0].size))
+    for b in range(0, len(nodes), per_block):
+        block = nodes[b:b + per_block]
+        t = ts[block][:, None] + (0.5 * h) * np.arange(2 * substeps + 1)
+        a = coeff(t.ravel())
+        a = a.reshape(t.shape + a.shape[1:])
+        P = None
+        for k in range(0, 2 * substeps, 2):
+            a1, a2, a3 = a[:, k], a[:, k + 1], a[:, k + 2]
+            c2 = a2 + (0.5 * h) * (a1 @ a2)
+            c3 = a2 + (0.5 * h) * (c2 @ a2)
+            c4 = a3 + h * (c3 @ a3)
+            step = eye + (h / 6.0) * (a1 + 2.0 * c2 + 2.0 * c3 + c4)
+            P = step if P is None else P @ step
+        for n, p in zip(block, P):
+            u = u @ p
+            u[..., :m] = polar_project(u[..., :m])
+            yield n + direction, u
 
 
 # resolved marches stay near 1e-15; a 101^2 soliton frame at this
@@ -228,12 +260,15 @@ def _check_transport(u):
 def _lax_on_line(s, lam, axis, line, gens):
     """The coefficient of the frame equations on a grid line, from the
     generator pair gens (`_SE3`, `_SO3` or `_SU2`): in x at the y-node(s)
-    `line` (axis 0) or in y at the x-node(s) `line`."""
-    if np.ndim(lam) and np.ndim(line):
-        lam = lam[:, None]  # lambda batch x line batch
+    `line` (axis 0) or in y at the x-node(s) `line`. It takes a 1-D array
+    of stage points and returns points.shape + lambda batch + line batch
+    + the generator's (m, m)."""
+    lam = np.asarray(lam)
+    lam_axes = (slice(None),) + (None,) * lam.ndim
+    lam = lam.reshape(lam.shape + (1,) * np.ndim(line))
     if axis == 0:
-        return lambda x: gens[0](s.phix_at_row(x, line), lam)
-    return lambda y: gens[1](s.phi_at_col(line, y), lam)
+        return lambda x: gens[0](s.phix_at_row(x, line)[lam_axes], lam)
+    return lambda y: gens[1](s.phi_at_col(line, y)[lam_axes], lam)
 
 
 def _fill_grid(s, lam, order, u0, substeps, gens):
@@ -252,8 +287,8 @@ def _fill_grid(s, lam, order, u0, substeps, gens):
     oa, ob = origin[a], origin[b]
     V[..., oa, ob, :, :] = u0
     for stop in (na - 1, 0):
-        for n, u in _march(u0, ta, oa, stop, ha, substeps,
-                           _lax_on_line(s, lam, a, ob, gens)):
+        for n, u in _march(V[..., oa, ob, :, :].copy(), ta, oa, stop, ha,
+                           substeps, _lax_on_line(s, lam, a, ob, gens)):
             V[..., n, ob, :, :] = u
     every = np.arange(na)
     for stop in (nb - 1, 0):
@@ -462,19 +497,16 @@ def load_frame(path):
     return ExtendedFrame(GridSpec(x0, y0, nx, ny, hx, hy), lam, U)
 
 
-def _frame_loop_legs(f, i, j, n, substeps):
-    """Frame-loop values at the n-th roots of unity at the end of the
-    x-leg, (x_i, y_origin), and at the end of the y-leg, (x_i, y_j), of
-    the path origin -> (x_i, y_origin) -> (x_i, y_j)."""
-    from .loops import _circle_points
-
+def _loop_legs(f, i, j, lams, substeps):
+    """Frame values at the complex lambdas lams at the end of the x-leg,
+    (x_i, y_origin), and at the end of the y-leg, (x_i, y_j), of the path
+    origin -> (x_i, y_origin) -> (x_i, y_j), every lambda marched."""
     g = f.grid
     if not (0 <= i < g.nx and 0 <= j < g.ny):
         raise ValueError(f"node ({i}, {j}) is outside the {g.nx}x{g.ny} grid")
     i0, j0 = g.origin_index()
     s = _Sampler(f, substeps)
-    lams = _circle_points(n)
-    u = np.broadcast_to(np.eye(3, dtype=complex), (n, 3, 3)).copy()
+    u = np.broadcast_to(np.eye(3, dtype=complex), lams.shape + (3, 3)).copy()
     for _, u in _march(u, g.xs, i0, i, g.hx, substeps,
                        _lax_on_line(s, lams, 0, j0, _SO3)):
         pass
@@ -487,13 +519,37 @@ def _frame_loop_legs(f, i, j, n, substeps):
     return u_axis, u
 
 
+# P U P for the twist P = diag(1, 1, -1): a sign flip per entry
+_TWIST_SIGNS = np.outer(np.diag(P_TWIST), np.diag(P_TWIST))
+
+
+def _frame_loop_legs(f, i, j, n, substeps):
+    """`_loop_legs` at the n-th roots of unity lambda_s = exp(2 pi i s / n).
+    The Lax system is real, U(conj lambda) = conj U(lambda), and twisted,
+    U(-lambda) = P U(lambda) P, so when 4 divides n only the quarter
+    circle s = 0 .. n/4 is marched: U_{n/2-s} = P conj(U_s) P and
+    U_{n-s} = conj(U_s) give the rest, exactly in floating point."""
+    from .loops import _circle_points
+
+    if n % 4:
+        return _loop_legs(f, i, j, _circle_points(n), substeps)
+    legs = _loop_legs(f, i, j, _circle_points(n)[:n // 4 + 1], substeps)
+    out = []
+    for q in legs:
+        half = np.concatenate([q, _TWIST_SIGNS * q[-2::-1].conj()])
+        out.append(np.concatenate([half, half[-2:0:-1].conj()]))
+    return tuple(out)
+
+
 def sample_frame_loop(f, i, j, n=64, substeps=1):
     """Frame loop lambda -> U(x_i, y_j; lambda) at the n-th roots of unity.
 
-    Integrates the Lax system jointly for all sample points along the path
-    origin -> (x_i, y_origin) -> (x_i, y_j). The result is twisted and has
-    real Fourier coefficients (conjugation symmetry of the Lax system).
-    Raises ValueError unless (i, j) is a grid node.
+    Integrates the Lax system jointly for the sample points along the path
+    origin -> (x_i, y_origin) -> (x_i, y_j): when 4 divides n, only the
+    n/4 + 1 roots exp(2 pi i s / n), s = 0 .. n/4, and the other samples
+    follow from U(conj lambda) = conj U(lambda) and U(-lambda) =
+    P U(lambda) P. The result is twisted and has real Fourier
+    coefficients. Raises ValueError unless (i, j) is a grid node.
     """
     from .loops import SampledLoop
 

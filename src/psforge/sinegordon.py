@@ -68,7 +68,9 @@ class AngleField:
     0 < phi < pi. When a field comes from a closed-form solution the
     callables phi_fn, phix_fn, ... give exact values off the grid nodes;
     numerical consumers interpolate the samples (6-point Lagrange,
-    `numerics.refine`) when they are absent.
+    `numerics.refine`) when they are absent. The closures are called with
+    numpy arrays (x and y), the frame march's stage points against grid
+    lines, and must broadcast them like numpy's elementwise functions.
     """
 
     grid: GridSpec

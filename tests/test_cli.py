@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from psforge.cli import main
+from psforge import frames
+from psforge.algebra import E13
+from psforge.cli import _stats, main, run_verification
 from psforge.loops import (LaurentLoop, load_loop_json, multiply,
                            save_loop_json)
 from psforge.potentials import load_potential_csv
@@ -247,6 +249,46 @@ def test_verify_determinism(solved, tmp_path):
         assert code == 0
     assert (out1 / "report.json").read_bytes() == \
         (out2 / "report.json").read_bytes()
+
+
+def test_stats_count_non_finite_values_in_the_mask():
+    a = np.array([1.0, np.nan, -3.0])
+    assert _stats(a, np.array([True, False, True])) == (3.0, 2.0)
+    assert _stats(a) == (float("inf"), float("inf"))
+    assert _stats(a, np.array([True, True, False]))[0] == float("inf")
+    assert all(np.isnan(_stats(a, np.zeros(3, bool))))
+
+
+def test_verify_nan_residual_fails(monkeypatch):
+    # a NaN in an unmasked residual is a failure, not a dropped node
+    residual = frames.compatibility_residual
+
+    def with_nan(f, lam):
+        r = residual(f, lam)
+        r[7, 9] = np.nan
+        return r
+
+    monkeypatch.setattr(frames, "compatibility_residual", with_nan)
+    f = soliton_angle(1.0, GridSpec(-1.0, -1.0, 51, 51, 0.04, 0.04))
+    report, ok = run_verification(f, [1.0])
+    assert not ok and report["failures"] == ["compatibility"]
+    assert report["checks"]["compatibility"]["sup"] == float("inf")
+
+
+@pytest.mark.filterwarnings("ignore:twist violation")
+def test_twist_check_detects_broken_symmetry(monkeypatch):
+    # a constant E13 term in the x-generator breaks U(-lambda) = P U(lambda) P.
+    # The check marches every root and sees all of it (4.3e-4 here); a loop
+    # unfolded from the quarter circle would keep only the part carried by
+    # the roots 1 and i (3.1e-5)
+    lax_A, lax_B = frames._SO3
+    monkeypatch.setattr(frames, "_SO3", (
+        lambda phi_x, lam: lax_A(phi_x, lam) + 1e-3 * E13, lax_B))
+    f = soliton_angle(1.0, GridSpec(-1.0, -1.0, 101, 101, 0.02, 0.02))
+    report, _ = run_verification(f, [1.0])
+    twist = report["checks"]["twist"]
+    assert not twist["pass"]
+    assert twist["sup"] > 1e-4
 
 
 def _phi_with_token(tmp_path, token):

@@ -2,15 +2,19 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from psforge import frames, potentials
 from psforge.algebra import E12, E23, P_TWIST, adjoint_map
 from psforge.errors import StepFailure
 from psforge.frames import (check_conditions_K, compatibility_residual,
                             flatness_residual, gauge, integrate_frame,
                             lambda_forms, lax_matrices, maurer_cartan,
                             sample_frame_loop, su2_frame)
-from psforge.loops import check_twist
+from psforge.loops import _circle_points, check_twist
 from psforge.numerics import deriv4
-from psforge.sinegordon import AngleField, GridSpec, constant_angle, soliton_angle
+from psforge.potentials import eta_x, eta_y, integrate_minus, integrate_plus
+from psforge.sinegordon import (AngleField, GridSpec, constant_angle,
+                                load_angle_csv, save_angle_csv, soliton_angle)
+from util import ref_march
 
 rng = np.random.default_rng(23)
 
@@ -335,3 +339,77 @@ def test_sampled_frame_loop_is_twisted_real(small_soliton):
     laurent = loop.to_laurent()
     assert check_twist(laurent, tol=1e-9)
     assert max(np.abs(c.imag).max() for c in laurent.coeffs.values()) < 1e-9
+
+
+@pytest.fixture(scope="module", params=["analytic", "csv"])
+def march_field(request, small_soliton, tmp_path_factory):
+    """The 101^2 soliton with its closures, and read back from CSV (stage
+    tables refined from the samples)."""
+    if request.param == "analytic":
+        return small_soliton
+    d = tmp_path_factory.mktemp("march_field")
+    save_angle_csv(small_soliton, d / "phi.csv", d / "phi_x.csv")
+    return load_angle_csv(d / "phi.csv", d / "phi_x.csv")
+
+
+def _march_outputs(f):
+    """What every kind of march psforge makes returns on the field f."""
+    out = {}
+    for order in ("xy", "yx"):
+        fr = integrate_frame(f, np.array([0.5, 1.0, 2.0]), order=order,
+                             substeps=2)
+        out[f"U_{order}"], out[f"psi_{order}"] = fr.U, fr.psi
+    out["su2"] = su2_frame(f, 1.0, substeps=2)
+    out["x_leg"], out["y_leg"] = frames._frame_loop_legs(f, 80, 30, 64, 2)
+    out["plus"] = integrate_plus(eta_x(f), 1.3)
+    out["minus"] = integrate_minus(eta_y(f), np.exp(0.7j))
+    return out
+
+
+def test_march_propagator_matches_per_substep_rk4(march_field, monkeypatch):
+    # u <- u P with the composed RK4 step matrix P is the per-substep RK4
+    # march up to rounding
+    new = _march_outputs(march_field)
+
+    def per_substep(u, ts, start, stop, spacing, substeps, coeff):
+        return ref_march(u, ts, start, stop, spacing, substeps,
+                         lambda t: coeff(np.array([t]))[0])
+
+    monkeypatch.setattr(frames, "_march", per_substep)
+    monkeypatch.setattr(potentials, "_march", per_substep)
+    ref = _march_outputs(march_field)
+    for key, want in ref.items():
+        assert np.abs(new[key] - want).max() <= 1e-13 * np.abs(want).max(), key
+
+
+def test_march_block_size_independent(march_field, monkeypatch):
+    # the step matrices of a node do not depend on the block they are
+    # built in, so neither do the marched states, bit for bit
+    base = _march_outputs(march_field)
+    for block in (1, 10**6):
+        monkeypatch.setattr(frames, "_BLOCK_STATES", block)
+        other = _march_outputs(march_field)
+        for key, want in base.items():
+            assert np.array_equal(other[key], want), (block, key)
+
+
+def test_direct_frame_loop_is_twisted_real(march_field):
+    # the symmetries the quarter-circle unfold relies on, on a march of
+    # every root: U(conj lambda) = conj U(lambda), U(-lambda) = P U(lambda) P
+    n = 64
+    s = np.arange(n)
+    for u in frames._loop_legs(march_field, 80, 30, _circle_points(n), 2):
+        assert np.abs(u[-s % n] - u.conj()).max() <= 1e-12
+        assert np.abs(u[(s + n // 2) % n] - P_TWIST @ u @ P_TWIST).max() <= 1e-12
+
+
+def test_frame_loop_unfold_matches_direct_march(march_field):
+    n = 64
+    direct = frames._loop_legs(march_field, 80, 30, _circle_points(n), 2)
+    for leg, want in zip(frames._frame_loop_legs(march_field, 80, 30, n, 2),
+                         direct):
+        assert np.abs(leg - want).max() <= 1e-12 * np.abs(want).max()
+    # without a quarter circle on the roots, every root is marched
+    legs = frames._frame_loop_legs(march_field, 80, 30, 30, 2)
+    direct = frames._loop_legs(march_field, 80, 30, _circle_points(30), 2)
+    assert all(np.array_equal(a, b) for a, b in zip(legs, direct))

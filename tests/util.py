@@ -1,13 +1,15 @@
 """Shared test helpers: random twisted loop-group factors, an RK4 ODE
 oracle independent of psforge's march (`_rk4_pair`, one step of u' = u a
-and, given w, of its derivative w' = w a + u d) and per-node reference
-writers."""
+and, given w, of its derivative w' = w a + u d), the per-substep march
+psforge used before its propagator form (`ref_march`) and per-node
+reference writers."""
 
 import numpy as np
 from scipy.linalg import expm
 
 from psforge.algebra import E12, E13, E23
 from psforge.loops import LaurentLoop
+from psforge.numerics import polar_project
 
 
 def random_twisted_algebra(kmin, kmax, total_norm, rng):
@@ -57,6 +59,32 @@ def _rk4_pair(u, w, coeff, dcoeff, h):
     l4 = (w + h * l3) @ a3 + (u + h * k3) @ d3
     wn = w + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
     return un, wn
+
+
+# psforge's `frames._march` before the propagator form, kept unchanged: four
+# products and three coefficient calls (at scalar t) per RK4 substep
+
+def ref_march(u, ts, start, stop, spacing, substeps, coeff):
+    """The RK4 transport kernel: march u' = u @ coeff(t) along a grid line
+    with node coordinates ts from node start to node stop, in `substeps`
+    steps per node. The square block u[..., :m] (m rows) is projected onto
+    its group at every node; a Euclidean frame's psi column rides along.
+    Yields (node, u) per node. States may carry leading batch axes."""
+    direction = 1 if stop >= start else -1
+    h_node = direction * spacing
+    h = h_node / substeps
+    m = u.shape[-2]
+    for n in range(start, stop, direction):
+        for k in range(substeps):
+            t0 = ts[n] + h_node * k / substeps
+            a1, a2, a3 = coeff(t0), coeff(t0 + 0.5 * h), coeff(t0 + h)
+            k1 = u @ a1
+            k2 = (u + 0.5 * h * k1) @ a2
+            k3 = (u + 0.5 * h * k2) @ a2
+            k4 = (u + h * k3) @ a3
+            u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        u[..., :m] = polar_project(u[..., :m])
+        yield n + direction, u
 
 
 def coeff_dev(a, b):
