@@ -238,7 +238,10 @@ def cmd_split(args):
     os.makedirs(outdir, exist_ok=True)
     loops.save_loop_json(f1, os.path.join(outdir, "factor1.json"))
     loops.save_loop_json(f2, os.path.join(outdir, "factor2.json"))
-    residual = loops._residual_norm(loop.coeffs, f1.coeffs, f2.coeffs)
+    # every power of loop - f1 f2 lies within n consecutive ones
+    lams = loops._circle_points(sum(x.kmax - x.kmin for x in (loop, f1, f2)) + 1)
+    residual = loops._residual_norm(*(loops.loop_eval(x, lams)
+                                      for x in (loop, f1, f2)))
     _write_json({"direction": direction, "residual": residual,
                  "factor1_kmin": f1.kmin, "factor1_kmax": f1.kmax,
                  "factor2_kmin": f2.kmin, "factor2_kmax": f2.kmax},

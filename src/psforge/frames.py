@@ -20,8 +20,8 @@ spinor frames, frame loops on the unit circle and the potentials'
 Birkhoff-factor ODEs all call it. A frame loop sampled at the n-th roots
 of unity is marched at the n/4 + 1 roots of a quarter circle only; its
 reality and twist give the other samples. Between grid nodes a sampled
-angle field is read from tables refined onto the march's RK4 stage
-points (6-point Lagrange interpolation, `numerics.refine`).
+angle field is read from tables of the marched lines refined onto the RK4
+stage points (6-point Lagrange interpolation, `numerics.refine`).
 """
 
 from dataclasses import dataclass
@@ -31,7 +31,7 @@ import numpy as np
 from .algebra import E12, E13, E23, P_TWIST, gauge_rotation, unhat
 from .errors import StepFailure
 from .numerics import deriv4, group_deviation, polar_project, refine
-from .sinegordon import AngleField, _read_rows, _write_rows
+from .sinegordon import _read_rows, _write_rows
 
 __all__ = [
     "ExtendedFrame", "MaurerCartanForm", "FormField",
@@ -158,37 +158,6 @@ def _stage_table(values, t0, h, substeps):
     return lambda t: table[np.rint((t - t0) / step).astype(int)]
 
 
-class _Sampler:
-    """Angle values along grid lines for a march of `substeps` RK4 steps
-    per grid step: exact when the field is analytic, otherwise read from
-    tables of phi_x and phi refined onto the march's stage points (every
-    half substep) with `refine`. Both methods take a 1-D array of stage
-    points and return values of shape points.shape + line.shape."""
-
-    def __init__(self, f: AngleField, substeps):
-        self.f = f
-        self.xs, self.ys = f.grid.xs, f.grid.ys
-        if not f.analytic:
-            g = f.grid
-            # tables indexed [stage point, line]
-            self._phix = _stage_table(f.dphi_dx, g.x0, g.hx, substeps)
-            self._phi = _stage_table(f.phi.T, g.y0, g.hy, substeps)
-
-    def phix_at_row(self, x, j):
-        """phi_x(x, y_j) at the stage points x (j may be an index array)."""
-        if self.f.analytic:
-            return self.f.phix_fn(x.reshape(x.shape + (1,) * np.ndim(j)),
-                                  self.ys[j])
-        return self._phix(x)[:, j]
-
-    def phi_at_col(self, i, y):
-        """phi(x_i, y) at the stage points y (i may be an index array)."""
-        if self.f.analytic:
-            return self.f.phi_fn(self.xs[i],
-                                 y.reshape(y.shape + (1,) * np.ndim(i)))
-        return self._phi(y)[:, i]
-
-
 # node steps x batched states per block of `_march`: the step matrices of
 # a block are built at once, and the bound keeps their coefficients and
 # products a few hundred kB whatever the batch
@@ -257,27 +226,38 @@ def _check_transport(u):
                           "more substeps or a finer grid")
 
 
-def _lax_on_line(s, lam, axis, line, gens):
+def _lax_on_line(f, lam, axis, line, gens, substeps):
     """The coefficient of the frame equations on a grid line, from the
     generator pair gens (`_SE3`, `_SO3` or `_SU2`): in x at the y-node(s)
     `line` (axis 0) or in y at the x-node(s) `line`. It takes a 1-D array
     of stage points and returns points.shape + lambda batch + line batch
-    + the generator's (m, m)."""
+    + the generator's (m, m). The angle (phi_x in x, phi in y) is exact
+    when the field is analytic, otherwise read from a table of the marched
+    lines' samples refined onto the stage points of a march of `substeps`
+    RK4 steps per grid step (`_stage_table`)."""
+    g = f.grid
     lam = np.asarray(lam)
     lam_axes = (slice(None),) + (None,) * lam.ndim
     lam = lam.reshape(lam.shape + (1,) * np.ndim(line))
-    if axis == 0:
-        return lambda x: gens[0](s.phix_at_row(x, line)[lam_axes], lam)
-    return lambda y: gens[1](s.phi_at_col(line, y)[lam_axes], lam)
+    on_line = (1,) * np.ndim(line)
+    if f.analytic and axis == 0:
+        angle = lambda x: f.phix_fn(x.reshape(x.shape + on_line), g.ys[line])
+    elif f.analytic:
+        angle = lambda y: f.phi_fn(g.xs[line], y.reshape(y.shape + on_line))
+    elif axis == 0:
+        angle = _stage_table(f.dphi_dx[:, line], g.x0, g.hx, substeps)
+    else:
+        angle = _stage_table(f.phi[line].T, g.y0, g.hy, substeps)
+    return lambda t: gens[axis](angle(t)[lam_axes], lam)
 
 
-def _fill_grid(s, lam, order, u0, substeps, gens):
+def _fill_grid(f, lam, order, u0, substeps, gens):
     """March u0 from the origin along the first axis of `order`, then from
     that line along every line of the other axis, under the generator pair
     gens. Returns the states, of shape lam.shape + (nx, ny) + u0.shape."""
     if order not in ("xy", "yx"):
         raise ValueError("order must be 'xy' or 'yx'")
-    g = s.f.grid
+    g = f.grid
     U = np.zeros(np.shape(lam) + (g.nx, g.ny) + u0.shape, u0.dtype)
     a, b = (0, 1) if order == "xy" else (1, 0)
     # view with the first-marched axis in front
@@ -286,14 +266,15 @@ def _fill_grid(s, lam, order, u0, substeps, gens):
     (ta, ha, na), (tb, hb, nb) = lines[a], lines[b]
     oa, ob = origin[a], origin[b]
     V[..., oa, ob, :, :] = u0
+    coeff = _lax_on_line(f, lam, a, ob, gens, substeps)
     for stop in (na - 1, 0):
         for n, u in _march(V[..., oa, ob, :, :].copy(), ta, oa, stop, ha,
-                           substeps, _lax_on_line(s, lam, a, ob, gens)):
+                           substeps, coeff):
             V[..., n, ob, :, :] = u
-    every = np.arange(na)
+    coeff = _lax_on_line(f, lam, b, np.arange(na), gens, substeps)
     for stop in (nb - 1, 0):
         for n, u in _march(V[..., :, ob, :, :].copy(), tb, ob, stop, hb,
-                           substeps, _lax_on_line(s, lam, b, every, gens)):
+                           substeps, coeff):
             V[..., :, n, :, :] = u
     _check_transport(U)
     return U
@@ -321,7 +302,7 @@ def integrate_frame(f, lam, order="xy", substeps=1, initial=None):
             raise ValueError("lambda must be positive (a number or a 1-D array)")
     u0 = np.zeros((3, 4), dtype)
     u0[:, :3] = np.eye(3) if initial is None else initial
-    F = _fill_grid(_Sampler(f, substeps), lam, order, u0, substeps, _SE3)
+    F = _fill_grid(f, lam, order, u0, substeps, _SE3)
     return ExtendedFrame(f.grid, lam, F[..., :3].copy(), F[..., 3].copy())
 
 
@@ -438,8 +419,8 @@ def su2_frame(f, lam, order="xy", substeps=1):
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    return _fill_grid(_Sampler(f, substeps), lam, order,
-                      np.eye(2, dtype=complex), substeps, _SU2)
+    return _fill_grid(f, lam, order, np.eye(2, dtype=complex), substeps,
+                      _SU2)
 
 
 def save_frame(frame, path):
@@ -505,14 +486,13 @@ def _loop_legs(f, i, j, lams, substeps):
     if not (0 <= i < g.nx and 0 <= j < g.ny):
         raise ValueError(f"node ({i}, {j}) is outside the {g.nx}x{g.ny} grid")
     i0, j0 = g.origin_index()
-    s = _Sampler(f, substeps)
     u = np.broadcast_to(np.eye(3, dtype=complex), lams.shape + (3, 3)).copy()
     for _, u in _march(u, g.xs, i0, i, g.hx, substeps,
-                       _lax_on_line(s, lams, 0, j0, _SO3)):
+                       _lax_on_line(f, lams, 0, j0, _SO3, substeps)):
         pass
     u_axis = u
     for _, u in _march(u, g.ys, j0, j, g.hy, substeps,
-                       _lax_on_line(s, lams, 1, i, _SO3)):
+                       _lax_on_line(f, lams, 1, i, _SO3, substeps)):
         pass
     _check_transport(u_axis)
     _check_transport(u)

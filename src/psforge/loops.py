@@ -8,9 +8,12 @@ carry even powers only, the entries mixing index 3 odd powers only.
 Reality means real Fourier coefficients, i.e. conj(X(conj(lambda))) = X(lambda).
 
 The Birkhoff factorization g = g_minus * g_plus (normalized g_minus -> I
-at infinity) is computed by a block-Toeplitz least-squares solve for
-g_minus^{-1} followed by sample-space inversion; it exists only on the big
-cell, and failure is reported through BigCellViolation.
+at infinity) is computed from the samples of g at the n-th roots of unity
+and their Fourier coefficients (powers -n/2 .. n/2 - 1) by a block-Toeplitz
+least-squares solve for g_minus^{-1} followed by sample-space inversion.
+plus-first is the same split of g(1/lambda), and n samples support at most
+n/2 - 1 Fourier blocks in either direction. The factorization exists only
+on the big cell; failure is reported through BigCellViolation.
 """
 
 import json
@@ -79,15 +82,12 @@ class LaurentLoop:
             kept = {0: np.zeros((3, 3))}
         return LaurentLoop(kept, twisted=self.twisted, real=self.real)
 
-    def reversed(self):
-        """The loop lambda -> X(1/lambda)."""
-        return LaurentLoop({-k: c for k, c in self.coeffs.items()},
-                           twisted=self.twisted, real=self.real)
-
 
 @dataclass
 class SampledLoop:
-    """Loop values at n equispaced points exp(2*pi*i*s/n) of the circle."""
+    """Loop values at n equispaced points exp(2*pi*i*s/n) of the circle.
+    Twist/reality flags left unset are detected from the Fourier
+    coefficients of the samples at tolerance 1e-6."""
 
     values: np.ndarray
     twisted: bool = field(default=None)
@@ -98,6 +98,12 @@ class SampledLoop:
         n = self.values.shape[0]
         if self.values.shape != (n, 3, 3) or n < 4 or n & (n - 1):
             raise ValueError("samples must have shape (n, 3, 3), n a power of two")
+        if self.twisted is None or self.real is None:
+            loop = self.to_laurent()
+            if self.twisted is None:
+                self.twisted = check_twist(loop, tol=1e-6)
+            if self.real is None:
+                self.real = check_reality(loop, tol=1e-6)
 
     @property
     def n(self):
@@ -108,14 +114,11 @@ class SampledLoop:
 
     def to_laurent(self):
         """Fourier coefficients of the samples as a LaurentLoop
-        (modes -n/2 .. n/2-1). Twist/reality flags are taken from the
-        sampled loop when set, detected at tolerance 1e-6 otherwise."""
-        loop = LaurentLoop(_fft_coeffs(self.values)).trim(1e-300)
-        loop.twisted = self.twisted if self.twisted is not None \
-            else check_twist(loop, tol=1e-6)
-        loop.real = self.real if self.real is not None \
-            else check_reality(loop, tol=1e-6)
-        return loop
+        (modes -n/2 .. n/2-1) with the sampled loop's flags."""
+        ks = np.fft.fftfreq(self.n, 1.0 / self.n).astype(int)
+        coeffs = dict(zip(ks.tolist(), _fft_coeffs(self.values)))
+        return LaurentLoop(coeffs, twisted=self.twisted,
+                           real=self.real).trim(1e-300)
 
 
 def loop_norm(x):
@@ -174,157 +177,149 @@ def _circle_points(n):
 
 
 def _fft_coeffs(samples):
-    n = samples.shape[0]
-    c = np.fft.fft(samples, axis=0) / n
-    ks = np.fft.fftfreq(n, 1.0 / n).astype(int)
-    return {int(k): c[i] for i, k in enumerate(ks)}
+    """Fourier coefficients of samples at the n-th roots of unity, an
+    (n, 3, 3) stack indexed by power mod n."""
+    return np.fft.fft(samples, axis=0) / len(samples)
 
 
-def _clean_factor(coeffs, twisted, real):
-    """Enforce inherited twist/reality structure, zeroing violations up to
-    _CLEAN_TOL = 1e-7; larger ones are reported and the flag dropped."""
-    out = {}
-    for k, c in coeffs.items():
-        c = np.array(c, dtype=complex)
-        if twisted:
-            mask = _CROSS if k % 2 == 0 else _BLOCK
-            viol = np.abs(c[mask]).max() if mask.any() else 0.0
-            if viol > _CLEAN_TOL:
-                warnings.warn(f"twist violation {viol:.2e} in factor "
-                              f"coefficient {k}; flag dropped")
-                twisted = False
-            else:
-                c[mask] = 0.0
-        out[k] = c
+def _clean_factor(c, ks, twisted, real):
+    """The factor with the coefficient stack c (overwritten) at powers ks
+    as a LaurentLoop, enforcing inherited twist/reality structure:
+    violations up to _CLEAN_TOL = 1e-7 are zeroed, larger ones are
+    reported and the flag dropped."""
+    if twisted:
+        # per power, the entries the twist zeroes
+        forbidden = np.where((ks % 2 == 0)[:, None, None], _CROSS, _BLOCK)
+        viol = np.where(forbidden, np.abs(c), 0.0).max(axis=(1, 2))
+        k = np.argmax(viol > _CLEAN_TOL)  # the first violation, if any
+        if viol[k] > _CLEAN_TOL:
+            warnings.warn(f"twist violation {viol[k]:.2e} in factor "
+                          f"coefficient {ks[k]}; flag dropped")
+            twisted = False
+        else:
+            c[forbidden] = 0.0
     if real:
-        viol = max((np.abs(c.imag).max() for c in out.values()), default=0.0)
+        viol = np.abs(c.imag).max()
         if viol > _CLEAN_TOL:
             warnings.warn(f"reality violation {viol:.2e} in factor; flag dropped")
             real = False
         else:
-            out = {k: c.real for k, c in out.items()}
-    return LaurentLoop(out, twisted=twisted, real=real).trim()
+            c = c.real
+    return LaurentLoop(dict(zip(ks.tolist(), c)), twisted=twisted,
+                       real=real).trim()
 
 
-def _solve_minus(gc, g_samples, lams, trunc):
-    """Least-squares solve for h = g_minus^{-1} = I + sum_{k<0} Y_k lam^k
-    such that h*g has no Fourier modes in -1 .. -(trunc + 8)."""
-    def g(k):
-        return gc.get(k, np.zeros((3, 3)))
-
-    mrows = trunc + 8
-    t = np.zeros((3 * trunc, 3 * mrows), dtype=complex)
-    b = np.zeros((3, 3 * mrows), dtype=complex)
-    for mi in range(mrows):
-        m = -(mi + 1)
-        b[:, 3 * mi:3 * mi + 3] = -g(m)
-        for j in range(1, trunc + 1):
-            t[3 * (j - 1):3 * j, 3 * mi:3 * mi + 3] = g(m + j)
-    sol, _, _, sv = np.linalg.lstsq(t.T, b.T, rcond=None)
+def _solve_minus(g, trunc):
+    """Least-squares solve for h = g_minus^{-1} = I + sum_{j=1..trunc}
+    Y_j lam^-j such that h*g has no Fourier modes in -1 .. -(trunc + 8), g
+    sampled at the n-th roots of unity. Returns the coefficient stacks of
+    g_minus = h^{-1} and g_plus = h g (indexed by power mod n) truncated to
+    the powers -trunc .. 0 and 0 .. n/2 - 1, and the condition number."""
+    n = len(g)
+    c = np.concatenate([_fft_coeffs(g), np.zeros((1, 3, 3))])
+    # block (j, m) = g_{j-m}, j = 0 .. trunc, m = 1 .. trunc + 8; powers
+    # outside -n/2 .. n/2 - 1 read the zero block c[n], so rows do not alias
+    p = np.arange(trunc + 1)[:, None] - np.arange(1, trunc + 9)
+    blocks = c[np.where((p >= -(n // 2)) & (p < n // 2), p % n, n)]
+    # sum_{j>0} Y_j g_{j-m} = -g_{-m}, transposed: rows (m, column of g),
+    # columns (j, row of g)
+    a = blocks.transpose(1, 3, 0, 2).reshape(3 * (trunc + 8), -1)
+    sol, _, _, sv = np.linalg.lstsq(a[:, 3:], -a[:, :3], rcond=None)
     cond = np.inf if sv[-1] == 0 else sv[0] / sv[-1]
-    y = sol.T
 
-    h_samples = np.broadcast_to(np.eye(3, dtype=complex), (lams.size, 3, 3)).copy()
-    for j in range(1, trunc + 1):
-        h_samples += lams[:, None, None] ** (-j) * y[:, 3 * (j - 1):3 * j]
-    f1_samples = np.linalg.inv(h_samples)
-    f2_samples = h_samples @ g_samples
-
-    f1c = _fft_coeffs(f1_samples)
-    f2c = _fft_coeffs(f2_samples)
-    kmax_g = max((k for k in gc), default=0)
-    f1 = {k: f1c[k] for k in range(-trunc, 0) if k in f1c}
-    f1[0] = np.eye(3, dtype=complex)
-    f2 = {k: f2c[k] for k in range(0, max(kmax_g, 0) + trunc + 1) if k in f2c}
+    h = np.zeros((n, 3, 3), dtype=complex)
+    h[0] = np.eye(3)
+    h[-np.arange(1, trunc + 1)] = sol.reshape(trunc, 3, 3).transpose(0, 2, 1)
+    h = n * np.fft.ifft(h, axis=0)
+    f1, f2 = _fft_coeffs(np.linalg.inv(h)), _fft_coeffs(h @ g)
+    f1[1:n - trunc] = 0.0
+    f1[0] = np.eye(3)
+    f2[n // 2:] = 0.0
     return f1, f2, cond
 
 
-def _residual_norm(gc, f1, f2):
-    prod = multiply(LaurentLoop(f1), LaurentLoop(f2))
-    keys = set(prod.coeffs) | set(gc)
-    tot = 0.0
-    for k in keys:
-        tot += wiener_matrix_norm(prod.coeff(k) - gc.get(k, np.zeros((3, 3))))
-    return float(tot)
+def _residual_norm(g, f1, f2):
+    """The split residual, Wiener norm of g - f1 f2, from the samples of
+    the three loops at the n-th roots of unity; exact when the powers of
+    g - f1 f2 fit in n consecutive ones."""
+    return float(wiener_matrix_norm(_fft_coeffs(g - f1 @ f2)).sum())
 
 
 def birkhoff_split(g, direction="minus-first", truncation=16, tol=1e-10):
     """Factor a loop as g = factor1 * factor2.
 
     minus-first: factor1 = I + (strictly negative powers), factor2 holds
-    only nonnegative powers. plus-first is the mirror image (factor1
+    only nonnegative powers. plus-first is the minus-first split of
+    g(1/lambda) with the powers of both factors negated (factor1
     normalized to I at lambda = 0, factor2 nonpositive). Twist and reality
     flags of g are inherited by both factors, whose violations up to
     _CLEAN_TOL = 1e-7 are zeroed.
 
-    g may be a LaurentLoop or a SampledLoop; it must be orthogonal-valued
-    on the unit circle within _ORTHO_TOL = 1e-6. The Fourier truncation
-    doubles, up to _MAX_TRUNCATION = 256, until the reconstruction
-    residual (Wiener norm of g - factor1*factor2) drops below tol.
+    g is split through its samples at the n-th roots of unity: a
+    SampledLoop's own, a LaurentLoop's at n = 2^ceil(log2 4 (truncation +
+    spread + 1)), spread its largest |power|. It must be orthogonal-valued
+    on the circle within _ORTHO_TOL = 1e-6. The Fourier truncation
+    doubles, up to _MAX_TRUNCATION = 256 and n/2 - 1, until the residual
+    (Wiener norm of g - factor1*factor2) drops below tol.
 
     Raises BigCellViolation when the truncated system is ill-conditioned
     beyond _COND_THRESHOLD = 1e8 (the loop lies outside the big cell), and
-    TruncationTooSmall when the residual stops decreasing.
+    TruncationTooSmall when the residual stops decreasing or the
+    truncation reaches either bound.
     """
     if direction not in ("minus-first", "plus-first"):
         raise ValueError(f"unknown direction {direction!r}")
-
     if isinstance(g, SampledLoop):
-        loop = g.to_laurent()
-        n_samples = g.n
-        sample_cap = g.n // 2 - 1
+        def sample(trunc):
+            return g.values
     elif isinstance(g, LaurentLoop):
-        loop = g
-        n_samples = None
-        sample_cap = None
+        spread = max(g.kmax, -g.kmin, 1)
+
+        def sample(trunc):
+            n = 1 << int(np.ceil(np.log2(4 * (trunc + spread + 1))))
+            return loop_eval(g, _circle_points(n))
     else:
         raise TypeError("g must be a LaurentLoop or SampledLoop")
+    # plus-first splits g(1/lambda): samples g[-s mod n], powers negated
+    sign = 1 if direction == "minus-first" else -1
 
-    if direction == "plus-first":
-        m1, m2 = birkhoff_split(loop.reversed(), "minus-first", truncation,
-                                tol)
-        return m1.reversed(), m2.reversed()
-
-    gc = loop.coeffs
-    spread = max(loop.kmax, -loop.kmin, 1)
-
-    trunc = truncation
-    if sample_cap is not None:
-        trunc = min(trunc, sample_cap)
-    prev_res = np.inf
+    trunc, prev_res = truncation, np.inf
     while True:
-        n = n_samples or 1 << int(np.ceil(np.log2(4 * (trunc + spread + 1))))
-        lams = _circle_points(n)
-        g_samples = loop_eval(loop, lams)
-        dev = np.abs(np.swapaxes(g_samples, -1, -2) @ g_samples - np.eye(3)).max()
+        samples = sample(trunc)
+        n = len(samples)
+        cap = n // 2 - 1
+        trunc = min(trunc, cap)
+        samples = samples[sign * np.arange(n) % n]
+        dev = np.abs(np.swapaxes(samples, -1, -2) @ samples - np.eye(3)).max()
         if dev > _ORTHO_TOL:
             raise ValueError(
                 f"loop is not orthogonal-valued on the circle (dev {dev:.2e})")
 
-        f1c, f2c, cond = _solve_minus(gc, g_samples, lams, trunc)
+        f1, f2, cond = _solve_minus(samples, trunc)
         if not np.isfinite(cond) or cond > _COND_THRESHOLD:
             raise BigCellViolation(
                 f"splitting system condition number {cond:.2e} exceeds "
                 f"{_COND_THRESHOLD:.1e}; loop outside the big cell")
-        res = _residual_norm(gc, f1c, f2c)
+        res = _residual_norm(samples, *(n * np.fft.ifft(f, axis=0)
+                                        for f in (f1, f2)))
         if res <= tol:
             break
         if trunc >= _MAX_TRUNCATION:
             raise TruncationTooSmall(
                 f"residual {res:.2e} above {tol:.1e} at max truncation {trunc}")
-        if sample_cap is not None and 2 * trunc > sample_cap:
+        if 2 * trunc > cap:
             raise TruncationTooSmall(
                 f"residual {res:.2e} above {tol:.1e}; samples support at "
-                f"most {sample_cap} Fourier blocks")
+                f"most {cap} Fourier blocks")
         if res > 0.5 * prev_res:
             raise TruncationTooSmall(
                 f"residual stalled at {res:.2e} (was {prev_res:.2e})")
         prev_res = res
         trunc *= 2
 
-    factor1 = _clean_factor(f1c, loop.twisted, loop.real)
-    factor2 = _clean_factor(f2c, loop.twisted, loop.real)
-    return factor1, factor2
+    p1, p2 = np.arange(-trunc, 1), np.arange(n // 2)
+    return (_clean_factor(f1[p1 % n], sign * p1, g.twisted, g.real),
+            _clean_factor(f2[p2], sign * p2, g.twisted, g.real))
 
 
 def save_loop_json(x, path):

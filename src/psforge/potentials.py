@@ -244,10 +244,8 @@ def _cross_check(f, i, j, n_samples=64, substeps=2, with_axis=False):
     if with_axis or j == j0:
         report = factor_devs(axis_loop, u_plus_axis, j0)
         # on the axis the complement of U+ is the constant rotation V0
-        i0, _, xrow, _ = _axis_data(f)
-        v0 = gauge_rotation(xrow[i0] - xrow[i])
         report["v0_dev"] = float(np.abs(
-            loop_eval(v_minus_axis, _LAM_EVAL) - v0).max())
+            loop_eval(v_minus_axis, _LAM_EVAL) - rotation_V0(f)[i]).max())
         reports.append(report)
     if j != j0:
         loop = SampledLoop(values, twisted=True, real=True)

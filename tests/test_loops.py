@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psforge.algebra import E12, E13, E23, P_TWIST
-from psforge.errors import BigCellViolation, ZeroSpectralParameter
+from psforge.errors import (BigCellViolation, TruncationTooSmall,
+                            ZeroSpectralParameter)
+from psforge.frames import sample_frame_loop
 from psforge.loops import (LaurentLoop, SampledLoop, birkhoff_split,
                            check_reality, check_twist, load_loop_json,
                            loop_eval, loop_norm, multiply, save_loop_json)
@@ -111,7 +115,8 @@ def test_split_factor_shapes():
     assert p2.kmax == 0
 
 
-def test_split_uniqueness_across_sampling():
+@pytest.mark.parametrize("direction", ["minus-first", "plus-first"])
+def test_split_uniqueness_across_sampling(direction):
     gm = random_twisted_factor(-4, -1, rng)
     gp = random_twisted_factor(0, 4, rng)
     g = multiply(gm, gp)
@@ -119,10 +124,59 @@ def test_split_uniqueness_across_sampling():
     lams128 = np.exp(2j * np.pi * np.arange(128) / 128)
     s64 = SampledLoop(loop_eval(g, lams64), twisted=True, real=True)
     s128 = SampledLoop(loop_eval(g, lams128), twisted=True, real=True)
-    a1, a2 = birkhoff_split(s64, "minus-first", tol=1e-8)
-    b1, b2 = birkhoff_split(s128, "minus-first", tol=1e-8)
+    a1, a2 = birkhoff_split(s64, direction, tol=1e-8)
+    b1, b2 = birkhoff_split(s128, direction, tol=1e-8)
     assert coeff_dev(a1, b1) < 1e-9
     assert coeff_dev(a2, b2) < 1e-9
+
+
+def test_plus_first_split_honours_sample_cap(soliton):
+    # 16 samples support at most 7 Fourier blocks, whichever factor comes
+    # first; the corner loop of the 201^2 soliton needs more
+    loop = sample_frame_loop(soliton, 200, 200, 16, 2)
+    for direction in ("minus-first", "plus-first"):
+        with pytest.raises(TruncationTooSmall, match="at most 7 Fourier blocks"):
+            birkhoff_split(loop, direction, tol=1e-6)
+
+
+@pytest.mark.parametrize("direction", ["minus-first", "plus-first"])
+def test_split_at_the_sample_cap(direction):
+    # 16 samples: truncation 7, so the Toeplitz rows reach powers down to
+    # -15, outside the samples' -8 .. 7; they must read as zero, not alias.
+    # Factors this close to I are resolved by 16 samples.
+    r = np.random.default_rng(3)
+    if direction == "minus-first":
+        f1, f2 = (random_twisted_factor(-2, -1, r, 0.02),
+                  random_twisted_factor(0, 2, r, 0.02))
+    else:
+        f1, f2 = (random_twisted_factor(1, 2, r, 0.02),
+                  random_twisted_factor(-2, 0, r, 0.02))
+    lams = np.exp(2j * np.pi * np.arange(16) / 16)
+    g = SampledLoop(loop_eval(multiply(f1, f2), lams), twisted=True, real=True)
+    a, b = birkhoff_split(g, direction, tol=1e-8)
+    assert coeff_dev(a, f1) < 1e-8
+    assert coeff_dev(b, f2) < 1e-8
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), sampled=st.booleans(),
+       direction=st.sampled_from(["minus-first", "plus-first"]))
+def test_split_recovers_random_factors(seed, sampled, direction):
+    # minus-first: g_minus g_plus with g_minus = I + powers -4 .. -1;
+    # plus-first: g_plus g_minus with g_plus = I + powers 1 .. 4
+    r = np.random.default_rng(seed)
+    if direction == "minus-first":
+        f1, f2 = random_twisted_factor(-4, -1, r), random_twisted_factor(0, 4, r)
+    else:
+        f1, f2 = random_twisted_factor(1, 4, r), random_twisted_factor(-4, 0, r)
+    g = multiply(f1, f2)
+    if sampled:
+        lams = np.exp(2j * np.pi * np.arange(128) / 128)
+        g = SampledLoop(loop_eval(g, lams), twisted=True, real=True)
+    a, b = birkhoff_split(g, direction)
+    assert coeff_dev(a, f1) < 1e-8
+    assert coeff_dev(b, f2) < 1e-8
+    assert a.twisted and a.real and b.twisted and b.real
 
 
 def test_split_idempotent():
