@@ -13,15 +13,16 @@ solves F^{-1} dF = [[A, tau], [0, 0]], tau = -lambda e1 dx - unhat(B) dy:
 grid frames are marched as the 3x4 state [U | psi]. Every ODE of psforge
 is integrated by one march, `_march`: classical RK4 along a grid line in
 propagator form, the RK4 step matrices of a block of nodes built at once
-from the coefficients at every stage point, then one product per node,
-the square block of the state projected back onto its group at every
-node by one Newton-Schulz step. Grid frames (one lambda or a batch),
-spinor frames, frame loops on the unit circle and the potentials'
-Birkhoff-factor ODEs all call it. A frame loop sampled at the n-th roots
-of unity is marched at the n/4 + 1 roots of a quarter circle only; its
-reality and twist give the other samples. Between grid nodes a sampled
-angle field is read from tables of the marched lines refined onto the RK4
-stage points (6-point Lagrange interpolation, `numerics.refine`).
+from the coefficients at every stage point and projected onto the group
+by one batched Newton-Schulz step (NS(u P) = u NS(P) for u on it; a
+resolved march of n nodes drifts off it by about n eps |u|^2), then one
+product per node. Grid frames (one lambda or a batch), spinor frames,
+frame loops on the unit circle and the potentials' Birkhoff-factor ODEs
+all call it. A frame loop sampled at the n-th roots of unity is marched
+at the n/4 + 1 roots of a quarter circle only; its reality and twist
+give the other samples. Between grid nodes a sampled angle field is read
+from tables of the marched lines refined onto the RK4 stage points
+(6-point Lagrange interpolation, `numerics.refine`).
 """
 
 from dataclasses import dataclass
@@ -167,10 +168,8 @@ _BLOCK_STATES = 512
 def _march(u, ts, start, stop, spacing, substeps, coeff):
     """The RK4 transport kernel: march u' = u @ coeff(t) along a grid line
     with node coordinates ts from node start to node stop, in `substeps`
-    steps per node. The square block u[..., :m] (m rows) is projected onto
-    its group at every node; a Euclidean frame's psi column rides along.
-    Yields (node, u) per node. States may carry leading batch axes, those
-    of the coefficients.
+    steps per node. Yields (node, u) per node. States may carry leading
+    batch axes, those of the coefficients.
 
     On a linear equation an RK4 step is exactly u <- u P with
     c2 = a2 + (h/2) a1 a2, c3 = a2 + (h/2) c2 a2, c4 = a3 + h c3 a3 and
@@ -178,8 +177,10 @@ def _march(u, ts, start, stop, spacing, substeps, coeff):
     the start, middle and end of the step. The step matrices of a node's
     substeps are composed, and those of a block of nodes (at most
     _BLOCK_STATES node steps x batched states) are built at once from one
-    coeff call on a 1-D array of stage times, every half substep; only
-    u @ P and the projection run node by node."""
+    coeff call on a 1-D array of stage times, every half substep; one
+    Newton-Schulz step per block projects their square blocks
+    P[..., :m, :m] (m the rows of u, psi columns aside) onto the group,
+    and only u @ P runs node by node (drift about n eps |u|^2 in n nodes)."""
     direction = 1 if stop >= start else -1
     h = direction * spacing / substeps
     m = u.shape[-2]
@@ -199,23 +200,23 @@ def _march(u, ts, start, stop, spacing, substeps, coeff):
             c4 = a3 + h * (c3 @ a3)
             step = eye + (h / 6.0) * (a1 + 2.0 * c2 + 2.0 * c3 + c4)
             P = step if P is None else P @ step
+        P[..., :m, :m] = polar_project(P[..., :m, :m])
         for n, p in zip(block, P):
             u = u @ p
-            u[..., :m] = polar_project(u[..., :m])
             yield n + direction, u
 
 
-# resolved marches stay near 1e-15; a 101^2 soliton frame at this
+# resolved marches stay within 1e-12; a 101^2 soliton frame at this
 # deviation is already about 1e-2 off a substeps-16 reference
 _GROUP_TOL = 1e-8
 
 
 def _check_transport(u):
     """Raise StepFailure unless the square blocks u[..., :m] of the marched
-    states are finite and on their group. A resolved march stays within
-    eps * |u|^2 of it; one Newton-Schulz step per node does not pull back
-    a march whose step is too coarse for the Lax system (large
-    h * max(lambda, 1/lambda))."""
+    states are finite and on their group. A resolved march of n nodes
+    stays within about n eps |u|^2 of it; one Newton-Schulz step on each
+    node's step matrix does not pull back a march whose step is too
+    coarse for the Lax system (large h * max(lambda, 1/lambda))."""
     u = u[..., :u.shape[-2]]
     if not np.all(np.isfinite(u)):
         raise StepFailure("RK4 transport produced non-finite entries")

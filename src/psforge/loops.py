@@ -186,7 +186,7 @@ def _clean_factor(c, ks, twisted, real):
     """The factor with the coefficient stack c (overwritten) at powers ks
     as a LaurentLoop, enforcing inherited twist/reality structure:
     violations up to _CLEAN_TOL = 1e-7 are zeroed, larger ones are
-    reported and the flag dropped."""
+    reported and the flag dropped; powers within 1e-15 of 0 are trimmed."""
     if twisted:
         # per power, the entries the twist zeroes
         forbidden = np.where((ks % 2 == 0)[:, None, None], _CROSS, _BLOCK)
@@ -205,11 +205,12 @@ def _clean_factor(c, ks, twisted, real):
             real = False
         else:
             c = c.real
-    return LaurentLoop(dict(zip(ks.tolist(), c)), twisted=twisted,
-                       real=real).trim()
+    keep = np.abs(c).max(axis=(1, 2)) > 1e-15
+    coeffs = dict(zip(ks[keep].tolist(), c[keep])) or {0: np.zeros((3, 3))}
+    return LaurentLoop(coeffs, twisted=twisted, real=real)
 
 
-def _solve_minus(g, trunc):
+def _solve_minus(g, trunc, real):
     """Least-squares solve for h = g_minus^{-1} = I + sum_{j=1..trunc}
     Y_j lam^-j such that h*g has no Fourier modes in -1 .. -(trunc + 8), g
     sampled at the n-th roots of unity. Returns the coefficient stacks of
@@ -224,6 +225,7 @@ def _solve_minus(g, trunc):
     # sum_{j>0} Y_j g_{j-m} = -g_{-m}, transposed: rows (m, column of g),
     # columns (j, row of g)
     a = blocks.transpose(1, 3, 0, 2).reshape(3 * (trunc + 8), -1)
+    a = a.real if real else a  # a real loop's coefficients are real
     sol, _, _, sv = np.linalg.lstsq(a[:, 3:], -a[:, :3], rcond=None)
     cond = np.inf if sv[-1] == 0 else sv[0] / sv[-1]
 
@@ -295,7 +297,7 @@ def birkhoff_split(g, direction="minus-first", truncation=16, tol=1e-10):
             raise ValueError(
                 f"loop is not orthogonal-valued on the circle (dev {dev:.2e})")
 
-        f1, f2, cond = _solve_minus(samples, trunc)
+        f1, f2, cond = _solve_minus(samples, trunc, g.real)
         if not np.isfinite(cond) or cond > _COND_THRESHOLD:
             raise BigCellViolation(
                 f"splitting system condition number {cond:.2e} exceeds "

@@ -45,14 +45,22 @@ def refine(values, r):
     width = min(_STENCIL, n)
     m = np.arange(n - 1)
     start = np.clip(m - 2, 0, n - width)  # nodes m-2 .. m+3 around interval m
-    t = (m - start)[:, None] + np.arange(r) / r  # (n-1, r), in node units
+    # Lagrange weights prod_{l != k} (t - l) / (k - l) per offset m - start
+    t = np.arange(width - 1)[:, None] + np.arange(r) / r
     k = np.arange(width)
     same = np.eye(width, dtype=bool)
-    # Lagrange weights prod_{l != k} (t - l) / (k - l), shape (n-1, r, width)
     weights = np.where(same, 1.0, (t[..., None, None] - k)
-                       / (k[:, None] - k + same)).prod(-1)
+                       / (k[:, None] - k + same)).prod(-1)[m - start]
     fine = np.einsum("mqk,mk...->mq...", weights, v[start[:, None] + k])
     return np.concatenate([fine.reshape((-1,) + v.shape[1:]), v[-1:]])
+
+
+def refine_span(n, lo, hi):
+    """The nodes refine() reads on the intervals lo .. hi - 1 of an n-node
+    axis, a slice: their refine() is the whole axis's there, bit for bit."""
+    width = min(_STENCIL, n)
+    first, last = np.clip([lo - 2, max(lo, hi - 1) - 2], 0, n - width)
+    return slice(first, last + width)
 
 
 def _adjoint(u):
@@ -67,9 +75,10 @@ def polar_project(u):
     """One Newton-Schulz step u (3I - u* u) / 2 back onto the group, batched.
 
     u* is the adjoint of the group u lives in (`_adjoint`). The step
-    squares the distance to the group: it suits states near the group,
-    such as the nodes of an RK4 march whose step resolves the Lax system,
-    and does not bring back a state far from it.
+    squares the distance to the group: it suits matrices near it, such as
+    the RK4 step matrices of a resolved march, which `frames._march`
+    projects once per block (a march of n nodes then drifts off the group
+    by about n eps |u|^2), and does not bring back a matrix far from it.
     """
     return 0.5 * u @ (3.0 * np.eye(u.shape[-1]) - _adjoint(u) @ u)
 

@@ -18,6 +18,7 @@ from .errors import NonpositiveProfile
 from .frames import (_check_transport, _frame_loop_legs, _march,
                      _stage_table)
 from .loops import SampledLoop, birkhoff_split, loop_eval
+from .numerics import refine_span
 from .sinegordon import _write_rows
 
 __all__ = [
@@ -145,9 +146,9 @@ def _integrate_axis(pot, axis, lam, substeps, node=None):
     """Solve U' = -U * xi(t) outward from U = I at the origin node, where
     xi = lambda * eta_x (axis "x") or eta_y / lambda (axis "y"). Returns
     the solution at every node, or, given a node, only at that node,
-    marching from the origin to it and no further. The march steps by
-    the first spacing of the coordinates, so any other spacing raises
-    ValueError."""
+    marching from the origin to it over a stage table of that span only.
+    The march steps by the first spacing of the coordinates, so any other
+    spacing raises ValueError."""
     if pot.axis != axis:
         raise ValueError(f"expected an {axis}-potential, got {pot.axis!r}")
     if not np.iscomplexobj(np.asarray(lam)) and lam <= 0:
@@ -162,10 +163,12 @@ def _integrate_axis(pot, axis, lam, substeps, node=None):
         raise ValueError(f"{axis}-potential axis is not uniform: step "
                          f"{steps[k]:.6g} from node {k} to {k + 1} differs "
                          f"from the first step {h:.6g}")
-    coeff = _stage_table(factor * pot.samples, coords[0], h, substeps)
     u0 = np.eye(3, dtype=np.result_type(factor, pot.samples))
     origin = int(np.argmin(np.abs(coords)))
     lo, hi = (0, len(coords) - 1) if node is None else sorted((origin, node))
+    span = refine_span(len(coords), lo, hi)
+    coeff = _stage_table(factor * pot.samples[span], coords[span.start], h,
+                         substeps)
     out = np.zeros((hi - lo + 1,) + u0.shape, u0.dtype)
     out[origin - lo] = u0
     for stop in (hi, lo):

@@ -10,11 +10,11 @@ from psforge.frames import (check_conditions_K, compatibility_residual,
                             lambda_forms, lax_matrices, maurer_cartan,
                             sample_frame_loop, su2_frame)
 from psforge.loops import _circle_points, check_twist
-from psforge.numerics import deriv4
+from psforge.numerics import deriv4, group_deviation
 from psforge.potentials import eta_x, eta_y, integrate_minus, integrate_plus
 from psforge.sinegordon import (AngleField, GridSpec, constant_angle,
                                 load_angle_csv, save_angle_csv, soliton_angle)
-from util import ref_march
+from util import ref_march, two_soliton
 
 rng = np.random.default_rng(23)
 
@@ -413,3 +413,23 @@ def test_frame_loop_unfold_matches_direct_march(march_field):
     legs = frames._frame_loop_legs(march_field, 80, 30, 30, 2)
     direct = frames._loop_legs(march_field, 80, 30, _circle_points(30), 2)
     assert all(np.array_equal(a, b) for a, b in zip(legs, direct))
+
+
+@pytest.fixture(scope="module")
+def two_soliton_201():
+    return two_soliton(GridSpec(-2.0, -2.0, 201, 201, 0.02, 0.02))
+
+
+def test_frame_loop_legs_stay_on_group(two_soliton_201):
+    # projected once per block of step matrices, a resolved march drifts
+    # off the group by about n * eps * |U|^2; |U| reaches 14 on these legs
+    f = two_soliton_201
+    for i, j in [(0, 0), (0, 200), (200, 0), (200, 200)]:
+        for u in frames._loop_legs(f, i, j, _circle_points(64), 2):
+            assert group_deviation(u) <= 1e-11, (i, j)
+
+
+def test_batched_grid_frame_stays_on_group(two_soliton_201):
+    fr = integrate_frame(two_soliton_201, np.array([0.5, 1.0, 2.0]),
+                         substeps=2)
+    assert group_deviation(fr.U) <= 1e-13

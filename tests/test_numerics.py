@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from psforge.numerics import polar_project, refine
+from psforge.numerics import polar_project, refine, refine_span
+from util import ref_refine
 
 
 def _poly5(t):
@@ -44,6 +45,29 @@ def test_refine_short_axes(n):
     out = refine(x ** (n - 1), 3)
     assert out.shape == fine.shape
     assert np.abs(out - fine ** (n - 1)).max() < 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 6, 7, 71, 201])
+@pytest.mark.parametrize("r", [1, 2, 4, 8])
+def test_refine_matches_per_interval_weights(n, r):
+    # the weights shared per stencil offset are those computed per interval
+    v = np.random.default_rng(n).normal(size=(n, 3, 3))
+    assert np.array_equal(refine(v, r), ref_refine(v, r))
+    assert np.array_equal(refine(v[:, 0, 0], r), ref_refine(v[:, 0, 0], r))
+
+
+@pytest.mark.parametrize("n", [2, 5, 6, 7, 12])
+def test_refine_span_reproduces_whole_axis(n):
+    # every span lo .. hi, the ones clipped at either edge included
+    v = np.random.default_rng(n).normal(size=(n, 2))
+    r = 4
+    whole = refine(v, r)
+    for lo in range(n):
+        for hi in range(lo, n):
+            span = refine_span(n, lo, hi)
+            part = refine(v[span], r)[(lo - span.start) * r:]
+            assert np.array_equal(part[:(hi - lo) * r + 1],
+                                  whole[lo * r:hi * r + 1]), (lo, hi)
 
 
 def _perturb(g, rng):

@@ -8,9 +8,9 @@ from psforge.errors import NonpositiveProfile
 from psforge.frames import _frame_loop_legs, sample_frame_loop
 from psforge.loops import birkhoff_split, loop_eval
 from psforge.numerics import deriv4
-from psforge.potentials import (PotentialForm, boundary_forms,
-                                cross_check_split, eta_2x2, eta_general,
-                                eta_x, eta_y, integrate_minus,
+from psforge.potentials import (PotentialForm, _integrate_axis,
+                                boundary_forms, cross_check_split, eta_2x2,
+                                eta_general, eta_x, eta_y, integrate_minus,
                                 integrate_plus, load_potential_csv,
                                 rotation_V0, save_potential_csv,
                                 save_potential2_csv)
@@ -259,6 +259,26 @@ def test_cross_check_pair_equals_separate_calls(soliton_51):
             cross_check_split(soliton_51, i, j)]
     assert _cross_check(soliton_51, 40, j0, with_axis=True) == [
         cross_check_split(soliton_51, 40, j0)]
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+def test_axis_ode_to_a_node_equals_whole_axis(tmp_path, sampled):
+    # the stage table of a march to one node covers only its span; origin
+    # off-centre in x and one node from the edge in y
+    f = soliton_angle(1.0, GridSpec(-0.4, -1.52, 51, 41, 0.04, 0.04))
+    if sampled:
+        save_angle_csv(f, tmp_path / "phi.csv", tmp_path / "phi_x.csv")
+        f = load_angle_csv(tmp_path / "phi.csv", tmp_path / "phi_x.csv")
+    for pot, axis, whole in ((eta_x(f), "x", integrate_plus),
+                             (eta_y(f), "y", integrate_minus)):
+        n = len(pot.coords)
+        origin = int(np.argmin(np.abs(pot.coords)))
+        nodes = {0, 1, 2, origin - 1, origin + 1, n - 3, n - 2, n - 1}
+        for lam in (1.3, np.exp(0.7j)):
+            want = whole(pot, lam)
+            for k in sorted(nodes & set(range(n))):
+                assert np.array_equal(_integrate_axis(pot, axis, lam, 4, k),
+                                      want[k]), (axis, k)
 
 
 @pytest.mark.parametrize("node", ["i=-1", "j=-1", "i=nx", "j=ny"])

@@ -1,15 +1,18 @@
 """Shared test helpers: random twisted loop-group factors, an RK4 ODE
 oracle independent of psforge's march (`_rk4_pair`, one step of u' = u a
 and, given w, of its derivative w' = w a + u d), the per-substep march
-psforge used before its propagator form (`ref_march`) and per-node
-reference writers."""
+psforge used before its propagator form (`ref_march`), the per-interval
+Lagrange weights of `numerics.refine` before they were shared per offset
+(`ref_refine`), a closed-form two-soliton field and per-node reference
+writers."""
 
 import numpy as np
 from scipy.linalg import expm
 
 from psforge.algebra import E12, E13, E23
 from psforge.loops import LaurentLoop
-from psforge.numerics import polar_project
+from psforge.numerics import _STENCIL, polar_project
+from psforge.sinegordon import AngleField
 
 
 def random_twisted_algebra(kmin, kmax, total_norm, rng):
@@ -85,6 +88,58 @@ def ref_march(u, ts, start, stop, spacing, substeps, coeff):
             u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         u[..., :m] = polar_project(u[..., :m])
         yield n + direction, u
+
+
+# psforge's `numerics.refine` before its Lagrange weights were computed
+# once per stencil offset, kept unchanged: one weight set per interval
+
+def ref_refine(values, r):
+    """Samples on the r-fold refined uniform grid along the leading axis.
+
+    Returns the (n-1)*r + 1 values at node positions k/r, k = 0..(n-1)*r,
+    each the Lagrange interpolant through the 6 nodes nearest its interval
+    (the 6 nodes nearest the edge near an edge, every node when the axis
+    has fewer than 6). Exact at the original nodes.
+    """
+    v = np.asarray(values)
+    n = v.shape[0]
+    width = min(_STENCIL, n)
+    m = np.arange(n - 1)
+    start = np.clip(m - 2, 0, n - width)  # nodes m-2 .. m+3 around interval m
+    t = (m - start)[:, None] + np.arange(r) / r  # (n-1, r), in node units
+    k = np.arange(width)
+    same = np.eye(width, dtype=bool)
+    # Lagrange weights prod_{l != k} (t - l) / (k - l), shape (n-1, r, width)
+    weights = np.where(same, 1.0, (t[..., None, None] - k)
+                       / (k[:, None] - k + same)).prod(-1)
+    fine = np.einsum("mqk,mk...->mq...", weights, v[start[:, None] + k])
+    return np.concatenate([fine.reshape((-1,) + v.shape[1:]), v[-1:]])
+
+
+def two_soliton(grid, a1=0.8, a2=1.7):
+    """The two-soliton of phi_xy = sin(phi) on a grid, with its analytic
+    closures: tan(phi/4) = ((a2+a1)/(a2-a1)) sinh((t1-t2)/2) /
+    cosh((t1+t2)/2), t_i = a_i x + y/a_i (Rogers & Schief, Baecklund and
+    Darboux Transformations, CUP 2002)."""
+    c = (a2 + a1) / (a2 - a1)
+
+    def parts(x, y):
+        t1, t2 = a1 * x + y / a1, a2 * x + y / a2
+        return c * np.sinh(0.5 * (t1 - t2)), np.cosh(0.5 * (t1 + t2)), t1, t2
+
+    def phi_fn(x, y):
+        s, ch, _, _ = parts(x, y)
+        return 4.0 * np.arctan2(s, ch)
+
+    def phix_fn(x, y):
+        s, ch, t1, t2 = parts(x, y)
+        ds = 0.5 * c * (a1 - a2) * np.cosh(0.5 * (t1 - t2))
+        dch = 0.5 * (a1 + a2) * np.sinh(0.5 * (t1 + t2))
+        return 4.0 * (ds * ch - s * dch) / (ch * ch + s * s)
+
+    x, y = grid.meshgrid()
+    return AngleField(grid, phi_fn(x, y), phix_fn(x, y), phi_fn=phi_fn,
+                      phix_fn=phix_fn)
 
 
 def coeff_dev(a, b):
