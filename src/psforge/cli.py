@@ -349,8 +349,8 @@ class _Checks:
         values = frames._loop_legs(self.field, *self.probe,
                                    loops._circle_points(32), _SUBSTEPS)[1]
         loop = loops.SampledLoop(values, twisted=True, real=True).to_laurent()
-        dev = max(loops.twist_deviation(loop), max(
-            float(np.abs(c.imag).max()) for c in loop.coeffs.values()))
+        dev = max(loops.twist_deviation(loop),
+                  float(np.abs(loop.stack.imag).max()))
         return dev, dev
 
     def split_cross_check(self):

@@ -505,15 +505,15 @@ _TWIST_SIGNS = np.outer(np.diag(P_TWIST), np.diag(P_TWIST))
 
 
 def _frame_loop_legs(f, i, j, n, substeps):
-    """`_loop_legs` at the n-th roots of unity lambda_s = exp(2 pi i s / n).
-    The Lax system is real, U(conj lambda) = conj U(lambda), and twisted,
-    U(-lambda) = P U(lambda) P, so when 4 divides n only the quarter
-    circle s = 0 .. n/4 is marched: U_{n/2-s} = P conj(U_s) P and
+    """`_loop_legs` at the n-th roots of unity lambda_s = exp(2 pi i s / n),
+    n a power of two >= 4. The Lax system is real, U(conj lambda) =
+    conj U(lambda), and twisted, U(-lambda) = P U(lambda) P, so only the
+    quarter circle s = 0 .. n/4 is marched: U_{n/2-s} = P conj(U_s) P and
     U_{n-s} = conj(U_s) give the rest, exactly in floating point."""
     from .loops import _circle_points
 
-    if n % 4:
-        return _loop_legs(f, i, j, _circle_points(n), substeps)
+    if n < 4 or n & (n - 1):
+        raise ValueError(f"n = {n} samples: not a power of two >= 4")
     legs = _loop_legs(f, i, j, _circle_points(n)[:n // 4 + 1], substeps)
     out = []
     for q in legs:
@@ -526,11 +526,11 @@ def sample_frame_loop(f, i, j, n=64, substeps=1):
     """Frame loop lambda -> U(x_i, y_j; lambda) at the n-th roots of unity.
 
     Integrates the Lax system jointly for the sample points along the path
-    origin -> (x_i, y_origin) -> (x_i, y_j): when 4 divides n, only the
-    n/4 + 1 roots exp(2 pi i s / n), s = 0 .. n/4, and the other samples
-    follow from U(conj lambda) = conj U(lambda) and U(-lambda) =
-    P U(lambda) P. The result is twisted and has real Fourier
-    coefficients. Raises ValueError unless (i, j) is a grid node.
+    origin -> (x_i, y_origin) -> (x_i, y_j): only the n/4 + 1 roots
+    exp(2 pi i s / n), s = 0 .. n/4, and the other samples follow from
+    U(conj lambda) = conj U(lambda) and U(-lambda) = P U(lambda) P. The
+    result is twisted and has real Fourier coefficients. Raises ValueError
+    unless (i, j) is a grid node and n a power of two >= 4.
     """
     from .loops import SampledLoop
 

@@ -39,48 +39,49 @@ _CROSS = ~_BLOCK
 _MAX_TRUNCATION = 256   # largest Fourier truncation birkhoff_split tries
 _COND_THRESHOLD = 1e8   # split condition number beyond the big cell
 _CLEAN_TOL = 1e-7       # largest structure violation zeroed in a factor
+_TRIM = 1e-3            # factor tails trimmed up to _TRIM * the split tol
 _ORTHO_TOL = 1e-6       # largest |g^T g - I| of a loop on the circle
 
 
 @dataclass
 class LaurentLoop:
-    """Finite matrix Laurent series in the spectral parameter."""
+    """Finite matrix Laurent series sum_k X_k lambda^k: the (K, 3, 3) stack
+    of its coefficients at the powers kmin .. kmin + K - 1, 0 among them."""
 
-    coeffs: dict
+    stack: np.ndarray
+    kmin: int
     twisted: bool = False
     real: bool = False
 
     def __post_init__(self):
-        clean = {}
-        for k, c in self.coeffs.items():
-            c = np.asarray(c)
-            if c.shape != (3, 3):
-                raise ValueError("loop coefficients must be 3x3")
-            if not np.iscomplexobj(c):
-                c = c.astype(float)
-            clean[int(k)] = c
-        self.coeffs = clean
+        kind = complex if np.iscomplexobj(self.stack) else float
+        self.stack, self.kmin = np.asarray(self.stack, kind), int(self.kmin)
+        if self.stack.shape[1:] != (3, 3) or not self.kmin <= 0 <= self.kmax:
+            raise ValueError("stack must be (K, 3, 3), kmin <= 0 <= kmax")
+
+    @classmethod
+    def from_dict(cls, coeffs, twisted=False, real=False):
+        """The loop {power: 3x3}; the powers that coeffs leaves out are 0."""
+        ks = [int(k) for k in coeffs]
+        kmin = min([0, *ks])
+        stack = np.zeros((max([0, *ks]) - kmin + 1, 3, 3),
+                         dtype=np.result_type(float, *coeffs.values()))
+        for k, c in zip(ks, coeffs.values()):
+            stack[k - kmin] = c
+        return cls(stack, kmin, twisted, real)
 
     @classmethod
     def identity(cls):
-        return cls({0: np.eye(3)}, twisted=True, real=True)
-
-    @property
-    def kmin(self):
-        return min(0, min(self.coeffs, default=0))
+        return cls(np.eye(3)[None], 0, twisted=True, real=True)
 
     @property
     def kmax(self):
-        return max(0, max(self.coeffs, default=0))
+        return self.kmin + len(self.stack) - 1
 
-    def coeff(self, k):
-        return self.coeffs.get(k, np.zeros((3, 3)))
-
-    def trim(self, tol=1e-15):
-        kept = {k: c for k, c in self.coeffs.items() if np.abs(c).max() > tol}
-        if not kept:
-            kept = {0: np.zeros((3, 3))}
-        return LaurentLoop(kept, twisted=self.twisted, real=self.real)
+    @property
+    def coeffs(self):
+        """{power: 3x3} over kmin .. kmax, a new dict on every access."""
+        return dict(zip(range(self.kmin, self.kmax + 1), self.stack))
 
 
 @dataclass
@@ -105,39 +106,25 @@ class SampledLoop:
             if self.real is None:
                 self.real = check_reality(loop, tol=1e-6)
 
-    @property
-    def n(self):
-        return self.values.shape[0]
-
-    def points(self):
-        return _circle_points(self.n)
-
     def to_laurent(self):
         """Fourier coefficients of the samples as a LaurentLoop
-        (modes -n/2 .. n/2-1) with the sampled loop's flags."""
-        ks = np.fft.fftfreq(self.n, 1.0 / self.n).astype(int)
-        coeffs = dict(zip(ks.tolist(), _fft_coeffs(self.values)))
-        return LaurentLoop(coeffs, twisted=self.twisted,
-                           real=self.real).trim(1e-300)
+        (powers -n/2 .. n/2-1) with the sampled loop's flags."""
+        return LaurentLoop(np.fft.fftshift(_fft_coeffs(self.values), axes=0),
+                           -(len(self.values) // 2), self.twisted, self.real)
 
 
 def loop_norm(x):
     """Wiener norm: sum over powers of the max-row-sum matrix norm."""
-    return float(sum(wiener_matrix_norm(c) for c in x.coeffs.values()))
+    return float(wiener_matrix_norm(x.stack).sum())
 
 
 def multiply(x, y):
     """Cauchy product of two loops; degree bounds add."""
-    out = {}
-    for kx, cx in x.coeffs.items():
-        for ky, cy in y.coeffs.items():
-            k = kx + ky
-            prod = cx @ cy
-            if k in out:
-                out[k] = out[k] + prod
-            else:
-                out[k] = prod
-    return LaurentLoop(out, twisted=x.twisted and y.twisted,
+    out = np.zeros((len(x.stack) + len(y.stack) - 1, 3, 3),
+                   dtype=np.result_type(x.stack, y.stack))
+    for i, c in enumerate(x.stack):
+        out[i:i + len(y.stack)] += c @ y.stack
+    return LaurentLoop(out, x.kmin + y.kmin, twisted=x.twisted and y.twisted,
                        real=x.real and y.real)
 
 
@@ -146,16 +133,21 @@ def loop_eval(x, lam):
     lam = np.asarray(lam, dtype=complex)
     if np.any(lam == 0):
         raise ZeroSpectralParameter("loop evaluation at lambda = 0")
-    out = np.zeros(lam.shape + (3, 3), dtype=complex)
-    for k, c in x.coeffs.items():
-        out += lam[..., None, None] ** k * c
-    return out
+    powers = np.arange(x.kmin, x.kmax + 1)
+    return np.tensordot(lam[..., None] ** powers, x.stack, axes=1)
+
+
+def _twist_violation(stack, kmin):
+    """The entries of the coefficient stack at powers kmin, kmin + 1, ..
+    that break the twist X_k = (-1)^k P X_k P, with every other entry 0."""
+    even = (np.arange(len(stack)) + kmin) % 2 == 0
+    forbidden = np.where(even[:, None, None], _CROSS, _BLOCK)
+    return np.where(forbidden, stack, 0.0)
 
 
 def twist_deviation(x):
     """Largest entry that breaks X_k = (-1)^k P X_k P, over all powers k."""
-    return max((float(np.abs(c[_CROSS if k % 2 == 0 else _BLOCK]).max())
-                for k, c in x.coeffs.items()), default=0.0)
+    return float(np.abs(_twist_violation(x.stack, x.kmin)).max())
 
 
 def check_twist(x, tol=1e-11):
@@ -165,10 +157,7 @@ def check_twist(x, tol=1e-11):
 
 def check_reality(x, tol=1e-11):
     """True iff every coefficient is real within tol."""
-    for c in x.coeffs.values():
-        if np.iscomplexobj(c) and np.abs(c.imag).max() > tol:
-            return False
-    return True
+    return float(np.abs(x.stack.imag).max()) <= tol
 
 
 def _circle_points(n):
@@ -182,22 +171,22 @@ def _fft_coeffs(samples):
     return np.fft.fft(samples, axis=0) / len(samples)
 
 
-def _clean_factor(c, ks, twisted, real):
-    """The factor with the coefficient stack c (overwritten) at powers ks
-    as a LaurentLoop, enforcing inherited twist/reality structure:
-    violations up to _CLEAN_TOL = 1e-7 are zeroed, larger ones are
-    reported and the flag dropped; powers within 1e-15 of 0 are trimmed."""
+def _clean_factor(c, ks, twisted, real, tol):
+    """The factor with the coefficient stack c at the ascending powers ks
+    (0 among them) as a LaurentLoop, enforcing inherited twist/reality
+    structure: violations up to _CLEAN_TOL = 1e-7 are zeroed, larger ones
+    are reported and the flag dropped. The outer powers, not 0, whose
+    Wiener norms sum to at most _TRIM * tol at either end are trimmed."""
     if twisted:
-        # per power, the entries the twist zeroes
-        forbidden = np.where((ks % 2 == 0)[:, None, None], _CROSS, _BLOCK)
-        viol = np.where(forbidden, np.abs(c), 0.0).max(axis=(1, 2))
-        k = np.argmax(viol > _CLEAN_TOL)  # the first violation, if any
-        if viol[k] > _CLEAN_TOL:
-            warnings.warn(f"twist violation {viol[k]:.2e} in factor "
+        viol = _twist_violation(c, ks[0])
+        worst = np.abs(viol).max(axis=(1, 2))
+        k = np.argmax(worst > _CLEAN_TOL)  # the first violation, if any
+        if worst[k] > _CLEAN_TOL:
+            warnings.warn(f"twist violation {worst[k]:.2e} in factor "
                           f"coefficient {ks[k]}; flag dropped")
             twisted = False
         else:
-            c[forbidden] = 0.0
+            c = c - viol  # exactly zero where the twist forbids an entry
     if real:
         viol = np.abs(c.imag).max()
         if viol > _CLEAN_TOL:
@@ -205,9 +194,10 @@ def _clean_factor(c, ks, twisted, real):
             real = False
         else:
             c = c.real
-    keep = np.abs(c).max(axis=(1, 2)) > 1e-15
-    coeffs = dict(zip(ks[keep].tolist(), c[keep])) or {0: np.zeros((3, 3))}
-    return LaurentLoop(coeffs, twisted=twisted, real=real)
+    w, cut = wiener_matrix_norm(c), _TRIM * tol
+    inner = (np.cumsum(w) > cut) & (np.cumsum(w[::-1])[::-1] > cut)
+    kept = np.flatnonzero(inner | (ks == 0))
+    return LaurentLoop(c[kept[0]:kept[-1] + 1], ks[kept[0]], twisted, real)
 
 
 def _solve_minus(g, trunc, real):
@@ -255,19 +245,20 @@ def birkhoff_split(g, direction="minus-first", truncation=16, tol=1e-10):
     g(1/lambda) with the powers of both factors negated (factor1
     normalized to I at lambda = 0, factor2 nonpositive). Twist and reality
     flags of g are inherited by both factors, whose violations up to
-    _CLEAN_TOL = 1e-7 are zeroed.
+    _CLEAN_TOL = 1e-7 are zeroed, and whose tails of Wiener norm at most
+    _TRIM * tol = 1e-3 tol are trimmed.
 
     g is split through its samples at the n-th roots of unity: a
     SampledLoop's own, a LaurentLoop's at n = 2^ceil(log2 4 (truncation +
-    spread + 1)), spread its largest |power|. It must be orthogonal-valued
-    on the circle within _ORTHO_TOL = 1e-6. The Fourier truncation
-    doubles, up to _MAX_TRUNCATION = 256 and n/2 - 1, until the residual
-    (Wiener norm of g - factor1*factor2) drops below tol.
+    spread + 1)), spread its largest |power|. It must be finite and
+    orthogonal-valued on the circle within _ORTHO_TOL = 1e-6 (else
+    ValueError). The Fourier truncation doubles, capped at n/2 - 1, until
+    the residual (Wiener norm of g - factor1*factor2) drops below tol.
 
     Raises BigCellViolation when the truncated system is ill-conditioned
     beyond _COND_THRESHOLD = 1e8 (the loop lies outside the big cell), and
     TruncationTooSmall when the residual stops decreasing or the
-    truncation reaches either bound.
+    truncation reaches n/2 - 1 or _MAX_TRUNCATION = 256.
     """
     if direction not in ("minus-first", "plus-first"):
         raise ValueError(f"unknown direction {direction!r}")
@@ -293,9 +284,10 @@ def birkhoff_split(g, direction="minus-first", truncation=16, tol=1e-10):
         trunc = min(trunc, cap)
         samples = samples[sign * np.arange(n) % n]
         dev = np.abs(np.swapaxes(samples, -1, -2) @ samples - np.eye(3)).max()
-        if dev > _ORTHO_TOL:
+        if not dev <= _ORTHO_TOL:  # NaN compares False
+            what = "orthogonal-valued" if np.isfinite(dev) else "finite"
             raise ValueError(
-                f"loop is not orthogonal-valued on the circle (dev {dev:.2e})")
+                f"loop is not {what} on the circle (dev {dev:.2e})")
 
         f1, f2, cond = _solve_minus(samples, trunc, g.real)
         if not np.isfinite(cond) or cond > _COND_THRESHOLD:
@@ -309,7 +301,7 @@ def birkhoff_split(g, direction="minus-first", truncation=16, tol=1e-10):
         if trunc >= _MAX_TRUNCATION:
             raise TruncationTooSmall(
                 f"residual {res:.2e} above {tol:.1e} at max truncation {trunc}")
-        if 2 * trunc > cap:
+        if trunc >= cap:
             raise TruncationTooSmall(
                 f"residual {res:.2e} above {tol:.1e}; samples support at "
                 f"most {cap} Fourier blocks")
@@ -319,13 +311,15 @@ def birkhoff_split(g, direction="minus-first", truncation=16, tol=1e-10):
         prev_res = res
         trunc *= 2
 
-    p1, p2 = np.arange(-trunc, 1), np.arange(n // 2)
-    return (_clean_factor(f1[p1 % n], sign * p1, g.twisted, g.real),
-            _clean_factor(f2[p2], sign * p2, g.twisted, g.real))
+    # each factor's powers, ascending; coefficient k sits at sign * k mod n
+    p1 = sign * np.arange(-trunc, 1)[::sign]
+    p2 = sign * np.arange(n // 2)[::sign]
+    return (_clean_factor(f1[sign * p1 % n], p1, g.twisted, g.real, tol),
+            _clean_factor(f2[sign * p2 % n], p2, g.twisted, g.real, tol))
 
 
 def save_loop_json(x, path):
-    """Write a real loop as JSON with row-major coefficient arrays."""
+    """Write a real loop as JSON, row-major coefficients at kmin .. kmax."""
     if not check_reality(x, tol=1e-12):
         raise ValueError("loop JSON stores real loops only")
     payload = {
@@ -333,17 +327,22 @@ def save_loop_json(x, path):
         "kmax": x.kmax,
         "twisted": bool(x.twisted),
         "real": bool(x.real),
-        "coeffs": {str(k): [float(v) for v in np.real(c).ravel()]
-                   for k, c in x.coeffs.items()},
+        "coeffs": dict(zip(map(str, range(x.kmin, x.kmax + 1)),
+                           x.stack.real.reshape(-1, 9).tolist())),
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1)
 
 
 def load_loop_json(path):
+    """Read a loop JSON file; the powers it leaves out are zero. A payload
+    that is not a loop raises ValueError naming path."""
     with open(path) as fh:
-        payload = json.load(fh)
-    coeffs = {int(k): np.asarray(v, dtype=float).reshape(3, 3)
-              for k, v in payload["coeffs"].items()}
-    return LaurentLoop(coeffs, twisted=bool(payload.get("twisted", False)),
-                       real=bool(payload.get("real", True)))
+        try:
+            payload = json.load(fh)
+            coeffs = {int(k): np.asarray(v, dtype=float).reshape(3, 3)
+                      for k, v in payload["coeffs"].items()}
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: not a loop JSON file: {exc!r}") from None
+    return LaurentLoop.from_dict(coeffs, bool(payload.get("twisted", False)),
+                                 bool(payload.get("real", True)))

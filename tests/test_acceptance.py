@@ -150,7 +150,8 @@ def test_criterion_07_birkhoff_oracle():
         f1, f2 = birkhoff_split(g, "minus-first")
         rec = max(coeff_dev(f1, gm), coeff_dev(f2, gp))
         prod = multiply(f1, f2)
-        res = sum(np.abs(prod.coeff(k) - g.coeff(k)).sum(axis=1).max()
+        res = sum(np.abs(prod.coeffs.get(k, 0.0)
+                         - g.coeffs.get(k, 0.0)).sum(axis=1).max()
                   for k in set(prod.coeffs) | set(g.coeffs))
         worst_rec, worst_res = max(worst_rec, rec), max(worst_res, res)
         good += rec < 1e-8 and res < 1e-10

@@ -117,8 +117,8 @@ def test_split_identity(tmp_path):
     assert code == 0
     f1 = load_loop_json(tmp_path / "factor1.json")
     f2 = load_loop_json(tmp_path / "factor2.json")
-    assert np.allclose(f1.coeff(0), np.eye(3))
-    assert np.allclose(f2.coeff(0), np.eye(3))
+    assert np.allclose(f1.coeffs.get(0, 0.0), np.eye(3))
+    assert np.allclose(f2.coeffs.get(0, 0.0), np.eye(3))
 
 
 def test_split_product_residual(tmp_path):
@@ -147,6 +147,29 @@ def test_split_plus_first_swaps_shapes(tmp_path):
     assert summary["factor1_kmax"] > 0 and summary["factor2_kmin"] < 0
 
 
+def test_split_non_finite_loop_exit_2(tmp_path, capfd):
+    stack = np.eye(3)[None].copy()
+    stack[0, 1, 2] = np.nan
+    save_loop_json(LaurentLoop(stack, 0), tmp_path / "nan.json")
+    assert "NaN" in (tmp_path / "nan.json").read_text()
+    code = main(["split", "--loop", str(tmp_path / "nan.json"),
+                 "--out", str(tmp_path)])
+    assert code == 2
+    captured = capfd.readouterr()
+    assert "loop is not finite" in captured.err
+    assert "illegal value" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("payload", ['{"kmin": 0, "kmax": 0, "real": true}',
+                                     '[[1, 0, 0], [0, 1, 0], [0, 0, 1]]'])
+def test_split_malformed_loop_json_exit_2(tmp_path, capsys, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(payload)
+    code = main(["split", "--loop", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    assert f"{path}: not a loop JSON file" in capsys.readouterr().err
+
+
 def test_split_big_cell_exit_4(tmp_path):
     # a real twisted rotation loop of large amplitude drives the truncated
     # splitting system past the conditioning threshold
@@ -159,7 +182,7 @@ def test_split_big_cell_exit_4(tmp_path):
     ks = np.fft.fftfreq(n, 1.0 / n).astype(int)
     coeffs = {int(k): c[i].real for i, k in enumerate(ks)
               if np.abs(c[i]).max() > 1e-13}
-    save_loop_json(LaurentLoop(coeffs, twisted=True, real=True),
+    save_loop_json(LaurentLoop.from_dict(coeffs, twisted=True, real=True),
                    tmp_path / "w.json")
     code = main(["split", "--loop", str(tmp_path / "w.json"),
                  "--out", str(tmp_path)])

@@ -1,47 +1,49 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from psforge.algebra import E12, E13, E23, P_TWIST
 from psforge.errors import (BigCellViolation, TruncationTooSmall,
                             ZeroSpectralParameter)
 from psforge.frames import sample_frame_loop
+from psforge.sinegordon import GridSpec
 from psforge.loops import (LaurentLoop, SampledLoop, birkhoff_split,
                            check_reality, check_twist, load_loop_json,
                            loop_eval, loop_norm, multiply, save_loop_json)
-from util import coeff_dev, random_twisted_algebra, random_twisted_factor
+from util import (coeff_dev, random_twisted_algebra, random_twisted_factor,
+                  two_soliton)
 
 rng = np.random.default_rng(5)
 
 
 def test_loop_norm_values():
     assert loop_norm(LaurentLoop.identity()) == 1.0
-    x = LaurentLoop({1: E23, -1: E13})
+    x = LaurentLoop.from_dict({1: E23, -1: E13})
     assert loop_norm(x) == 2.0
 
 
 def test_loop_norm_submultiplicative():
     for _ in range(30):
-        x = LaurentLoop({k: rng.normal(size=(3, 3)) for k in range(-2, 3)})
-        y = LaurentLoop({k: rng.normal(size=(3, 3)) for k in range(-1, 4)})
+        x = LaurentLoop.from_dict({k: rng.normal(size=(3, 3)) for k in range(-2, 3)})
+        y = LaurentLoop.from_dict({k: rng.normal(size=(3, 3)) for k in range(-1, 4)})
         # brute-force Cauchy product of the truncated series
         prod = multiply(x, y)
         assert loop_norm(prod) <= loop_norm(x) * loop_norm(y) + 1e-10
 
 
 def test_multiply_values():
-    x = LaurentLoop({k: rng.normal(size=(3, 3)) for k in range(-2, 2)})
+    x = LaurentLoop.from_dict({k: rng.normal(size=(3, 3)) for k in range(-2, 2)})
     assert coeff_dev(multiply(x, LaurentLoop.identity()), x) == 0.0
-    p = multiply(LaurentLoop({1: E23}), LaurentLoop({-1: E13}))
-    assert np.array_equal(p.coeff(0), E23 @ E13)
+    p = multiply(LaurentLoop.from_dict({1: E23}), LaurentLoop.from_dict({-1: E13}))
+    assert np.array_equal(p.coeffs.get(0, 0.0), E23 @ E13)
     assert p.kmin == 0 and p.kmax == 0 or 0 in p.coeffs
 
 
 def test_multiply_preserves_twist():
     for _ in range(20):
-        x = LaurentLoop(random_twisted_algebra(-3, 2, 1.0, rng))
-        y = LaurentLoop(random_twisted_algebra(-1, 4, 1.0, rng))
+        x = LaurentLoop.from_dict(random_twisted_algebra(-3, 2, 1.0, rng))
+        y = LaurentLoop.from_dict(random_twisted_algebra(-1, 4, 1.0, rng))
         assert check_twist(x) and check_twist(y)
         assert check_twist(multiply(x, y))
 
@@ -49,13 +51,13 @@ def test_multiply_preserves_twist():
 def test_eval():
     lam = 0.3 + 1.1j
     assert np.allclose(loop_eval(LaurentLoop.identity(), lam), np.eye(3))
-    assert np.allclose(loop_eval(LaurentLoop({1: E23}), 2.0), 2.0 * E23)
+    assert np.allclose(loop_eval(LaurentLoop.from_dict({1: E23}), 2.0), 2.0 * E23)
     with pytest.raises(ZeroSpectralParameter):
         loop_eval(LaurentLoop.identity(), 0.0)
 
 
 def test_eval_twist_identity():
-    x = LaurentLoop(random_twisted_algebra(-3, 3, 1.0, rng))
+    x = LaurentLoop.from_dict(random_twisted_algebra(-3, 3, 1.0, rng))
     for lam in (0.7, 1.3 + 0.4j):
         lhs = loop_eval(x, -lam)
         rhs = P_TWIST @ loop_eval(x, lam) @ P_TWIST
@@ -63,11 +65,11 @@ def test_eval_twist_identity():
 
 
 def test_check_twist_examples():
-    assert check_twist(LaurentLoop({0: E12}))
-    assert not check_twist(LaurentLoop({0: E13}))
+    assert check_twist(LaurentLoop.from_dict({0: E12}))
+    assert not check_twist(LaurentLoop.from_dict({0: E13}))
     # extended Maurer-Cartan coefficients at a node: lam^-1, lam^0, lam^1
     phi, phi_x = 1.1, 0.4
-    omega = LaurentLoop({
+    omega = LaurentLoop.from_dict({
         -1: np.sin(phi) * E13 + np.cos(phi) * E23,
         0: phi_x * E12,
         1: -E23,
@@ -76,8 +78,8 @@ def test_check_twist_examples():
 
 
 def test_check_reality():
-    assert check_reality(LaurentLoop({0: E12}))
-    assert not check_reality(LaurentLoop({0: 1j * E12}))
+    assert check_reality(LaurentLoop.from_dict({0: E12}))
+    assert not check_reality(LaurentLoop.from_dict({0: 1j * E12}))
 
 
 def test_split_identity():
@@ -96,7 +98,7 @@ def test_split_recovers_synthetic_product():
         assert coeff_dev(f2, gp) < 1e-8
         assert f1.twisted and f1.real and f2.twisted and f2.real
         resid = multiply(f1, f2)
-        dev = {k: resid.coeff(k) - g.coeff(k)
+        dev = {k: resid.coeffs.get(k, 0.0) - g.coeffs.get(k, 0.0)
                for k in set(resid.coeffs) | set(g.coeffs)}
         assert sum(np.abs(v).sum(axis=1).max() for v in dev.values()) < 1e-10
 
@@ -107,11 +109,11 @@ def test_split_factor_shapes():
     g = multiply(gm, gp)
     f1, f2 = birkhoff_split(g, "minus-first")
     assert f1.kmax == 0
-    assert np.allclose(f1.coeff(0), np.eye(3))
+    assert np.allclose(f1.coeffs.get(0, 0.0), np.eye(3))
     assert f2.kmin == 0
     p1, p2 = birkhoff_split(g, "plus-first")
     assert p1.kmin == 0
-    assert np.allclose(p1.coeff(0), np.eye(3))
+    assert np.allclose(p1.coeffs.get(0, 0.0), np.eye(3))
     assert p2.kmax == 0
 
 
@@ -205,7 +207,7 @@ def test_split_winding_loop_raises():
 
 def test_split_rejects_non_orthogonal():
     with pytest.raises(ValueError):
-        birkhoff_split(LaurentLoop({0: 2.0 * np.eye(3)}), "minus-first")
+        birkhoff_split(LaurentLoop.from_dict({0: 2.0 * np.eye(3)}), "minus-first")
 
 
 def test_sampled_loop_shape_validation():
@@ -222,3 +224,76 @@ def test_json_round_trip(tmp_path):
     assert back.twisted and back.real
     assert coeff_dev(back, g) == 0.0
     assert back.kmin == g.kmin and back.kmax == g.kmax
+
+
+def test_split_rejects_non_finite_samples(capfd):
+    # NaN passes no bound check by comparison; it must not reach LAPACK
+    vals = np.tile(np.eye(3, dtype=complex), (16, 1, 1))
+    vals[5, 1, 2] = np.nan
+    for direction in ("minus-first", "plus-first"):
+        with pytest.raises(ValueError, match="loop is not finite"):
+            birkhoff_split(SampledLoop(vals), direction)
+    captured = capfd.readouterr()
+    assert "illegal value" not in captured.out + captured.err
+
+
+def test_factor_lengths_ignore_rounding():
+    # factor tails are trimmed against the split tolerance, so noise at
+    # the rounding level leaves the number of powers of each factor alone
+    f = two_soliton(GridSpec(-2.0, -2.0, 201, 201, 0.02, 0.02))
+    for node in [(180, 30), (20, 190)]:
+        u = sample_frame_loop(f, *node, 64, 2).values
+        for direction in ("minus-first", "plus-first"):
+            lengths = set()
+            for seed in range(6):
+                noise = np.random.default_rng(seed).standard_normal(u.shape)
+                loop = SampledLoop(u * (1.0 + 4e-16 * noise * (seed > 0)),
+                                   twisted=True, real=True)
+                lengths.add(tuple(len(x.coeffs) for x in birkhoff_split(
+                    loop, direction, tol=1e-6)))
+            assert len(lengths) == 1, (node, direction, lengths)
+
+
+def _random_loop(r, kmin, kmax):
+    return LaurentLoop(r.normal(size=(kmax - kmin + 1, 3, 3)), kmin)
+
+
+_spans = st.tuples(st.integers(-3, 0), st.integers(0, 3))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), spans=st.tuples(_spans, _spans, _spans))
+def test_multiply_associative(seed, spans):
+    r = np.random.default_rng(seed)
+    x, y, z = (_random_loop(r, *s) for s in spans)
+    a = multiply(multiply(x, y), z)
+    b = multiply(x, multiply(y, z))
+    assert (a.kmin, a.kmax) == (b.kmin, b.kmax)
+    bound = loop_norm(x) * loop_norm(y) * loop_norm(z)
+    assert np.abs(a.stack - b.stack).max() <= 1e-14 * bound
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), spans=st.tuples(_spans, _spans))
+def test_eval_of_product_is_product_of_evals(seed, spans):
+    r = np.random.default_rng(seed)
+    x, y = (_random_loop(r, *s) for s in spans)
+    lam = np.exp(2j * np.pi * r.uniform(size=5))
+    # on the unit circle every value is bounded by the Wiener norm
+    dev = loop_eval(multiply(x, y), lam) - loop_eval(x, lam) @ loop_eval(y, lam)
+    assert np.abs(dev).max() <= 1e-14 * loop_norm(x) * loop_norm(y)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2 ** 32 - 1), span=_spans, twisted=st.booleans())
+def test_loop_json_save_load_save_byte_identical(tmp_path, seed, span,
+                                                 twisted):
+    r = np.random.default_rng(seed)
+    x = _random_loop(r, *span)
+    x.stack *= 10.0 ** r.integers(-300, 300, size=x.stack.shape)
+    x.stack[r.uniform(size=len(x.stack)) < 0.3] = 0.0
+    x.twisted = twisted
+    save_loop_json(x, tmp_path / "a.json")
+    save_loop_json(load_loop_json(tmp_path / "a.json"), tmp_path / "b.json")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()

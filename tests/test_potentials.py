@@ -3,6 +3,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 from scipy.linalg import expm
 
+from psforge import frames
 from psforge.algebra import E13, E23, gauge_rotation, so3_to_su2
 from psforge.errors import NonpositiveProfile
 from psforge.frames import _frame_loop_legs, sample_frame_loop
@@ -17,7 +18,7 @@ from psforge.potentials import (PotentialForm, _integrate_axis,
 from psforge.sinegordon import (AngleField, GridSpec, constant_angle,
                                 load_angle_csv, save_angle_csv,
                                 soliton_angle)
-from util import _rk4_pair, coeff_dev
+from util import _rk4_pair, coeff_dev, two_soliton
 
 BETA1 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
 
@@ -290,6 +291,25 @@ def test_probe_node_out_of_range(soliton_51, node):
         cross_check_split(soliton_51, i, j)
     with pytest.raises(ValueError, match="outside the 51x51 grid"):
         sample_frame_loop(soliton_51, i, j, n=16)
+
+
+@pytest.mark.parametrize("node", [(0, 0), (320, 320)])
+def test_cross_check_split_far_corner_64_samples(node):
+    # the truncation doubles from 16 to the 31 Fourier blocks that 64
+    # samples support, which the frame loop at a corner of [-4,4]^2 needs
+    f = two_soliton(GridSpec(-4.0, -4.0, 321, 321, 0.025, 0.025))
+    report = cross_check_split(f, *node, n_samples=64)
+    assert max(report.values()) <= 1e-6
+
+
+def test_cross_check_split_rejects_sample_count_before_marching(
+        soliton_51, monkeypatch):
+    def march(*args):
+        raise AssertionError("marched")
+
+    monkeypatch.setattr(frames, "_loop_legs", march)
+    with pytest.raises(ValueError, match="n = 12"):
+        cross_check_split(soliton_51, 30, 30, n_samples=12)
 
 
 @pytest.mark.parametrize("line, message", [

@@ -38,7 +38,7 @@ def group_loop_from_algebra(coeffs, n=64, tail_tol=1e-14):
     ks = np.fft.fftfreq(n, 1.0 / n).astype(int)
     out = {int(k): fc[i].real for i, k in enumerate(ks)
            if np.abs(fc[i]).max() > tail_tol}
-    return LaurentLoop(out, twisted=True, real=True)
+    return LaurentLoop.from_dict(out, twisted=True, real=True)
 
 
 def random_twisted_factor(kmin, kmax, rng, total_norm=0.25):
@@ -145,7 +145,8 @@ def two_soliton(grid, a1=0.8, a2=1.7):
 def coeff_dev(a, b):
     """Sup over powers of the entrywise difference of two loops."""
     keys = set(a.coeffs) | set(b.coeffs)
-    return max(float(np.abs(a.coeff(k) - b.coeff(k)).max()) for k in keys)
+    return max(float(np.abs(a.coeffs.get(k, 0.0) - b.coeffs.get(k, 0.0)).max())
+               for k in keys)
 
 
 # Reference text writers: the per-node writers psforge used before its
