@@ -13,16 +13,17 @@ solves F^{-1} dF = [[A, tau], [0, 0]], tau = -lambda e1 dx - unhat(B) dy:
 grid frames are marched as the 3x4 state [U | psi]. Every ODE of psforge
 is integrated by one march, `_march`: classical RK4 along a grid line in
 propagator form, the RK4 step matrices of a block of nodes built at once
-from the coefficients at every stage point and projected onto the group
-by one batched Newton-Schulz step (NS(u P) = u NS(P) for u on it; a
-resolved march of n nodes drifts off it by about n eps |u|^2), then one
-product per node. Grid frames (one lambda or a batch), spinor frames,
-frame loops on the unit circle and the potentials' Birkhoff-factor ODEs
-all call it. A frame loop sampled at the n-th roots of unity is marched
-at the n/4 + 1 roots of a quarter circle only; its reality and twist
-give the other samples. Between grid nodes a sampled angle field is read
-from tables of the marched lines refined onto the RK4 stage points
-(6-point Lagrange interpolation, `numerics.refine`).
+from the coefficients at every stage point (entries-first when complex)
+and projected onto the group by one batched Newton-Schulz step
+(NS(u P) = u NS(P) for u on it; a resolved march of n nodes drifts off
+it by about n eps |u|^2), then one product per node. Grid frames (one
+lambda or a batch), spinor frames, frame loops on the unit circle and
+the potentials' Birkhoff-factor ODEs all call it. A frame loop sampled
+at the n-th roots of unity is marched at the n/4 + 1 roots of a quarter
+circle only; its reality and twist give the other samples. Between grid
+nodes a sampled angle field is read from tables of the marched lines
+refined onto the RK4 stage points (6-point Lagrange interpolation,
+`numerics.refine`).
 """
 
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ import numpy as np
 
 from .algebra import E12, E13, E23, P_TWIST, gauge_rotation, unhat
 from .errors import StepFailure
-from .numerics import deriv4, group_deviation, polar_project, refine
+from .numerics import _mm, deriv4, group_deviation, polar_project, refine
 from .sinegordon import _read_rows, _write_rows
 
 __all__ = [
@@ -180,26 +181,35 @@ def _march(u, ts, start, stop, spacing, substeps, coeff):
     coeff call on a 1-D array of stage times, every half substep; one
     Newton-Schulz step per block projects their square blocks
     P[..., :m, :m] (m the rows of u, psi columns aside) onto the group,
-    and only u @ P runs node by node (drift about n eps |u|^2 in n nodes)."""
+    and only u @ P runs node by node (drift about n eps |u|^2 in n nodes).
+    Complex coefficients are built entries-first, (stage, row, col, node,
+    batch...), by `numerics._mm`: numpy's stacked matmul, which real ones
+    keep, is several times slower on small complex matrices."""
     direction = 1 if stop >= start else -1
     h = direction * spacing / substeps
-    m = u.shape[-2]
-    eye = np.eye(u.shape[-1])
+    m, w = u.shape[-2:]
     nodes = np.arange(start, stop, direction)
     per_block = max(1, _BLOCK_STATES // max(1, u[..., 0, 0].size))
     for b in range(0, len(nodes), per_block):
         block = nodes[b:b + per_block]
-        t = ts[block][:, None] + (0.5 * h) * np.arange(2 * substeps + 1)
+        t = ts[block] + (0.5 * h) * np.arange(2 * substeps + 1)[:, None]
         a = coeff(t.ravel())
-        a = a.reshape(t.shape + a.shape[1:])
+        a = a.reshape(t.shape + a.shape[1:])  # (stage, node, batch..., w, w)
+        if np.iscomplexobj(a):
+            a = np.ascontiguousarray(np.moveaxis(a, (-2, -1), (1, 2)))
+            mm, back = _mm, lambda x: np.moveaxis(x, (0, 1), (-2, -1))
+            eye = np.eye(w).reshape((w, w) + (1,) * (a.ndim - 3))
+        else:
+            mm, back, eye = np.matmul, (lambda x: x), np.eye(w)
         P = None
         for k in range(0, 2 * substeps, 2):
-            a1, a2, a3 = a[:, k], a[:, k + 1], a[:, k + 2]
-            c2 = a2 + (0.5 * h) * (a1 @ a2)
-            c3 = a2 + (0.5 * h) * (c2 @ a2)
-            c4 = a3 + h * (c3 @ a3)
+            a1, a2, a3 = a[k], a[k + 1], a[k + 2]
+            c2 = a2 + (0.5 * h) * mm(a1, a2)
+            c3 = a2 + (0.5 * h) * mm(c2, a2)
+            c4 = a3 + h * mm(c3, a3)
             step = eye + (h / 6.0) * (a1 + 2.0 * c2 + 2.0 * c3 + c4)
-            P = step if P is None else P @ step
+            P = step if P is None else mm(P, step)
+        P = back(P)
         P[..., :m, :m] = polar_project(P[..., :m, :m])
         for n, p in zip(block, P):
             u = u @ p

@@ -1,5 +1,5 @@
-"""Shared numerical helpers: finite differences, grid refinement and the
-projection back onto the group."""
+"""Shared numerical helpers: finite differences, grid refinement, the
+projection back onto the group and entries-first matrix products."""
 
 import numpy as np
 
@@ -63,12 +63,21 @@ def refine_span(n, lo, hi):
     return slice(first, last + width)
 
 
-def _adjoint(u):
-    """u* of the group u lives in: the conjugate transpose (orthogonal or
-    unitary u), except for complex 3x3 frames, which live in the complex
-    orthogonal group (g^T g = I) and use the plain transpose."""
-    ut = np.swapaxes(u, -1, -2)
-    return ut.conj() if np.iscomplexobj(u) and u.shape[-1] != 3 else ut
+def _mm(a, b):
+    """Products of entries-first stacks (m, k, ...) x (k, n, ...) ->
+    (m, n, ...), with batch axes of equal number: on small complex
+    matrices several times faster than numpy's stacked matmul."""
+    out = a[:, 0, None] * b[0]
+    for k in range(1, len(b)):
+        out += a[:, k, None] * b[k]
+    return out
+
+
+def _adjoint(e):
+    """u* for the entries-first u = e: the plain transpose for complex 3x3
+    frames (complex orthogonal group, g^T g = I), else the conjugate one."""
+    et = e.swapaxes(0, 1)
+    return et.conj() if np.iscomplexobj(e) and len(e) != 3 else et
 
 
 def polar_project(u):
@@ -79,10 +88,16 @@ def polar_project(u):
     the RK4 step matrices of a resolved march, which `frames._march`
     projects once per block (a march of n nodes then drifts off the group
     by about n eps |u|^2), and does not bring back a matrix far from it.
-    """
-    return 0.5 * u @ (3.0 * np.eye(u.shape[-1]) - _adjoint(u) @ u)
+    Computed entries-first (`_mm`), returned as a (..., m, m) view."""
+    e = np.ascontiguousarray(np.moveaxis(u, (-2, -1), (0, 1)))
+    g = -0.5 * _mm(_adjoint(e), e)
+    g[range(len(e)), range(len(e))] += 1.5
+    return np.moveaxis(_mm(e, g), (0, 1), (-2, -1))
 
 
 def group_deviation(u):
     """sup |u* u - I| over a batch, u* the group's adjoint (`_adjoint`)."""
-    return np.abs(_adjoint(u) @ u - np.eye(u.shape[-1])).max()
+    e = np.ascontiguousarray(np.moveaxis(u, (-2, -1), (0, 1)))
+    g = _mm(_adjoint(e), e)
+    g[range(len(e)), range(len(e))] -= 1.0
+    return np.abs(g).max()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from psforge.algebra import (E12, E13, E23, P_TWIST, SIGMA1, SIGMA2, SIGMA3,
@@ -122,3 +124,69 @@ def test_su2_so3_dictionary_round_trip():
     for _ in range(20):
         s = hat(rng.normal(size=3))
         assert np.allclose(su2_to_so3(so3_to_su2(s)), s)
+
+
+# property tests: random data at scales 1e-3 .. 1e3, derandomized
+
+_seeds = st.integers(0, 2 ** 32 - 1)
+
+
+def _vectors(r, n=8):
+    """n random 3-vectors, each scaled by 10^k, k uniform in [-3, 3]."""
+    return r.normal(size=(n, 3)) * 10.0 ** r.uniform(-3.0, 3.0, size=(n, 1))
+
+
+def _su2(r, n=8):
+    """n random SU(2) matrices [[a, -conj b], [b, conj a]],
+    |a|^2 + |b|^2 = 1."""
+    q = r.normal(size=(n, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    a, b = q[:, 0] + 1j * q[:, 1], q[:, 2] + 1j * q[:, 3]
+    rows = np.stack([a, -b.conj()], -1), np.stack([b, a.conj()], -1)
+    return np.stack(rows, -2)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(seed=_seeds)
+def test_spinor_map_bracket_homomorphism(seed):
+    # J(r1 x r2) = [J(r1), J(r2)]
+    r = np.random.default_rng(seed)
+    r1, r2 = _vectors(r), _vectors(r)
+    j1, j2 = spinor_map(r1), spinor_map(r2)
+    dev = np.abs(spinor_map(np.cross(r1, r2)) - (j1 @ j2 - j2 @ j1))
+    scale = np.linalg.norm(r1, axis=1) * np.linalg.norm(r2, axis=1)
+    assert np.all(dev.max(axis=(1, 2)) <= 1e-15 * scale)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(seed=_seeds)
+def test_adjoint_map_homomorphism_and_double_cover(seed):
+    r = np.random.default_rng(seed)
+    p, q = _su2(r), _su2(r)
+    dev = adjoint_map(p @ q) - adjoint_map(p) @ adjoint_map(q)
+    assert np.abs(dev).max() <= 1e-14
+    # p and -p cover the same rotation
+    assert np.array_equal(adjoint_map(-p), adjoint_map(p))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(seed=_seeds)
+def test_hat_unhat_inverse_pair(seed):
+    r = np.random.default_rng(seed)
+    v = _vectors(r)
+    assert np.array_equal(unhat(hat(v)), v)
+    a = r.normal(size=(8, 3, 3)) * 10.0 ** r.uniform(-3.0, 3.0, size=(8, 1, 1))
+    s = a - np.swapaxes(a, 1, 2)
+    assert np.array_equal(hat(unhat(s)), s)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(seed=_seeds)
+def test_so3_su2_inverse_pair(seed):
+    r = np.random.default_rng(seed)
+    s = hat(_vectors(r))
+    scale = np.abs(s).max(axis=(1, 2), keepdims=True)
+    assert np.all(np.abs(su2_to_so3(so3_to_su2(s)) - s) <= 1e-15 * scale)
+    m = spinor_map(_vectors(r))  # su(2): traceless, anti-Hermitian
+    scale = np.abs(m).max(axis=(1, 2), keepdims=True)
+    assert np.all(np.abs(so3_to_su2(su2_to_so3(m)) - m) <= 1e-15 * scale)

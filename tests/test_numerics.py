@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from psforge.numerics import polar_project, refine, refine_span
+from psforge.numerics import (_mm, group_deviation, polar_project, refine,
+                              refine_span)
 from util import ref_refine
 
 
@@ -119,3 +122,72 @@ def test_polar_project_matches_svd_polar_factor():
     u = _perturb(np.stack([expm(m - m.T) for m in a]), rng)
     w, _, vt = np.linalg.svd(u)
     assert np.abs(polar_project(u) - w @ vt).max() < 1e-14
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       dims=st.tuples(*[st.sampled_from([2, 3, 4])] * 3),
+       batch=st.lists(st.integers(1, 4), max_size=3), complex_=st.booleans())
+def test_mm_matches_matmul(seed, dims, batch, complex_):
+    # entries-first (m, k, batch...) x (k, n, batch...) against the stacked
+    # matmul of the same matrices, within 1e-14 of |a| |b| entry by entry
+    r = np.random.default_rng(seed)
+    m, k, n = dims
+
+    def stack(shape):
+        x = r.normal(size=tuple(batch) + shape)
+        return x + 1j * r.normal(size=x.shape) if complex_ else x
+
+    a, b = stack((m, k)), stack((k, n))
+    got = _mm(np.moveaxis(a, (-2, -1), (0, 1)),
+              np.moveaxis(b, (-2, -1), (0, 1)))
+    assert got.shape == (m, n) + tuple(batch)
+    err = np.abs(np.moveaxis(got, (0, 1), (-2, -1)) - a @ b)
+    assert np.all(err <= 1e-14 * (np.abs(a) @ np.abs(b)))
+
+
+# polar_project and group_deviation as stacked matmul formulas, with the
+# group adjoint: the plain transpose for complex 3x3 matrices, the
+# conjugate transpose otherwise
+
+def _matmul_adjoint(u):
+    ut = np.swapaxes(u, -1, -2)
+    return ut.conj() if np.iscomplexobj(u) and u.shape[-1] != 3 else ut
+
+
+def _matmul_polar_project(u):
+    return 0.5 * u @ (3.0 * np.eye(u.shape[-1]) - _matmul_adjoint(u) @ u)
+
+
+def _matmul_group_deviation(u):
+    return np.abs(_matmul_adjoint(u) @ u - np.eye(u.shape[-1])).max()
+
+
+def _group_stacks(rng):
+    """Perturbed stacks near SO(3), SU(2) and the complex orthogonal 3x3
+    group, with two batch axes; each also as the square block of a wider
+    stack, a strided view like the march's [U | psi] states."""
+    a = rng.normal(size=(4, 6, 3, 3))
+    so3 = expm(a - np.swapaxes(a, -1, -2))
+    h = rng.normal(size=(4, 6, 2, 2)) + 1j * rng.normal(size=(4, 6, 2, 2))
+    h = h - np.swapaxes(h, -1, -2).conj()
+    h -= np.trace(h, axis1=-2, axis2=-1)[..., None, None] / 2 * np.eye(2)
+    su2 = expm(h)
+    c = 0.25 * (rng.normal(size=(4, 6, 3, 3))
+                + 1j * rng.normal(size=(4, 6, 3, 3)))
+    co3 = expm(c - np.swapaxes(c, -1, -2))
+    out = {}
+    for name, g in (("so3", so3), ("su2", su2), ("co3", co3)):
+        g = _perturb(g, rng)
+        wide = np.concatenate([g, rng.normal(size=g.shape[:-1] + (1,))], -1)
+        out[name], out[name + " view"] = g, wide[..., :-1]
+    return out
+
+
+def test_polar_project_and_group_deviation_match_matmul_formulas():
+    for name, u in _group_stacks(np.random.default_rng(6)).items():
+        want = _matmul_polar_project(u)
+        dev = np.abs(polar_project(u) - want).max()
+        assert dev <= 1e-15 * np.abs(want).max(), name
+        dev = abs(group_deviation(u) - _matmul_group_deviation(u))
+        assert dev <= 1e-15, name
