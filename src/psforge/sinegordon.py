@@ -9,6 +9,7 @@ between the asymptotic directions. Weak regularity is tracked with a mask
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import IncompatibleCorner, NonconvergentCell
 from .numerics import deriv4, refine
@@ -155,51 +156,48 @@ def constant_angle(c, grid):
                       phixy_fn=lambda xx, yy: np.zeros(np.shape(xx * yy)))
 
 
-def _sweep_quadrant(f, i0, j0, sx, sy, k):
-    """Fill one quadrant of f in place, marching away from (i0, j0).
-
-    k = sx*sy*hx*hy/4 is the signed trapezoidal weight of one cell.
-    """
-    nx, ny = f.shape
-    np_ = (nx - 1 - i0) if sx > 0 else i0
-    nq_ = (ny - 1 - j0) if sy > 0 else j0
-    if np_ == 0 or nq_ == 0:
-        return
-    for d in range(2, np_ + nq_ + 1):
-        plo, phi_ = max(1, d - nq_), min(np_, d - 1)
-        if plo > phi_:
-            continue
-        p = np.arange(plo, phi_ + 1)
-        q = d - p
-        ii, jj = i0 + sx * p, j0 + sy * q
-        base = f[ii - sx, jj] + f[ii, jj - sy] - f[ii - sx, jj - sy]
-        srest = np.sin(f[ii - sx, jj]) + np.sin(f[ii, jj - sy]) \
-            + np.sin(f[ii - sx, jj - sy])
-        val = base
-        converged = False
-        for _ in range(20):
-            new = base + k * (np.sin(val) + srest)
-            if np.abs(new - val).max() < 1e-12:
-                val = new
-                converged = True
-                break
-            val = new
-        if not converged:
-            raise NonconvergentCell(
-                f"Picard iteration stalled on diagonal {d} "
-                f"of quadrant ({sx:+d},{sy:+d})")
-        f[ii, jj] = val
-
-
 def _goursat_raw(x_data, y_data, grid):
+    """One trapezoidal sweep of phi_xy = sin(phi), every quadrant at once.
+
+    The views f[i0::sx, j0::sy] march from their [0, 0]. Stacked, padded to
+    (P, Q), in the skewed layout g[quad, d, p] = cell (p, d - p), with sin
+    kept in s, the neighbours on diagonal d are slices of rows d - 1 and
+    d - 2. Cell weights are sx*sy*hx*hy/4, 0 on padding, which never moves.
+    """
     i0, j0 = grid.origin_index()
     f = np.zeros((grid.nx, grid.ny))
-    f[:, j0] = x_data
-    f[i0, :] = y_data
-    w = grid.hx * grid.hy / 4.0
-    for sx in (1, -1):
-        for sy in (1, -1):
-            _sweep_quadrant(f, i0, j0, sx, sy, sx * sy * w)
+    f[:, j0], f[i0, :] = x_data, y_data
+    quads = [(sx, sy, f[i0::sx, j0::sy]) for sx in (1, -1) for sy in (1, -1)]
+    quads = [(sx, sy, v) for sx, sy, v in quads if min(v.shape) > 1]
+    P, Q = np.max([v.shape for _, _, v in quads], axis=0)
+    g, s, k = np.zeros((3, len(quads), P + Q - 1, P))
+    cells = [as_strided(a, (len(quads), P, Q), (a.strides[0],
+             a.strides[1] + a.strides[2], a.strides[1])) for a in (g, s, k)]
+    for n, (sx, sy, v) in enumerate(quads):
+        cg, cs, ck = (c[n, :v.shape[0], :v.shape[1]] for c in cells)
+        cg[...] = v
+        cs[0], cs[:, 0] = np.sin(v[0]), np.sin(v[:, 0])
+        ck[1:, 1:] = sx * sy * grid.hx * grid.hy / 4.0
+    for d in range(2, P + Q - 1):
+        a, b = max(1, d - Q + 1), min(P, d)
+        base = g[:, d - 1, a - 1:b - 1] + g[:, d - 1, a:b] \
+            - g[:, d - 2, a - 1:b - 1]
+        srest = s[:, d - 1, a - 1:b - 1] + s[:, d - 1, a:b] \
+            + s[:, d - 2, a - 1:b - 1]
+        kd, val = k[:, d, a:b], base
+        for _ in range(20):
+            new = base + kd * (np.sin(val) + srest)
+            step = np.abs(new - val)
+            val = new
+            if step.max() < 1e-12:
+                break
+        else:
+            sx, sy, _ = quads[np.flatnonzero(~(step.max(1) < 1e-12))[0]]
+            raise NonconvergentCell(f"Picard iteration stalled on diagonal "
+                                    f"{d} of quadrant ({sx:+d},{sy:+d})")
+        g[:, d, a:b], s[:, d, a:b] = val, np.sin(val)
+    for n, (_, _, v) in enumerate(quads):
+        v[1:, 1:] = cells[0][n, 1:v.shape[0], 1:v.shape[1]]
     return f
 
 
@@ -208,13 +206,15 @@ def goursat_solve(x_data, y_data, grid):
 
     x_data[i] = phi(x_i, 0) and y_data[j] = phi(0, y_j) along the axes
     through the origin (which must be a grid node). Cell-by-cell
-    trapezoidal quadrature of the conservation form, Picard-iterated to an
+    trapezoidal quadrature of the conservation form, swept as one
+    anti-diagonal wavefront over all quadrants and Picard-iterated to an
     update below 1e-12 in at most 20 iterations per diagonal, else
-    NonconvergentCell. The plain sweep is second order; a half-step sweep
-    (with the data refined by 6-point Lagrange interpolation, exact at the
-    nodes) is combined with it by Richardson extrapolation, which removes
-    the leading error term while leaving the boundary data reproduced to
-    machine precision.
+    NonconvergentCell (the lowest failing diagonal, and its first failing
+    quadrant of (+1,+1), (+1,-1), (-1,+1), (-1,-1)). The plain sweep is
+    second order; a half-step sweep (data refined by 6-point Lagrange
+    interpolation, exact at the nodes) is combined with it by Richardson
+    extrapolation, which removes the leading error term and reproduces the
+    boundary data to machine precision.
     """
     x_data = np.asarray(x_data, dtype=float)
     y_data = np.asarray(y_data, dtype=float)

@@ -63,6 +63,18 @@ def test_solve_corner_mismatch_exit_2(tmp_path, capsys):
     assert "IncompatibleCorner" in capsys.readouterr().err
 
 
+def test_solve_nonconvergent_cell_exit_3(tmp_path, capsys):
+    np.savetxt(tmp_path / "xd.txt", np.full(5, 1.0))
+    np.savetxt(tmp_path / "yd.txt", np.full(5, 1.0))
+    code = main(["solve", "--x-data", str(tmp_path / "xd.txt"),
+                 "--y-data", str(tmp_path / "yd.txt"),
+                 "--domain", "-2", "2", "-2", "2", "--h", "1",
+                 "--out", str(tmp_path)])
+    assert code == 3  # EXIT_NUMERIC
+    assert "NonconvergentCell" in capsys.readouterr().err
+    assert not (tmp_path / "phi.csv").exists()
+
+
 def test_solve_without_source_exit_2(tmp_path):
     code = main(["solve", "--domain", "0", "1", "0", "1", "--h", "0.1",
                  "--out", str(tmp_path)])

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from psforge.errors import IncompatibleCorner
+from psforge.errors import IncompatibleCorner, NonconvergentCell
 from psforge.numerics import deriv4
-from psforge.sinegordon import (AngleField, GridSpec, constant_angle,
-                                goursat_solve, load_angle_csv,
+from psforge.sinegordon import (AngleField, GridSpec, _goursat_raw,
+                                constant_angle, goursat_solve, load_angle_csv,
                                 save_angle_csv, sg_residual, soliton_angle)
+from util import ref_goursat_raw, two_soliton
 
 
 def unit_grid(n=101, h=0.02):
@@ -122,6 +123,60 @@ def test_goursat_residual_refinement():
         solved = goursat_solve(exact.phi[:, 0], exact.phi[0, :], g)
         sups.append(np.abs(sg_residual(solved)).max())
     assert sups[1] < sups[0] / 3.8
+
+
+def _axis_data(grid):
+    exact = two_soliton(grid)
+    i0, j0 = grid.origin_index()
+    return exact.phi[:, j0], exact.phi[i0, :]
+
+
+@pytest.mark.parametrize("grid", [
+    GridSpec(-0.7, -0.7, 71, 71, 0.02, 0.02),          # symmetric
+    GridSpec(-0.3, -0.8, 61, 51, 0.02, 0.02),          # origin (15, 40)
+    GridSpec(-0.7, -0.66, 71, 45, 0.02, 0.03),         # hx != hy
+    GridSpec(-0.02, -0.3, 2, 31, 0.02, 0.02),          # 2-node strips
+    GridSpec(-0.3, 0.0, 31, 2, 0.02, 0.02),
+], ids=["sym71", "off61x51", "hx_ne_hy", "strip2x31", "strip31x2"])
+def test_goursat_raw_matches_quadrant_sweep(grid):
+    # the one-wavefront sweep against the quadrant-by-quadrant reference:
+    # quadrants that converge earlier take a few more Picard iterations,
+    # which moves results by rounding only
+    x_data, y_data = _axis_data(grid)
+    new = _goursat_raw(x_data, y_data, grid)
+    ref = ref_goursat_raw(x_data, y_data, grid)
+    assert np.abs(new - ref).max() < 1e-13
+
+
+def test_goursat_raw_corner_origin_bit_identical():
+    # one quadrant: the same operations in the same order as the reference
+    g = GridSpec(0.0, 0.0, 61, 41, 0.02, 0.025)
+    x_data, y_data = _axis_data(g)
+    assert np.array_equal(_goursat_raw(x_data, y_data, g),
+                          ref_goursat_raw(x_data, y_data, g))
+
+
+def test_goursat_nonconvergent_cell():
+    # h = 1: the Picard map contracts only by |k cos| ~ 0.25 in the
+    # quadrants of negative weight, too slowly for 20 iterations
+    g = GridSpec(-2.0, -2.0, 5, 5, 1.0, 1.0)
+    with pytest.raises(NonconvergentCell,
+                       match=r"^Picard iteration stalled on diagonal 2 "
+                             r"of quadrant \(\+1,-1\)$"):
+        goursat_solve(np.full(5, 1.0), np.full(5, 1.0), g)
+
+
+def test_goursat_observed_order_two_soliton():
+    # Goursat + Richardson is fourth order on a truly 2-D exact solution
+    # (measured errors 7.1e-8, 4.3e-9, 2.7e-10: orders 4.05 and 4.01)
+    errs = []
+    for h in (0.04, 0.02, 0.01):
+        n = round(2.0 / h) + 1
+        g = GridSpec(-1.0, -1.0, n, n, h, h)
+        solved = goursat_solve(*_axis_data(g), g)
+        errs.append(np.abs(solved.phi - two_soliton(g).phi).max())
+    orders = np.log2(np.array(errs[:-1]) / errs[1:])
+    assert (orders >= 3.8).all(), (errs, orders)
 
 
 def test_angle_csv_round_trip(tmp_path, small_soliton):

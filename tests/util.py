@@ -3,13 +3,15 @@ oracle independent of psforge's march (`_rk4_pair`, one step of u' = u a
 and, given w, of its derivative w' = w a + u d), the per-substep march
 psforge used before its propagator form (`ref_march`), the per-interval
 Lagrange weights of `numerics.refine` before they were shared per offset
-(`ref_refine`), a closed-form two-soliton field and per-node reference
-writers."""
+(`ref_refine`), the quadrant-by-quadrant Goursat sweep before the
+one-wavefront sweep (`ref_goursat_raw`), a closed-form two-soliton field and
+per-node reference writers."""
 
 import numpy as np
 from scipy.linalg import expm
 
 from psforge.algebra import E12, E13, E23
+from psforge.errors import NonconvergentCell
 from psforge.loops import LaurentLoop
 from psforge.numerics import _STENCIL, polar_project
 from psforge.sinegordon import AngleField
@@ -114,6 +116,58 @@ def ref_refine(values, r):
                        / (k[:, None] - k + same)).prod(-1)
     fine = np.einsum("mqk,mk...->mq...", weights, v[start[:, None] + k])
     return np.concatenate([fine.reshape((-1,) + v.shape[1:]), v[-1:]])
+
+
+# psforge's `sinegordon._goursat_raw` before the quadrants were swept as
+# one wavefront, kept unchanged: each quadrant marched on its own, with
+# fancy-index gathers and the neighbours' sines recomputed per diagonal
+
+def _ref_sweep_quadrant(f, i0, j0, sx, sy, k):
+    """Fill one quadrant of f in place, marching away from (i0, j0).
+
+    k = sx*sy*hx*hy/4 is the signed trapezoidal weight of one cell.
+    """
+    nx, ny = f.shape
+    np_ = (nx - 1 - i0) if sx > 0 else i0
+    nq_ = (ny - 1 - j0) if sy > 0 else j0
+    if np_ == 0 or nq_ == 0:
+        return
+    for d in range(2, np_ + nq_ + 1):
+        plo, phi_ = max(1, d - nq_), min(np_, d - 1)
+        if plo > phi_:
+            continue
+        p = np.arange(plo, phi_ + 1)
+        q = d - p
+        ii, jj = i0 + sx * p, j0 + sy * q
+        base = f[ii - sx, jj] + f[ii, jj - sy] - f[ii - sx, jj - sy]
+        srest = np.sin(f[ii - sx, jj]) + np.sin(f[ii, jj - sy]) \
+            + np.sin(f[ii - sx, jj - sy])
+        val = base
+        converged = False
+        for _ in range(20):
+            new = base + k * (np.sin(val) + srest)
+            if np.abs(new - val).max() < 1e-12:
+                val = new
+                converged = True
+                break
+            val = new
+        if not converged:
+            raise NonconvergentCell(
+                f"Picard iteration stalled on diagonal {d} "
+                f"of quadrant ({sx:+d},{sy:+d})")
+        f[ii, jj] = val
+
+
+def ref_goursat_raw(x_data, y_data, grid):
+    i0, j0 = grid.origin_index()
+    f = np.zeros((grid.nx, grid.ny))
+    f[:, j0] = x_data
+    f[i0, :] = y_data
+    w = grid.hx * grid.hy / 4.0
+    for sx in (1, -1):
+        for sy in (1, -1):
+            _ref_sweep_quadrant(f, i0, j0, sx, sy, sx * sy * w)
+    return f
 
 
 def two_soliton(grid, a1=0.8, a2=1.7):
