@@ -7,10 +7,10 @@ numerical factorization of twisted matrix Laurent loops.
 """
 
 from . import algebra, cli, frames, loops, potentials, sinegordon, surfaces
-from .errors import (BigCellViolation, IncompatibleCorner, IOFailure,
-                     NonconvergentCell, NonpositiveProfile, NotSkew,
-                     NotUnitary, PsforgeError, SingularAngle, StepFailure,
-                     TruncationTooSmall, ZeroSpectralParameter)
+from .errors import (BigCellViolation, IncompatibleCorner, NonconvergentCell,
+                     NonpositiveProfile, NotSkew, NotUnitary, PsforgeError,
+                     SingularAngle, StepFailure, TruncationTooSmall,
+                     ZeroSpectralParameter)
 from .frames import (ExtendedFrame, MaurerCartanForm, check_conditions_K,
                      compatibility_residual, flatness_residual, gauge,
                      integrate_frame, lambda_forms, lax_matrices,

@@ -1,7 +1,8 @@
 """Fixed-size matrix kernels: so(3)/su(2) dictionaries, basis constants,
 rotations and the Wiener matrix norm.
 
-All 3x3 geometric data is real; complex numbers enter only on the 2x2 side.
+Geometric 3x3 data is real at real lambda; frame loops and Lax matrices
+at complex lambda are complex 3x3, and the 2x2 (su(2)) side is complex.
 Most functions accept batched arrays (leading axes are broadcast).
 """
 
@@ -127,33 +128,20 @@ def adjoint_map(p, tol=1e-9):
     return np.stack(cols, axis=-1)
 
 
-# Linear dictionary E12 <-> -(i/2)s3, E13 <-> -(i/2)s2, E23 <-> -(i/2)s1
-# between so(3) and su(2); used to transport Lie-algebra-valued data
-# (potentials, Lax matrices) between the 3x3 and 2x2 pictures.
+# Basis dictionary E12 <-> -(i/2)s3, E13 <-> -(i/2)s2, E23 <-> -(i/2)s1
+# between so(3) and su(2), transporting potentials between the 3x3 and 2x2
+# pictures: the double-cover differential spinor_map o unhat after the
+# rotation R = diag(-1, 1, -1) by pi about e2. The 2x2 potentials and
+# frames.su2_frame (the plain spinor_map picture) are therefore related
+# by Ad R: conjugation by i s2, which adjoint_map sends to R.
+_R_DIAG = np.array([-1.0, 1.0, -1.0])
+
 
 def so3_to_su2(s, tol=1e-9):
-    s = np.asarray(s)
-    a12 = s[..., 0, 1]
-    a13 = s[..., 0, 2]
-    a23 = s[..., 1, 2]
-    dev = np.abs(s + np.swapaxes(s, -1, -2)).max()
-    if dev > tol:
-        raise NotSkew(f"matrix deviates from skew-symmetry by {dev:.3e}")
-    return (-0.5j) * (a12[..., None, None] * SIGMA3
-                      + a13[..., None, None] * SIGMA2
-                      + a23[..., None, None] * SIGMA1)
+    """spinor_map(R unhat(s)); raises NotSkew as unhat does."""
+    return spinor_map(_R_DIAG * unhat(s, tol))
 
 
 def su2_to_so3(m):
-    a12 = (1j * (m[..., 0, 0] - m[..., 1, 1])).real
-    a13 = (m[..., 1, 0] - m[..., 0, 1]).real
-    a23 = (1j * (m[..., 0, 1] + m[..., 1, 0])).real
-    shape = np.shape(a12)
-    out = np.zeros(shape + (3, 3))
-    out[..., 0, 1] = a12
-    out[..., 1, 0] = -a12
-    out[..., 0, 2] = a13
-    out[..., 2, 0] = -a13
-    out[..., 1, 2] = a23
-    out[..., 2, 1] = -a23
-    return out
+    """Inverse of so3_to_su2: hat(R spinor_unmap(m))."""
+    return hat(_R_DIAG * spinor_unmap(m))

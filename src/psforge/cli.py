@@ -48,6 +48,13 @@ _CONFIG_TYPES = {
 }
 
 
+def _finite(flag, value):
+    """value, unless it is nan or infinite: then exit 2 naming the flag."""
+    if not np.isfinite(value):
+        raise SystemExit(f"psforge: {flag} must be finite, not {value!r}")
+    return value
+
+
 def _load_config(path, args):
     """Fill argparse values that were left unset from key=value lines."""
     try:
@@ -66,7 +73,8 @@ def _load_config(path, args):
             name = key[4:]
             if name not in DEFAULT_TOLERANCES:
                 raise SystemExit(f"psforge: unknown tolerance {name!r}")
-            args.tolerance_overrides.setdefault(name, float(value))
+            args.tolerance_overrides.setdefault(name,
+                                                _finite(key, float(value)))
             continue
         attr = key.replace("-", "_")
         if attr not in _CONFIG_TYPES:
@@ -82,11 +90,12 @@ def _load_config(path, args):
 
 def _parse_lambdas(text):
     try:
-        vals = [float(v) for v in text.split(",") if v.strip()]
+        vals = [_finite("--lambdas", float(v)) for v in text.split(",")
+                if v.strip()]
     except ValueError:
         raise SystemExit(f"psforge: malformed lambda list {text!r}")
     if not vals or any(v <= 0 for v in vals):
-        raise SystemExit("psforge: lambda entries must be positive")
+        raise SystemExit("psforge: --lambdas entries must be positive")
     return vals
 
 
@@ -100,10 +109,14 @@ def _grid_from_args(args):
         x0, x1, y0, y1 = map(float, parts)
     else:
         x0, x1, y0, y1 = args.domain
+    for v in (x0, x1, y0, y1):
+        _finite("--domain", v)
     hx = args.hx if args.hx is not None else args.h
     hy = args.hy if args.hy is not None else args.h
     if hx is None or hy is None:
         raise SystemExit("psforge: set --h or both --hx and --hy")
+    _finite("--hx" if args.hx is not None else "--h", hx)
+    _finite("--hy" if args.hy is not None else "--h", hy)
     if not (x1 > x0 and y1 > y0) or hx <= 0 or hy <= 0:
         raise SystemExit("psforge: domain bounds must be ordered, steps positive")
     nx = round((x1 - x0) / hx) + 1
@@ -139,7 +152,7 @@ def _stats(a, mask=None):
 def cmd_solve(args):
     grid = _grid_from_args(args)
     if args.soliton is not None:
-        field = soliton_angle(args.soliton, grid)
+        field = soliton_angle(_finite("--soliton", args.soliton), grid)
     elif args.x_data and args.y_data:
         x_data = np.loadtxt(args.x_data, ndmin=1)
         y_data = np.loadtxt(args.y_data, ndmin=1)
@@ -415,7 +428,8 @@ class _TolAction(argparse.Action):
             parser.error(f"unknown tolerance {name!r}")
         if getattr(namespace, "tolerance_overrides", None) is None:
             namespace.tolerance_overrides = {}
-        namespace.tolerance_overrides[name] = float(v)
+        namespace.tolerance_overrides[name] = _finite(f"--tolerance {name}",
+                                                      float(v))
 
 
 def build_parser():

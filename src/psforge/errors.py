@@ -45,7 +45,3 @@ class SingularAngle(PsforgeError):
 
 class NonpositiveProfile(PsforgeError):
     """A metric profile A(x) or B(y) must be strictly positive."""
-
-
-class IOFailure(PsforgeError):
-    """A mesh or table could not be written or parsed."""

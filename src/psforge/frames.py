@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import E12, E13, E23, P_TWIST, gauge_rotation, unhat
+from .algebra import (E12, E13, E23, P_TWIST, gauge_rotation, spinor_map,
+                      unhat)
 from .errors import StepFailure
 from .numerics import _mm, deriv4, group_deviation, polar_project, refine
 from .sinegordon import _read_rows, _write_rows
@@ -69,25 +70,6 @@ def _lax_B(phi, lam, m=3):
     return out
 
 
-def _lax2_A(phi_x, lam):
-    # su(2) partner of _lax_A under the spinor double cover
-    phi_x = np.asarray(phi_x)
-    out = np.zeros(np.broadcast_shapes(phi_x.shape, np.shape(lam)) + (2, 2), complex)
-    out[..., 0, 0] = -0.5j * phi_x
-    out[..., 1, 1] = 0.5j * phi_x
-    out[..., 0, 1] = 0.5j * lam
-    out[..., 1, 0] = 0.5j * lam
-    return out
-
-
-def _lax2_B(phi, lam):
-    phi = np.asarray(phi)
-    out = np.zeros(np.broadcast_shapes(phi.shape, np.shape(lam)) + (2, 2), complex)
-    out[..., 0, 1] = -0.5j * np.exp(1j * phi) / lam
-    out[..., 1, 0] = -0.5j * np.exp(-1j * phi) / lam
-    return out
-
-
 def _se3_A(phi_x, lam):
     # F^{-1} F_x = [[A, -lambda e1], [0, 0]]
     out = _lax_A(phi_x, lam, 4)
@@ -103,10 +85,12 @@ def _se3_B(phi, lam):
 
 
 # generator pairs (x, y) of the frame equations: the Euclidean frame
-# [U | psi], the rotation frame U alone and its spinor lift
+# [U | psi], the rotation frame U alone and its spinor lift, the images of
+# A and B under the double-cover differential spinor_map o unhat
 _SE3 = (_se3_A, _se3_B)
 _SO3 = (_lax_A, _lax_B)
-_SU2 = (_lax2_A, _lax2_B)
+_SU2 = tuple(lambda a, lam, g=g: spinor_map(unhat(g(a, lam), check=False))
+             for g in _SO3)
 
 
 def lax_matrices(phi, phi_x, lam):

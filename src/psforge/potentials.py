@@ -1,7 +1,7 @@
 """Weierstrass-type data of a pseudospherical surface: the normalized x-
-and y-potentials in closed form, their 2x2 spinor versions, ODE
-integration of the Birkhoff factors, and cross-validation against
-numerical splitting of the frame loop.
+and y-potentials in closed form, their 2x2 versions through the basis
+dictionary `algebra.so3_to_su2`, ODE integration of the Birkhoff factors,
+and cross-validation against numerical splitting of the frame loop.
 
 Both potentials are p-valued axis forms (span of E13, E23) determined by
 the angle restricted to the axes: eta_x by conjugating the constant -E23
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import E13, E23, gauge_rotation
+from .algebra import E12, E13, E23, gauge_rotation, so3_to_su2
 from .errors import NonpositiveProfile
 from .frames import (_check_transport, _frame_loop_legs, _march,
                      _stage_table)
@@ -67,13 +67,12 @@ def _axis_data(f):
 
 def boundary_forms(f):
     """Restrict the Maurer-Cartan coefficient fields to the two axes."""
-    i0, j0, xrow, ycol = _axis_data(f)
+    _, j0 = f.grid.origin_index()
     nx, ny = f.grid.nx, f.grid.ny
-    beta0 = f.dphi_dx[:, j0][:, None, None] * np.broadcast_to(
-        np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), (nx, 3, 3))
+    beta0 = f.dphi_dx[:, j0][:, None, None] * E12
     beta1 = np.broadcast_to(-E23, (nx, 3, 3)).copy()
     gamma0 = np.zeros((ny, 3, 3))
-    gamma1 = np.sin(ycol)[:, None, None] * E13 + np.cos(ycol)[:, None, None] * E23
+    gamma1 = eta_y(f).samples
     return BoundaryForms(f.grid.xs, f.grid.ys, beta0, beta1, gamma0, gamma1)
 
 
@@ -105,22 +104,13 @@ def eta_y(f):
 
 
 def eta_2x2(f):
-    """2x2 spinor forms of the two potentials.
-
-    eta_x: (i/2) antidiag(e^{i d}, e^{-i d}) dx with d = phi(x,0)-phi(0,0);
-    eta_y: -(i/2) antidiag(e^{-i phi(0,y)}, e^{i phi(0,y)}) dy. The product
-    of the off-diagonal entries is -1/4 for both (Chebyshev profiles).
+    """2x2 forms of the two potentials: `algebra.so3_to_su2` (the basis
+    dictionary, Ad R of the spinor picture of `frames.su2_frame`) of the
+    samples of eta_x and eta_y. The product of the off-diagonal entries
+    is -1/4 for both (Chebyshev profiles).
     """
-    i0, _, xrow, ycol = _axis_data(f)
-    d = xrow - xrow[i0]
-    ex = np.zeros((len(xrow), 2, 2), complex)
-    ex[:, 0, 1] = 0.5j * np.exp(1j * d)
-    ex[:, 1, 0] = 0.5j * np.exp(-1j * d)
-    ey = np.zeros((len(ycol), 2, 2), complex)
-    ey[:, 0, 1] = -0.5j * np.exp(-1j * ycol)
-    ey[:, 1, 0] = -0.5j * np.exp(1j * ycol)
-    return (PotentialForm("x", f.grid.xs, ex, +1),
-            PotentialForm("y", f.grid.ys, ey, -1))
+    return tuple(PotentialForm(p.axis, p.coords, so3_to_su2(p.samples),
+                               p.lambda_power) for p in (eta_x(f), eta_y(f)))
 
 
 def eta_general(f, Afn, Bfn):

@@ -61,6 +61,15 @@ class GridSpec:
         return np.meshgrid(self.xs, self.ys, indexing="ij")
 
 
+def _check_nodes(grid):
+    """Raise ValueError, naming the grid, unless each axis has the 5 nodes
+    that the 4th-order differences of a sampled angle field need."""
+    if grid.nx < 5 or grid.ny < 5:
+        raise ValueError(f"the {grid.nx}x{grid.ny} grid is too small for an "
+                         f"angle field: 4th-order differences need at least "
+                         f"5 nodes per axis")
+
+
 @dataclass
 class AngleField:
     """Sampled angle phi(x, y) with optional analytic closures.
@@ -72,6 +81,7 @@ class AngleField:
     `numerics.refine`) when they are absent. The closures are called with
     numpy arrays (x and y), the frame march's stage points against grid
     lines, and must broadcast them like numpy's elementwise functions.
+    A field without them needs at least 5 nodes per axis (ValueError).
     """
 
     grid: GridSpec
@@ -84,6 +94,8 @@ class AngleField:
     phixy_fn: callable = None
 
     def __post_init__(self):
+        if not self.analytic:
+            _check_nodes(self.grid)
         self.phi = np.asarray(self.phi, dtype=float)
         if self.phi.shape != (self.grid.nx, self.grid.ny):
             raise ValueError("phi shape does not match the grid")
@@ -117,8 +129,10 @@ def soliton_angle(a, grid):
     Solves phi_xy = sin(phi) exactly; carries analytic derivative closures.
     a > 0 sets the characteristic speed.
     """
-    if a <= 0:
-        raise ValueError("soliton parameter a must be positive")
+    if not 0 < a < np.inf:
+        raise ValueError(f"soliton parameter a must be positive and finite, "
+                         f"not {a!r}")
+    _check_nodes(grid)
 
     def phi_fn(x, y):
         u = a * x + y / a
@@ -216,6 +230,7 @@ def goursat_solve(x_data, y_data, grid):
     extrapolation, which removes the leading error term and reproduces the
     boundary data to machine precision.
     """
+    _check_nodes(grid)
     x_data = np.asarray(x_data, dtype=float)
     y_data = np.asarray(y_data, dtype=float)
     if x_data.shape != (grid.nx,) or y_data.shape != (grid.ny,):

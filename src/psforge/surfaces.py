@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IOFailure, SingularAngle
+from .algebra import E12, unhat
+from .errors import SingularAngle
 from .frames import ExtendedFrame, integrate_frame
 from .numerics import deriv4
 from .sinegordon import _write_rows
@@ -150,10 +151,8 @@ def gauss_map(frame, verify_parallel_tol=None):
     """
     N = frame.U[..., :, 2]
     if verify_parallel_tol is not None:
-        from .algebra import E12
         orbit = frame.U @ E12 @ np.swapaxes(frame.U, -1, -2)
-        v = np.stack([orbit[..., 2, 1], orbit[..., 0, 2], orbit[..., 1, 0]],
-                     axis=-1)
+        v = unhat(orbit, check=False)
         dev = np.abs(np.cross(v, N)).max()
         if dev > verify_parallel_tol:
             raise AssertionError(f"adjoint-orbit axis deviates by {dev:.3e}")
@@ -243,27 +242,21 @@ def export_mesh(s, path, mask=None):
     b = a + g.ny
     # two triangles (a, b, b + 1) and (a, b + 1, a + 1) per kept cell
     faces = np.stack([a, b, b + 1, a, b + 1, a + 1], axis=-1).reshape(-1, 3)
-    try:
-        with open(path, "w") as fh:
-            _write_rows(fh, s.points.reshape(-1, 3), head="v ", sep=" ")
-            _write_rows(fh, faces, head="f ", sep=" ", ints=3)
-    except OSError as exc:
-        raise IOFailure(f"cannot write mesh to {path}: {exc}") from exc
+    with open(path, "w") as fh:
+        _write_rows(fh, s.points.reshape(-1, 3), head="v ", sep=" ")
+        _write_rows(fh, faces, head="f ", sep=" ", ints=3)
 
 
 def read_obj(path):
     """Parse vertices and faces back from an OBJ file (round-trip check)."""
     verts, faces = [], []
-    try:
-        with open(path) as fh:
-            for line in fh:
-                parts = line.split()
-                if not parts:
-                    continue
-                if parts[0] == "v":
-                    verts.append([float(v) for v in parts[1:4]])
-                elif parts[0] == "f":
-                    faces.append([int(v.split("/")[0]) for v in parts[1:4]])
-    except OSError as exc:
-        raise IOFailure(f"cannot read mesh from {path}: {exc}") from exc
+    with open(path) as fh:
+        for line in fh:
+            parts = line.split()
+            if not parts:
+                continue
+            if parts[0] == "v":
+                verts.append([float(v) for v in parts[1:4]])
+            elif parts[0] == "f":
+                faces.append([int(v.split("/")[0]) for v in parts[1:4]])
     return np.asarray(verts), np.asarray(faces, dtype=int)

@@ -149,13 +149,15 @@ def _su2(r, n=8):
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(seed=_seeds)
 def test_spinor_map_bracket_homomorphism(seed):
-    # J(r1 x r2) = [J(r1), J(r2)]
+    # J(r1 x r2) = [J(r1), J(r2)], for the double cover's J = spinor_map
+    # and for the basis dictionary J = so3_to_su2 o hat
     r = np.random.default_rng(seed)
     r1, r2 = _vectors(r), _vectors(r)
-    j1, j2 = spinor_map(r1), spinor_map(r2)
-    dev = np.abs(spinor_map(np.cross(r1, r2)) - (j1 @ j2 - j2 @ j1))
     scale = np.linalg.norm(r1, axis=1) * np.linalg.norm(r2, axis=1)
-    assert np.all(dev.max(axis=(1, 2)) <= 1e-15 * scale)
+    for J in (spinor_map, lambda v: so3_to_su2(hat(v))):
+        j1, j2 = J(r1), J(r2)
+        dev = np.abs(J(np.cross(r1, r2)) - (j1 @ j2 - j2 @ j1))
+        assert np.all(dev.max(axis=(1, 2)) <= 1e-15 * scale)
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)

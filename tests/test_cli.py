@@ -81,6 +81,54 @@ def test_solve_without_source_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("source", ["soliton", "data"])
+def test_solve_rejects_small_grid_exit_2(tmp_path, capsys, source):
+    # 3x3 nodes: too few for the 4th-order differences of an angle field
+    if source == "soliton":
+        args = ["--soliton", "1"]
+    else:
+        for name in ("xd.txt", "yd.txt"):
+            np.savetxt(tmp_path / name, np.full(3, 1.0))
+        args = ["--x-data", str(tmp_path / "xd.txt"),
+                "--y-data", str(tmp_path / "yd.txt")]
+    code = main(["solve", *args, "--domain", "-0.1", "0.1", "-0.1", "0.1",
+                 "--h", "0.1", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "3x3" in err and "deriv4" not in err
+    assert not (tmp_path / "phi.csv").exists()
+
+
+_DOMAIN = ["--domain", "-1", "1", "-1", "1"]
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["solve", "--soliton", "nan", *_DOMAIN, "--h", "0.1"], "--soliton"),
+    (["solve", "--soliton", "inf", *_DOMAIN, "--h", "0.1"], "--soliton"),
+    (["solve", "--soliton", "1", *_DOMAIN, "--h", "nan"], "--h"),
+    (["solve", "--soliton", "1", *_DOMAIN, "--h", "0.1", "--hy", "inf"],
+     "--hy"),
+    (["solve", "--soliton", "1", "--domain", "-1", "inf", "-1", "1",
+      "--h", "0.1"], "--domain"),
+    (["surface", "PHI", "--lambdas", "nan"], "--lambdas"),
+    (["verify", "PHI", "--lambdas", "1,inf"], "--lambdas"),
+    (["verify", "PHI", "--tolerance", "curvature=nan"],
+     "--tolerance curvature"),
+    (["verify", "PHI", "--config", "CFG"], "tol_curvature"),
+], ids=["soliton-nan", "soliton-inf", "h-nan", "hy-inf", "domain-inf",
+        "surface-lambdas-nan", "verify-lambdas-inf", "tolerance-nan",
+        "config-tol-nan"])
+def test_non_finite_flag_exit_2(solved, tmp_path, capsys, args, flag):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("tol_curvature = nan\n")
+    subs = {"PHI": ["--phi", str(solved / "phi.csv")], "CFG": [str(cfg)]}
+    argv = [a for arg in args for a in subs.get(arg, [arg])]
+    code = main([*argv, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"{flag} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_surface_lambda_1(solved, tmp_path):
     code = main(["surface", "--phi", str(solved / "phi.csv"),
                  "--phi-x", str(solved / "phi_x.csv"),
@@ -101,6 +149,16 @@ def test_surface_lambda_2(solved, tmp_path):
     assert code == 0
     summary = json.loads((tmp_path / "surface_summary.json").read_text())
     assert abs(summary["metricA_mean"] - 2.0) < 1e-3
+
+
+def test_surface_mesh_write_error_exit_2(solved, tmp_path, capsys):
+    # a file error, like every other one: exit 2 naming the path
+    (tmp_path / "mesh_lam1.obj").mkdir()
+    code = main(["surface", "--phi", str(solved / "phi.csv"),
+                 "--phi-x", str(solved / "phi_x.csv"),
+                 "--lambdas", "1", "--out", str(tmp_path)])
+    assert code == 2
+    assert str(tmp_path / "mesh_lam1.obj") in capsys.readouterr().err
 
 
 def test_surface_missing_input_exit_2(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from psforge import frames, potentials
@@ -290,6 +292,20 @@ def test_su2_frame_matches_adjoint(small_soliton):
         assert np.abs(np.linalg.det(p) - 1.0).max() < 1e-9
         fr = integrate_frame(small_soliton, lam, order=order, substeps=4)
         assert np.abs(adjoint_map(p) - fr.U).max() < 1e-8
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(phi=st.floats(-2 * np.pi, 2 * np.pi), phi_x=st.floats(-100.0, 100.0),
+       lam=st.floats(0.25, 4.0))
+def test_spinor_lax_pair_closed_forms(phi, phi_x, lam):
+    # the spinor images of A and B against their closed forms in su(2)
+    a, b = (g(np.array([v]), lam)[0]
+            for g, v in zip(frames._SU2, (phi_x, phi)))
+    A = np.array([[-0.5j * phi_x, 0.5j * lam], [0.5j * lam, 0.5j * phi_x]])
+    B = np.array([[0.0, -0.5j * np.exp(1j * phi) / lam],
+                  [-0.5j * np.exp(-1j * phi) / lam, 0.0]])
+    assert np.abs(a - A).max() <= 1e-15
+    assert np.abs(b - B).max() <= 1e-15
 
 
 @pytest.mark.parametrize("order", ["xy", "yx"])
