@@ -14,7 +14,8 @@ class NotSkew(PsforgeError):
 
 
 class ZeroSpectralParameter(PsforgeError):
-    """A Laurent loop was evaluated at lambda = 0."""
+    """lambda = 0 where 1/lambda enters: a Laurent loop evaluated there, or
+    the frame equations marched there."""
 
 
 class BigCellViolation(PsforgeError):

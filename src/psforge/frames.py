@@ -11,16 +11,19 @@ with U = I at the origin. The Sym position psi = lambda U_lambda U^{-1}
 psi_y = -U unhat(B), so the surface's Euclidean frame F = [[U, psi], [0, 1]]
 solves F^{-1} dF = [[A, tau], [0, 0]], tau = -lambda e1 dx - unhat(B) dy:
 grid frames are marched as the 3x4 state [U | psi]. Every ODE of psforge
-is integrated by one march, `_march`: classical RK4 along a grid line in
-propagator form, the RK4 step matrices of a block of nodes built at once
-from the coefficients at every stage point (entries-first when complex)
-and projected onto the group by one batched Newton-Schulz step
-(NS(u P) = u NS(P) for u on it; a resolved march of n nodes drifts off
-it by about n eps |u|^2), then one product per node. Grid frames (one
-lambda or a batch), spinor frames, frame loops on the unit circle and
-the potentials' Birkhoff-factor ODEs all call it. A frame loop sampled
-at the n-th roots of unity is marched at the n/4 + 1 roots of a quarter
-circle only; its reality and twist give the other samples. Between grid
+is integrated by one RK4 step-matrix builder, `_step_blocks`: classical
+RK4 along a grid line in propagator form, the step matrices of a block of
+nodes built at once from the coefficients at every stage point
+(entries-first when complex; on y-lines, which are linear in 1/lambda,
+from lambda-free products) and projected onto the group by one batched
+Newton-Schulz step (NS(u P) = u NS(P) for u on it; a resolved march of n
+nodes drifts off it by about n eps |u|^2). `_march` applies them node by
+node, for grid frames (one lambda or a batch), spinor frames and the
+potentials' Birkhoff-factor ODEs; `_march_end` multiplies a whole line's
+step matrices pairwise, for the legs of frame loops on the unit circle,
+whose end states alone are used. A frame loop sampled at the n-th roots
+of unity is marched at the n/4 + 1 roots of a quarter circle only; its
+reality and twist give the other samples. Between grid
 nodes a sampled angle field is read from tables of the marched lines
 refined onto the RK4 stage points (6-point Lagrange interpolation,
 `numerics.refine`).
@@ -32,7 +35,7 @@ import numpy as np
 
 from .algebra import (E12, E13, E23, P_TWIST, gauge_rotation, spinor_map,
                       unhat)
-from .errors import StepFailure
+from .errors import StepFailure, ZeroSpectralParameter
 from .numerics import _mm, deriv4, group_deviation, polar_project, refine
 from .sinegordon import _read_rows, _write_rows
 
@@ -144,60 +147,112 @@ def _stage_table(values, t0, h, substeps):
     return lambda t: table[np.rint((t - t0) / step).astype(int)]
 
 
-# node steps x batched states per block of `_march`: the step matrices of
-# a block are built at once, and the bound keeps their coefficients and
-# products a few hundred kB whatever the batch
+# node steps x batched states per block of `_step_blocks`: the step
+# matrices of a block are built at once, and the bound keeps their
+# coefficients and products a few hundred kB whatever the batch
 _BLOCK_STATES = 512
+
+
+def _step_blocks(u, ts, start, stop, spacing, substeps, coeff):
+    """The RK4 step matrices of the march of u' = u @ coeff(t) along a grid
+    line with node coordinates ts from node start to node stop, in
+    `substeps` steps per node: yields (nodes, P) per block of nodes, P[k]
+    the step from nodes[k] to the next node. u gives the shapes only:
+    leading batch axes, those of the coefficients, and m rows.
+
+    On a linear equation an RK4 step is exactly u <- u P with
+    c2 = a2 + (h/2) a1 a2, c3 = a2 + (h/2) c2 a2, c4 = a3 + h c3 a3 and
+    P = I + (h/6)(a1 + 2 c2 + 2 c3 + c4), a1, a2, a3 the coefficients at
+    the start, middle and end of the step. When coeff(t) = z G(t) with a
+    scale z per batch member (coeff.scaled = (G, z): the y-lines of the
+    frame equations, z = 1/lambda), the same step is
+    P = I + sum_k (zh)^k M_k, M1 = (G1 + 4 G2 + G3)/6,
+    M2 = (G1 G2 + G2^2 + G2 G3)/6, M3 = (G1 G2^2 + G2^2 G3)/12 and
+    M4 = G1 G2^2 G3/24: six products of z-free matrices, then a Horner
+    sum over the batch. The step matrices of a node's substeps are
+    composed, and those of a block of nodes (at most _BLOCK_STATES node
+    steps x batched states) are built at once from one call on a 1-D
+    array of stage times, every half substep; one Newton-Schulz step per
+    block projects their square blocks P[..., :m, :m] (psi columns aside)
+    onto the group. Complex blocks are built entries-first, (stage, row,
+    col, node, batch...), by `numerics._mm`: numpy's stacked matmul, which
+    real ones keep, is several times slower on small complex matrices."""
+    direction = 1 if stop >= start else -1
+    h = direction * spacing / substeps
+    m, w = u.shape[-2:]
+    nodes = np.arange(start, stop, direction)
+    per_block = max(1, _BLOCK_STATES // max(1, u[..., 0, 0].size))
+    gen, z = getattr(coeff, "scaled", (coeff, None))
+    for b in range(0, len(nodes), per_block):
+        block = nodes[b:b + per_block]
+        t = ts[block] + (0.5 * h) * np.arange(2 * substeps + 1)[:, None]
+        a = gen(t.ravel())
+        a = a.reshape(t.shape + a.shape[1:])  # (stage, node, batch..., w, w)
+        if np.iscomplexobj(a) or np.iscomplexobj(z):
+            a = np.ascontiguousarray(np.moveaxis(a, (-2, -1), (1, 2)))
+            mm, back = _mm, lambda x: np.moveaxis(x, (0, 1), (-2, -1))
+            eye = np.eye(w).reshape((w, w) + (1,) * (a.ndim - 3))
+            zh = None if z is None else h * z
+        else:
+            mm, back, eye = np.matmul, (lambda x: x), np.eye(w)
+            zh = None if z is None else h * z[..., None, None]
+        P = None
+        for k in range(0, 2 * substeps, 2):
+            a1, a2, a3 = a[k], a[k + 1], a[k + 2]
+            if z is None:
+                c2 = a2 + (0.5 * h) * mm(a1, a2)
+                c3 = a2 + (0.5 * h) * mm(c2, a2)
+                c4 = a3 + h * mm(c3, a3)
+                step = eye + (h / 6.0) * (a1 + 2.0 * c2 + 2.0 * c3 + c4)
+            else:
+                a12, a23 = mm(a1, a2), mm(a2, a3)
+                M = ((a1 + 4.0 * a2 + a3) / 6.0,
+                     (a12 + mm(a2, a2) + a23) / 6.0,
+                     (mm(a12, a2) + mm(a2, a23)) / 12.0,
+                     mm(a12, a23) / 24.0)
+                step = zh * M[3]
+                for Mk in M[2::-1]:
+                    step += Mk
+                    step *= zh
+                step += eye
+            P = step if P is None else mm(P, step)
+        P = back(P)
+        P[..., :m, :m] = polar_project(P[..., :m, :m])
+        yield block, P
 
 
 def _march(u, ts, start, stop, spacing, substeps, coeff):
     """The RK4 transport kernel: march u' = u @ coeff(t) along a grid line
     with node coordinates ts from node start to node stop, in `substeps`
     steps per node. Yields (node, u) per node. States may carry leading
-    batch axes, those of the coefficients.
-
-    On a linear equation an RK4 step is exactly u <- u P with
-    c2 = a2 + (h/2) a1 a2, c3 = a2 + (h/2) c2 a2, c4 = a3 + h c3 a3 and
-    P = I + (h/6)(a1 + 2 c2 + 2 c3 + c4), a1, a2, a3 the coefficients at
-    the start, middle and end of the step. The step matrices of a node's
-    substeps are composed, and those of a block of nodes (at most
-    _BLOCK_STATES node steps x batched states) are built at once from one
-    coeff call on a 1-D array of stage times, every half substep; one
-    Newton-Schulz step per block projects their square blocks
-    P[..., :m, :m] (m the rows of u, psi columns aside) onto the group,
-    and only u @ P runs node by node (drift about n eps |u|^2 in n nodes).
-    Complex coefficients are built entries-first, (stage, row, col, node,
-    batch...), by `numerics._mm`: numpy's stacked matmul, which real ones
-    keep, is several times slower on small complex matrices."""
+    batch axes, those of the coefficients. The step matrices come from
+    `_step_blocks`, one block at a time, and u @ P runs node by node
+    (drift about n eps |u|^2 off the group in n nodes)."""
     direction = 1 if stop >= start else -1
-    h = direction * spacing / substeps
-    m, w = u.shape[-2:]
-    nodes = np.arange(start, stop, direction)
-    per_block = max(1, _BLOCK_STATES // max(1, u[..., 0, 0].size))
-    for b in range(0, len(nodes), per_block):
-        block = nodes[b:b + per_block]
-        t = ts[block] + (0.5 * h) * np.arange(2 * substeps + 1)[:, None]
-        a = coeff(t.ravel())
-        a = a.reshape(t.shape + a.shape[1:])  # (stage, node, batch..., w, w)
-        if np.iscomplexobj(a):
-            a = np.ascontiguousarray(np.moveaxis(a, (-2, -1), (1, 2)))
-            mm, back = _mm, lambda x: np.moveaxis(x, (0, 1), (-2, -1))
-            eye = np.eye(w).reshape((w, w) + (1,) * (a.ndim - 3))
-        else:
-            mm, back, eye = np.matmul, (lambda x: x), np.eye(w)
-        P = None
-        for k in range(0, 2 * substeps, 2):
-            a1, a2, a3 = a[k], a[k + 1], a[k + 2]
-            c2 = a2 + (0.5 * h) * mm(a1, a2)
-            c3 = a2 + (0.5 * h) * mm(c2, a2)
-            c4 = a3 + h * mm(c3, a3)
-            step = eye + (h / 6.0) * (a1 + 2.0 * c2 + 2.0 * c3 + c4)
-            P = step if P is None else mm(P, step)
-        P = back(P)
-        P[..., :m, :m] = polar_project(P[..., :m, :m])
+    for block, P in _step_blocks(u, ts, start, stop, spacing, substeps,
+                                 coeff):
         for n, p in zip(block, P):
             u = u @ p
             yield n + direction, u
+
+
+def _march_end(u, ts, start, stop, spacing, substeps, coeff):
+    """The end state of `_march` alone: the whole line's step matrices
+    (`_step_blocks`) multiplied pairwise by node index,
+    (P1 P2)(P3 P4)..., an odd last one carried to the next round,
+    entries-first by `numerics._mm`, then one u @ Q. The pairing depends
+    on the node count only, not on the blocks, so neither does the
+    result. A march of no nodes returns u itself."""
+    P = [np.moveaxis(p, (-2, -1), (0, 1)) for _, p in
+         _step_blocks(u, ts, start, stop, spacing, substeps, coeff)]
+    if not P:
+        return u
+    P = np.concatenate(P, axis=2)  # (row, col, node, batch...)
+    while P.shape[2] > 1:
+        n = P.shape[2]
+        P = np.concatenate([_mm(P[:, :, 0:n - 1:2], P[:, :, 1::2]),
+                            P[:, :, n - n % 2:]], axis=2)
+    return u @ np.moveaxis(P[:, :, 0], (0, 1), (-2, -1))
 
 
 # resolved marches stay within 1e-12; a 101^2 soliton frame at this
@@ -219,6 +274,17 @@ def _check_transport(u):
         raise StepFailure(f"RK4 transport left the group by {dev:.1e}: "
                           "the step does not resolve the Lax system; use "
                           "more substeps or a finer grid")
+
+
+def _check_march(lam, substeps):
+    """Raise ValueError unless substeps is an integer >= 1, and
+    ZeroSpectralParameter if lambda (a number or an array) is 0, where the
+    frame equations' 1/lambda is singular."""
+    if not isinstance(substeps, (int, np.integer)) or substeps < 1:
+        raise ValueError(f"substeps must be an integer >= 1, not {substeps!r}")
+    if np.any(np.asarray(lam) == 0):
+        raise ZeroSpectralParameter("the frame equations are singular at "
+                                    "lambda = 0")
 
 
 def _lax_on_line(f, lam, axis, line, gens, substeps):
@@ -243,7 +309,14 @@ def _lax_on_line(f, lam, axis, line, gens, substeps):
         angle = _stage_table(f.dphi_dx[:, line], g.x0, g.hx, substeps)
     else:
         angle = _stage_table(f.phi[line].T, g.y0, g.hy, substeps)
-    return lambda t: gens[axis](angle(t)[lam_axes], lam)
+
+    def coeff(t):
+        return gens[axis](angle(t)[lam_axes], lam)
+
+    if axis == 1:
+        # every generator of y is linear in 1/lambda: coeff = z gens[1](., 1)
+        coeff.scaled = (lambda t: gens[1](angle(t)[lam_axes], 1.0), 1.0 / lam)
+    return coeff
 
 
 def _fill_grid(f, lam, order, u0, substeps, gens):
@@ -252,6 +325,7 @@ def _fill_grid(f, lam, order, u0, substeps, gens):
     gens. Returns the states, of shape lam.shape + (nx, ny) + u0.shape."""
     if order not in ("xy", "yx"):
         raise ValueError("order must be 'xy' or 'yx'")
+    _check_march(lam, substeps)
     g = f.grid
     U = np.zeros(np.shape(lam) + (g.nx, g.ny) + u0.shape, u0.dtype)
     a, b = (0, 1) if order == "xy" else (1, 0)
@@ -480,15 +554,13 @@ def _loop_legs(f, i, j, lams, substeps):
     g = f.grid
     if not (0 <= i < g.nx and 0 <= j < g.ny):
         raise ValueError(f"node ({i}, {j}) is outside the {g.nx}x{g.ny} grid")
+    _check_march(lams, substeps)
     i0, j0 = g.origin_index()
     u = np.broadcast_to(np.eye(3, dtype=complex), lams.shape + (3, 3)).copy()
-    for _, u in _march(u, g.xs, i0, i, g.hx, substeps,
-                       _lax_on_line(f, lams, 0, j0, _SO3, substeps)):
-        pass
-    u_axis = u
-    for _, u in _march(u, g.ys, j0, j, g.hy, substeps,
-                       _lax_on_line(f, lams, 1, i, _SO3, substeps)):
-        pass
+    u_axis = _march_end(u, g.xs, i0, i, g.hx, substeps,
+                        _lax_on_line(f, lams, 0, j0, _SO3, substeps))
+    u = _march_end(u_axis, g.ys, j0, j, g.hy, substeps,
+                   _lax_on_line(f, lams, 1, i, _SO3, substeps))
     _check_transport(u_axis)
     _check_transport(u)
     return u_axis, u

@@ -255,13 +255,19 @@ def birkhoff_split(g, direction="minus-first", truncation=16, tol=1e-10):
     ValueError). The Fourier truncation doubles, capped at n/2 - 1, until
     the residual (Wiener norm of g - factor1*factor2) drops below tol.
 
-    Raises BigCellViolation when the truncated system is ill-conditioned
-    beyond _COND_THRESHOLD = 1e8 (the loop lies outside the big cell), and
-    TruncationTooSmall when the residual stops decreasing or the
-    truncation reaches n/2 - 1 or _MAX_TRUNCATION = 256.
+    Raises ValueError unless truncation is an integer >= 1 and
+    0 < tol < inf, BigCellViolation when the truncated system is
+    ill-conditioned beyond _COND_THRESHOLD = 1e8 (the loop lies outside
+    the big cell), and TruncationTooSmall when the residual stops
+    decreasing or the truncation reaches n/2 - 1 or _MAX_TRUNCATION = 256.
     """
     if direction not in ("minus-first", "plus-first"):
         raise ValueError(f"unknown direction {direction!r}")
+    if not isinstance(truncation, (int, np.integer)) or truncation < 1:
+        raise ValueError(f"truncation must be an integer >= 1, not "
+                         f"{truncation!r}")
+    if not 0 < tol < np.inf:  # NaN compares False
+        raise ValueError(f"tol must be positive and finite, not {tol!r}")
     if isinstance(g, SampledLoop):
         def sample(trunc):
             return g.values

@@ -85,7 +85,7 @@ def polar_project(u):
 
     u* is the adjoint of the group u lives in (`_adjoint`). The step
     squares the distance to the group: it suits matrices near it, such as
-    the RK4 step matrices of a resolved march, which `frames._march`
+    the RK4 step matrices of a resolved march, which `frames._step_blocks`
     projects once per block (a march of n nodes then drifts off the group
     by about n eps |u|^2), and does not bring back a matrix far from it.
     Computed entries-first (`_mm`), returned as a (..., m, m) view."""

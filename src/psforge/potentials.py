@@ -15,8 +15,8 @@ import numpy as np
 
 from .algebra import E12, E13, E23, gauge_rotation, so3_to_su2
 from .errors import NonpositiveProfile
-from .frames import (_check_transport, _frame_loop_legs, _march,
-                     _stage_table)
+from .frames import (_check_march, _check_transport, _frame_loop_legs,
+                     _march, _stage_table)
 from .loops import SampledLoop, birkhoff_split, loop_eval
 from .numerics import refine_span
 from .sinegordon import _write_rows
@@ -143,6 +143,7 @@ def _integrate_axis(pot, axis, lam, substeps, node=None):
         raise ValueError(f"expected an {axis}-potential, got {pot.axis!r}")
     if not np.iscomplexobj(np.asarray(lam)) and lam <= 0:
         raise ValueError("lambda must be positive")
+    _check_march(lam, substeps)
     factor = -lam if axis == "x" else -1.0 / lam
     coords = pot.coords
     h = coords[1] - coords[0]

@@ -240,6 +240,29 @@ def test_split_malformed_loop_json_exit_2(tmp_path, capsys, payload):
     assert f"{path}: not a loop JSON file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--tol", "nan"], "--tol must be positive and finite, not nan"),
+    (["--tol", "-1"], "--tol must be positive and finite, not -1.0"),
+    (["--tol", "inf"], "--tol must be positive and finite, not inf"),
+    (["--truncation", "0"], "--truncation must be at least 1, not 0"),
+    (["--truncation", "-3"], "--truncation must be at least 1, not -3"),
+    (["CFG:tol = nan"], "--tol must be positive and finite, not nan"),
+    (["CFG:truncation = 0"], "--truncation must be at least 1, not 0"),
+], ids=["tol-nan", "tol-negative", "tol-inf", "truncation-0",
+        "truncation-negative", "config-tol-nan", "config-truncation-0"])
+def test_split_option_out_of_range_exit_2(tmp_path, capsys, args, message):
+    save_loop_json(LaurentLoop.identity(), tmp_path / "id.json")
+    if args[0].startswith("CFG:"):
+        (tmp_path / "run.cfg").write_text(args[0][4:] + "\n")
+        args = ["--config", str(tmp_path / "run.cfg")]
+    code = main(["split", "--loop", str(tmp_path / "id.json"), *args,
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_split_big_cell_exit_4(tmp_path):
     # a real twisted rotation loop of large amplitude drives the truncated
     # splitting system past the conditioning threshold

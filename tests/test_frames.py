@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from psforge import frames, potentials
 from psforge.algebra import E12, E23, P_TWIST, adjoint_map
-from psforge.errors import StepFailure
+from psforge.errors import StepFailure, ZeroSpectralParameter
 from psforge.frames import (check_conditions_K, compatibility_residual,
                             flatness_residual, gauge, integrate_frame,
                             lambda_forms, lax_matrices, maurer_cartan,
@@ -428,6 +428,102 @@ def test_frame_loop_unfold_matches_direct_march(march_field):
     # a SampledLoop takes a power of two >= 4 samples only
     with pytest.raises(ValueError, match="n = 30"):
         frames._frame_loop_legs(march_field, 80, 30, 30, 2)
+
+
+def _per_node_legs(f, i, j, lams, substeps):
+    """The two legs of `_loop_legs` marched node by node by `_march`."""
+    g = f.grid
+    i0, j0 = g.origin_index()
+    u = np.broadcast_to(np.eye(3, dtype=complex), lams.shape + (3, 3)).copy()
+    legs = []
+    for ts, start, stop, h, axis, line in ((g.xs, i0, i, g.hx, 0, j0),
+                                           (g.ys, j0, j, g.hy, 1, i)):
+        coeff = frames._lax_on_line(f, lams, axis, line, frames._SO3, substeps)
+        for _, u in frames._march(u, ts, start, stop, h, substeps, coeff):
+            pass
+        legs.append(u)
+    return legs
+
+
+@pytest.mark.parametrize("node", [(80, 30), (83, 13), (17, 91)])
+def test_march_end_matches_per_node_march(march_field, node):
+    # the pairwise product of a leg's step matrices, odd node counts and
+    # backward legs included, ends where the node-by-node march does
+    lams = _circle_points(64)[:17]
+    want = _per_node_legs(march_field, *node, lams, 2)
+    for leg, u in zip(frames._loop_legs(march_field, *node, lams, 2), want,
+                      strict=True):
+        assert np.abs(leg - u).max() <= 1e-13 * np.abs(u).max(), node
+
+
+def test_zero_length_leg_returns_its_input(march_field):
+    g = march_field.grid
+    i0, j0 = g.origin_index()
+    lams = _circle_points(64)[:17]
+    u_axis, _ = frames._loop_legs(march_field, i0, j0 + 20, lams, 2)
+    assert np.array_equal(u_axis, np.broadcast_to(np.eye(3), u_axis.shape))
+    u_axis, u = frames._loop_legs(march_field, i0 + 20, j0, lams, 2)
+    assert np.array_equal(u, u_axis)
+    u0 = rng.normal(size=(17, 3, 3)) + 1j * rng.normal(size=(17, 3, 3))
+    coeff = frames._lax_on_line(march_field, lams, 1, i0, frames._SO3, 2)
+    assert np.array_equal(frames._march_end(u0, g.ys, 7, 7, g.hy, 2, coeff),
+                          u0)
+
+
+_Y_FIELD = two_soliton(GridSpec(-1.0, -1.0, 41, 41, 0.05, 0.05))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(["se3", "so3", "su2"]),
+       tabled=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+       substeps=st.integers(1, 3), stop=st.sampled_from([0, 40]))
+def test_lambda_free_y_steps_match_recurrence(kind, tabled, seed, substeps,
+                                              stop):
+    # every y generator is z G(t), z = 1/lambda: the Horner sum in z h over
+    # z-free products is the RK4 recurrence's step matrix up to rounding
+    rng = np.random.default_rng(seed)
+    f = _Y_FIELD
+    if tabled:
+        f = AngleField(f.grid, f.phi, f.dphi_dx)
+    line = rng.choice(f.grid.nx, size=3, replace=False)
+    if kind == "se3":
+        lam, gens, shape = rng.uniform(0.25, 4.0, 3), frames._SE3, (3, 4)
+    elif kind == "so3":
+        n = 2 ** int(rng.integers(2, 7))
+        lam, gens, shape = _circle_points(n)[:n // 4 + 1], frames._SO3, (3, 3)
+    else:
+        lam, gens, shape = rng.uniform(0.25, 4.0), frames._SU2, (2, 2)
+    coeff = frames._lax_on_line(f, lam, 1, line, gens, substeps)
+    u = np.zeros(np.shape(lam) + line.shape + shape)
+    args = (u, f.grid.ys, f.grid.origin_index()[1], stop, f.grid.hy, substeps)
+    free = list(frames._step_blocks(*args, coeff))
+    recurrence = list(frames._step_blocks(*args, lambda t: coeff(t)))
+    for (nodes, p), (want_nodes, want) in zip(free, recurrence, strict=True):
+        assert np.array_equal(nodes, want_nodes)
+        assert np.abs(p - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("substeps", [0, -1, 1.5])
+def test_march_rejects_bad_substeps(small_soliton, substeps):
+    f = small_soliton
+    calls = [lambda: integrate_frame(f, 1.0, substeps=substeps),
+             lambda: su2_frame(f, 1.0, substeps=substeps),
+             lambda: sample_frame_loop(f, 60, 40, 16, substeps),
+             lambda: potentials.cross_check_split(f, 60, 40, 16, substeps),
+             lambda: integrate_plus(eta_x(f), 1.0, substeps)]
+    for call in calls:
+        with pytest.raises(ValueError, match="substeps must be an integer"):
+            call()
+
+
+def test_march_rejects_zero_complex_lambda(small_soliton):
+    f = small_soliton
+    calls = [lambda: integrate_frame(f, 0j),
+             lambda: frames._loop_legs(f, 60, 40, np.array([1.0, 0j]), 2),
+             lambda: integrate_minus(eta_y(f), 0j)]
+    for call in calls:
+        with pytest.raises(ZeroSpectralParameter, match="lambda = 0"):
+            call()
 
 
 @pytest.fixture(scope="module")

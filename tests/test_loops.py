@@ -210,6 +210,23 @@ def test_split_rejects_non_orthogonal():
         birkhoff_split(LaurentLoop.from_dict({0: 2.0 * np.eye(3)}), "minus-first")
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"truncation": 0}, "truncation must be an integer >= 1, not 0"),
+    ({"truncation": -3}, "truncation must be an integer >= 1, not -3"),
+    ({"truncation": 2.5}, "truncation must be an integer >= 1, not 2.5"),
+    ({"tol": np.nan}, "tol must be positive and finite, not nan"),
+    ({"tol": -1.0}, "tol must be positive and finite, not -1.0"),
+    ({"tol": 0.0}, "tol must be positive and finite, not 0.0"),
+    ({"tol": np.inf}, "tol must be positive and finite, not inf"),
+])
+def test_split_rejects_bad_truncation_and_tol(kwargs, match):
+    # rejected before any truncation is tried, on either loop type
+    for loop in (LaurentLoop.identity(),
+                 SampledLoop(np.tile(np.eye(3), (16, 1, 1)))):
+        with pytest.raises(ValueError, match=match):
+            birkhoff_split(loop, "minus-first", **kwargs)
+
+
 def test_sampled_loop_shape_validation():
     with pytest.raises(ValueError):
         SampledLoop(np.zeros((13, 3, 3)))
