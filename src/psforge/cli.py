@@ -246,13 +246,6 @@ def cmd_split(args):
     direction = args.direction or "minus-first"
     kwargs = {k: getattr(args, k) for k in ("truncation", "tol")
               if getattr(args, k) is not None}
-    # what birkhoff_split accepts, checked here to name the flag
-    if kwargs.get("truncation", 1) < 1:
-        raise SystemExit(f"psforge: --truncation must be at least 1, not "
-                         f"{args.truncation}")
-    if not 0 < kwargs.get("tol", 1.0) < np.inf:  # NaN compares False
-        raise SystemExit(f"psforge: --tol must be positive and finite, not "
-                         f"{args.tol!r}")
     f1, f2 = loops.birkhoff_split(loop, direction, **kwargs)
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)

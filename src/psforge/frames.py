@@ -89,7 +89,9 @@ def _se3_B(phi, lam):
 
 # generator pairs (x, y) of the frame equations: the Euclidean frame
 # [U | psi], the rotation frame U alone and its spinor lift, the images of
-# A and B under the double-cover differential spinor_map o unhat
+# A and B under the double-cover differential spinor_map o unhat. Each y
+# generator is linear in 1/lambda, gens[1](a, lam) = gens[1](a, 1) / lam,
+# which the lambda-free y-steps of `_lax_on_line` rely on
 _SE3 = (_se3_A, _se3_B)
 _SO3 = (_lax_A, _lax_B)
 _SU2 = tuple(lambda a, lam, g=g: spinor_map(unhat(g(a, lam), check=False))
@@ -295,7 +297,9 @@ def _lax_on_line(f, lam, axis, line, gens, substeps):
     + the generator's (m, m). The angle (phi_x in x, phi in y) is exact
     when the field is analytic, otherwise read from a table of the marched
     lines' samples refined onto the stage points of a march of `substeps`
-    RK4 steps per grid step (`_stage_table`)."""
+    RK4 steps per grid step (`_stage_table`). On y-lines it also carries
+    coeff.scaled = (G, 1/lambda), G the generator at lambda = 1, from which
+    `_step_blocks` builds the step matrices without lambda."""
     g = f.grid
     lam = np.asarray(lam)
     lam_axes = (slice(None),) + (None,) * lam.ndim

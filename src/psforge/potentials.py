@@ -141,9 +141,9 @@ def _integrate_axis(pot, axis, lam, substeps, node=None):
     spacing raises ValueError."""
     if pot.axis != axis:
         raise ValueError(f"expected an {axis}-potential, got {pot.axis!r}")
-    if not np.iscomplexobj(np.asarray(lam)) and lam <= 0:
+    _check_march(lam, substeps)  # lambda = 0 (real or complex), substeps
+    if not np.iscomplexobj(np.asarray(lam)) and lam < 0:
         raise ValueError("lambda must be positive")
-    _check_march(lam, substeps)
     factor = -lam if axis == "x" else -1.0 / lam
     coords = pot.coords
     h = coords[1] - coords[0]

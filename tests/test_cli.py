@@ -241,13 +241,16 @@ def test_split_malformed_loop_json_exit_2(tmp_path, capsys, payload):
 
 
 @pytest.mark.parametrize("args, message", [
-    (["--tol", "nan"], "--tol must be positive and finite, not nan"),
-    (["--tol", "-1"], "--tol must be positive and finite, not -1.0"),
-    (["--tol", "inf"], "--tol must be positive and finite, not inf"),
-    (["--truncation", "0"], "--truncation must be at least 1, not 0"),
-    (["--truncation", "-3"], "--truncation must be at least 1, not -3"),
-    (["CFG:tol = nan"], "--tol must be positive and finite, not nan"),
-    (["CFG:truncation = 0"], "--truncation must be at least 1, not 0"),
+    (["--tol", "nan"], "ValueError: tol must be positive and finite, not nan"),
+    (["--tol", "-1"], "ValueError: tol must be positive and finite, not -1.0"),
+    (["--tol", "inf"], "ValueError: tol must be positive and finite, not inf"),
+    (["--truncation", "0"], "ValueError: truncation must be an integer >= 1, "
+                            "not 0"),
+    (["--truncation", "-3"], "ValueError: truncation must be an integer >= 1, "
+                             "not -3"),
+    (["CFG:tol = nan"], "ValueError: tol must be positive and finite, not nan"),
+    (["CFG:truncation = 0"], "ValueError: truncation must be an integer >= 1, "
+                             "not 0"),
 ], ids=["tol-nan", "tol-negative", "tol-inf", "truncation-0",
         "truncation-negative", "config-tol-nan", "config-truncation-0"])
 def test_split_option_out_of_range_exit_2(tmp_path, capsys, args, message):

@@ -431,7 +431,8 @@ def test_frame_loop_unfold_matches_direct_march(march_field):
 
 
 def _per_node_legs(f, i, j, lams, substeps):
-    """The two legs of `_loop_legs` marched node by node by `_march`."""
+    """The two legs of `_loop_legs` marched substep by substep by the
+    reference RK4 march `ref_march`, which shares no code with psforge's."""
     g = f.grid
     i0, j0 = g.origin_index()
     u = np.broadcast_to(np.eye(3, dtype=complex), lams.shape + (3, 3)).copy()
@@ -439,7 +440,8 @@ def _per_node_legs(f, i, j, lams, substeps):
     for ts, start, stop, h, axis, line in ((g.xs, i0, i, g.hx, 0, j0),
                                            (g.ys, j0, j, g.hy, 1, i)):
         coeff = frames._lax_on_line(f, lams, axis, line, frames._SO3, substeps)
-        for _, u in frames._march(u, ts, start, stop, h, substeps, coeff):
+        for _, u in ref_march(u, ts, start, stop, h, substeps,
+                              lambda t: coeff(np.array([t]))[0]):
             pass
         legs.append(u)
     return legs
@@ -448,7 +450,7 @@ def _per_node_legs(f, i, j, lams, substeps):
 @pytest.mark.parametrize("node", [(80, 30), (83, 13), (17, 91)])
 def test_march_end_matches_per_node_march(march_field, node):
     # the pairwise product of a leg's step matrices, odd node counts and
-    # backward legs included, ends where the node-by-node march does
+    # backward legs included, ends where the per-substep RK4 march does
     lams = _circle_points(64)[:17]
     want = _per_node_legs(march_field, *node, lams, 2)
     for leg, u in zip(frames._loop_legs(march_field, *node, lams, 2), want,
