@@ -8,18 +8,16 @@ numerical factorization of twisted matrix Laurent loops.
 
 from . import algebra, cli, frames, loops, potentials, sinegordon, surfaces
 from .errors import (BigCellViolation, IncompatibleCorner, NonconvergentCell,
-                     NonpositiveProfile, NotSkew, NotUnitary, PsforgeError,
-                     SingularAngle, StepFailure, TruncationTooSmall,
-                     ZeroSpectralParameter)
+                     NotSkew, NotUnitary, PsforgeError, SingularAngle,
+                     StepFailure, TruncationTooSmall, ZeroSpectralParameter)
 from .frames import (ExtendedFrame, MaurerCartanForm, check_conditions_K,
                      compatibility_residual, flatness_residual, gauge,
                      integrate_frame, lambda_forms, lax_matrices,
                      maurer_cartan, su2_frame)
 from .loops import (LaurentLoop, SampledLoop, birkhoff_split, check_reality,
                     check_twist, loop_eval, loop_norm, multiply)
-from .potentials import (boundary_forms, cross_check_split, eta_2x2,
-                         eta_general, eta_x, eta_y, integrate_minus,
-                         integrate_plus)
+from .potentials import (boundary_forms, cross_check_split, eta_2x2, eta_x,
+                         eta_y, integrate_minus, integrate_plus)
 from .sinegordon import (AngleField, GridSpec, constant_angle, goursat_solve,
                          sg_residual, soliton_angle)
 from .surfaces import (HarmonicityReport, Immersion, SurfaceGeometry,

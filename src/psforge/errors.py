@@ -42,7 +42,3 @@ class StepFailure(PsforgeError):
 
 class SingularAngle(PsforgeError):
     """Principal curvatures requested at an angle with sin(phi) = 0."""
-
-
-class NonpositiveProfile(PsforgeError):
-    """A metric profile A(x) or B(y) must be strictly positive."""

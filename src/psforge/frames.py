@@ -219,7 +219,8 @@ def _step_blocks(u, ts, start, stop, spacing, substeps, coeff):
                 step += eye
             P = step if P is None else mm(P, step)
         P = back(P)
-        P[..., :m, :m] = polar_project(P[..., :m, :m])
+        P[..., :m, :m] = polar_project(P[..., :m, :m],
+                                       getattr(coeff, "holomorphic", None))
         yield block, P
 
 
@@ -262,16 +263,17 @@ def _march_end(u, ts, start, stop, spacing, substeps, coeff):
 _GROUP_TOL = 1e-8
 
 
-def _check_transport(u):
+def _check_transport(u, holomorphic=None):
     """Raise StepFailure unless the square blocks u[..., :m] of the marched
-    states are finite and on their group. A resolved march of n nodes
+    states are finite and on their group (`numerics._adjoint`; holomorphic
+    at a complex lambda). A resolved march of n nodes
     stays within about n eps |u|^2 of it; one Newton-Schulz step on each
     node's step matrix does not pull back a march whose step is too
     coarse for the Lax system (large h * max(lambda, 1/lambda))."""
     u = u[..., :u.shape[-2]]
     if not np.all(np.isfinite(u)):
         raise StepFailure("RK4 transport produced non-finite entries")
-    dev = group_deviation(u)
+    dev = group_deviation(u, holomorphic)
     if dev > _GROUP_TOL:
         raise StepFailure(f"RK4 transport left the group by {dev:.1e}: "
                           "the step does not resolve the Lax system; use "
@@ -299,7 +301,9 @@ def _lax_on_line(f, lam, axis, line, gens, substeps):
     lines' samples refined onto the stage points of a march of `substeps`
     RK4 steps per grid step (`_stage_table`). On y-lines it also carries
     coeff.scaled = (G, 1/lambda), G the generator at lambda = 1, from which
-    `_step_blocks` builds the step matrices without lambda."""
+    `_step_blocks` builds the step matrices without lambda; and on both,
+    coeff.holomorphic, whether lambda is complex, which names the group
+    `_step_blocks` projects onto (`numerics._adjoint`)."""
     g = f.grid
     lam = np.asarray(lam)
     lam_axes = (slice(None),) + (None,) * lam.ndim
@@ -317,6 +321,7 @@ def _lax_on_line(f, lam, axis, line, gens, substeps):
     def coeff(t):
         return gens[axis](angle(t)[lam_axes], lam)
 
+    coeff.holomorphic = np.iscomplexobj(lam)
     if axis == 1:
         # every generator of y is linear in 1/lambda: coeff = z gens[1](., 1)
         coeff.scaled = (lambda t: gens[1](angle(t)[lam_axes], 1.0), 1.0 / lam)
@@ -349,8 +354,19 @@ def _fill_grid(f, lam, order, u0, substeps, gens):
         for n, u in _march(V[..., :, ob, :, :].copy(), tb, ob, stop, hb,
                            substeps, coeff):
             V[..., :, n, :, :] = u
-    _check_transport(U)
+    _check_transport(U, np.iscomplexobj(lam))
     return U
+
+
+def _spectral(lam):
+    """lambda as the frame integrators take it: a complex number (array),
+    or a positive number or 1-D array of them (ValueError otherwise)."""
+    if np.iscomplexobj(np.asarray(lam)):
+        return lam
+    lam = np.asarray(lam, dtype=float) if np.ndim(lam) else float(lam)
+    if np.ndim(lam) > 1 or np.any(lam <= 0):
+        raise ValueError("lambda must be positive (a number or a 1-D array)")
+    return lam
 
 
 def integrate_frame(f, lam, order="xy", substeps=1, initial=None):
@@ -368,12 +384,8 @@ def integrate_frame(f, lam, order="xy", substeps=1, initial=None):
     StepFailure when the march leaves the group, i.e. when the step is too
     coarse for lambda; more substeps resolve it.
     """
-    dtype = complex if np.iscomplexobj(np.asarray(lam)) else float
-    if dtype is float:
-        lam = np.asarray(lam, dtype=float) if np.ndim(lam) else float(lam)
-        if np.ndim(lam) > 1 or np.any(lam <= 0):
-            raise ValueError("lambda must be positive (a number or a 1-D array)")
-    u0 = np.zeros((3, 4), dtype)
+    lam = _spectral(lam)
+    u0 = np.zeros((3, 4), complex if np.iscomplexobj(lam) else float)
     u0[:, :3] = np.eye(3) if initial is None else initial
     F = _fill_grid(f, lam, order, u0, substeps, _SE3)
     return ExtendedFrame(f.grid, lam, F[..., :3].copy(), F[..., 3].copy())
@@ -488,12 +500,13 @@ def su2_frame(f, lam, order="xy", substeps=1):
     """Integrate the 2x2 spinor frame P with P(0,0) = I.
 
     The su(2) Lax matrices are the images of A and B under the double
-    cover differential, so adjoint_map(P) reproduces the 3x3 frame.
+    cover differential, so adjoint_map(P) reproduces the 3x3 frame. lam
+    is taken as by `integrate_frame`: a 1-D array becomes the leading
+    axis of P, and at a complex lambda P J(e_k) P^-1 = J(U e_k) with the
+    complex U of integrate_frame (J = `algebra.spinor_map`).
     """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    return _fill_grid(f, lam, order, np.eye(2, dtype=complex), substeps,
-                      _SU2)
+    return _fill_grid(f, _spectral(lam), order, np.eye(2, dtype=complex),
+                      substeps, _SU2)
 
 
 def save_frame(frame, path):

@@ -73,14 +73,27 @@ def _mm(a, b):
     return out
 
 
-def _adjoint(e):
-    """u* for the entries-first u = e: the plain transpose for complex 3x3
-    frames (complex orthogonal group, g^T g = I), else the conjugate one."""
+def _adjoint(e, holomorphic=None):
+    """u* for the entries-first u = e, u* u = I on the group u lives in:
+    the plain transpose for real frames and for holomorphic complex 3x3
+    ones (complex orthogonal group, g^T g = I), the adjugate for
+    holomorphic 2x2 ones (SL(2, C), adj(g) g = det g), else the conjugate
+    transpose (unitary group). A frame is holomorphic when it comes from
+    a complex lambda; unless told, complex 3x3 frames are and 2x2 ones
+    (spinor frames at real lambda, SU(2)) are not."""
     et = e.swapaxes(0, 1)
-    return et.conj() if np.iscomplexobj(e) and len(e) != 3 else et
+    if not np.iscomplexobj(e):
+        return et
+    if not (len(e) == 3 if holomorphic is None else holomorphic):
+        return et.conj()
+    if len(e) != 2:
+        return et
+    adj = -e
+    adj[0, 0], adj[1, 1] = e[1, 1], e[0, 0]
+    return adj
 
 
-def polar_project(u):
+def polar_project(u, holomorphic=None):
     """One Newton-Schulz step u (3I - u* u) / 2 back onto the group, batched.
 
     u* is the adjoint of the group u lives in (`_adjoint`). The step
@@ -90,14 +103,14 @@ def polar_project(u):
     by about n eps |u|^2), and does not bring back a matrix far from it.
     Computed entries-first (`_mm`), returned as a (..., m, m) view."""
     e = np.ascontiguousarray(np.moveaxis(u, (-2, -1), (0, 1)))
-    g = -0.5 * _mm(_adjoint(e), e)
+    g = -0.5 * _mm(_adjoint(e, holomorphic), e)
     g[range(len(e)), range(len(e))] += 1.5
     return np.moveaxis(_mm(e, g), (0, 1), (-2, -1))
 
 
-def group_deviation(u):
+def group_deviation(u, holomorphic=None):
     """sup |u* u - I| over a batch, u* the group's adjoint (`_adjoint`)."""
     e = np.ascontiguousarray(np.moveaxis(u, (-2, -1), (0, 1)))
-    g = _mm(_adjoint(e), e)
+    g = _mm(_adjoint(e, holomorphic), e)
     g[range(len(e)), range(len(e))] -= 1.0
     return np.abs(g).max()

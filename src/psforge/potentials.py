@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import E12, E13, E23, gauge_rotation, so3_to_su2
-from .errors import NonpositiveProfile
 from .frames import (_check_march, _check_transport, _frame_loop_legs,
                      _march, _stage_table)
 from .loops import SampledLoop, birkhoff_split, loop_eval
@@ -23,7 +22,7 @@ from .sinegordon import _write_rows
 
 __all__ = [
     "PotentialForm", "BoundaryForms", "boundary_forms", "rotation_V0",
-    "eta_x", "eta_y", "eta_2x2", "eta_general",
+    "eta_x", "eta_y", "eta_2x2",
     "integrate_plus", "integrate_minus", "cross_check_split",
     "save_potential_csv", "load_potential_csv", "save_potential2_csv",
 ]
@@ -111,25 +110,6 @@ def eta_2x2(f):
     """
     return tuple(PotentialForm(p.axis, p.coords, so3_to_su2(p.samples),
                                p.lambda_power) for p in (eta_x(f), eta_y(f)))
-
-
-def eta_general(f, Afn, Bfn):
-    """2x2 potentials of a weakly regular (non-Chebyshev) parametrization
-    with metric profiles A(x), B(y); reduces to eta_2x2 when A = B = 1.
-
-    Afn/Bfn may be callables on the axis coordinates or sample arrays.
-    Raises NonpositiveProfile unless both profiles are strictly positive.
-    """
-    xs, ys = f.grid.xs, f.grid.ys
-    A = np.asarray(Afn(xs) if callable(Afn) else Afn, dtype=float)
-    B = np.asarray(Bfn(ys) if callable(Bfn) else Bfn, dtype=float)
-    if A.shape != xs.shape or B.shape != ys.shape:
-        raise ValueError("profile samples must match the axis nodes")
-    if np.any(A <= 0) or np.any(B <= 0):
-        raise NonpositiveProfile("metric profiles must be strictly positive")
-    ex, ey = eta_2x2(f)
-    return (PotentialForm("x", xs, A[:, None, None] * ex.samples, +1),
-            PotentialForm("y", ys, B[:, None, None] * ey.samples, -1))
 
 
 def _integrate_axis(pot, axis, lam, substeps, node=None):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from psforge import frames, potentials
-from psforge.algebra import E12, E23, P_TWIST, adjoint_map
+from psforge.algebra import E12, E23, P_TWIST, adjoint_map, spinor_map
 from psforge.errors import StepFailure, ZeroSpectralParameter
 from psforge.frames import (check_conditions_K, compatibility_residual,
                             flatness_residual, gauge, integrate_frame,
@@ -292,6 +292,39 @@ def test_su2_frame_matches_adjoint(small_soliton):
         assert np.abs(np.linalg.det(p) - 1.0).max() < 1e-9
         fr = integrate_frame(small_soliton, lam, order=order, substeps=4)
         assert np.abs(adjoint_map(p) - fr.U).max() < 1e-8
+
+
+def test_su2_frame_lambda_batch_matches_members(small_soliton):
+    lams = [0.5, 1.0, 2.0]
+    batch = su2_frame(small_soliton, lams, substeps=2)
+    assert batch.shape == (3, 101, 101, 2, 2)
+    for p, lam in zip(batch, lams):
+        want = su2_frame(small_soliton, lam, substeps=2)
+        assert np.abs(p - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_su2_frame_complex_lambda(small_soliton):
+    # at a complex lambda P lies in SL(2, C) and covers the complex U:
+    # P J(e_k) P^-1 = J(U e_k)
+    lam = 1.0 + 0.5j
+    p = su2_frame(small_soliton, lam, substeps=4)
+    U = integrate_frame(small_soliton, lam, substeps=4).U
+    assert np.abs(np.linalg.det(p) - 1.0).max() < 1e-9
+    p_inv = np.linalg.inv(p)
+    for k, e in enumerate(np.eye(3)):
+        dev = np.abs(p @ spinor_map(e) @ p_inv - spinor_map(U[..., :, k]))
+        assert dev.max() < 1e-8
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, [0.5, -1.0], [[1.0]]])
+def test_su2_frame_rejects_lambda(small_soliton, lam):
+    with pytest.raises(ValueError, match="lambda must be positive"):
+        su2_frame(small_soliton, lam)
+
+
+def test_su2_frame_zero_complex_lambda(small_soliton):
+    with pytest.raises(ZeroSpectralParameter):
+        su2_frame(small_soliton, 0j)
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)

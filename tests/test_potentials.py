@@ -5,13 +5,12 @@ from scipy.linalg import expm
 
 from psforge import frames
 from psforge.algebra import E13, E23, gauge_rotation, so3_to_su2
-from psforge.errors import NonpositiveProfile
 from psforge.frames import _frame_loop_legs, sample_frame_loop
 from psforge.loops import birkhoff_split, loop_eval
 from psforge.numerics import deriv4
 from psforge.potentials import (PotentialForm, _integrate_axis,
                                 boundary_forms, cross_check_split, eta_2x2,
-                                eta_general, eta_x, eta_y, integrate_minus,
+                                eta_x, eta_y, integrate_minus,
                                 integrate_plus, load_potential_csv,
                                 rotation_V0, save_potential_csv,
                                 save_potential2_csv)
@@ -104,22 +103,6 @@ def test_eta_2x2(soliton):
     # transports of the 3x3 potentials under the basis dictionary
     assert np.abs(so3_to_su2(eta_x(soliton).samples) - ex2.samples).max() < 1e-14
     assert np.abs(so3_to_su2(eta_y(soliton).samples) - ey2.samples).max() < 1e-14
-
-
-def test_eta_general(soliton):
-    ex2, ey2 = eta_2x2(soliton)
-    ga, gb = eta_general(soliton, lambda x: np.ones_like(x),
-                         lambda y: np.ones_like(y))
-    assert np.abs(ga.samples - ex2.samples).max() == 0.0
-    assert np.abs(gb.samples - ey2.samples).max() == 0.0
-    g2, _ = eta_general(soliton, lambda x: np.full_like(x, 2.0),
-                        lambda y: np.ones_like(y))
-    prod = g2.samples[:, 0, 1] * g2.samples[:, 1, 0]
-    assert np.abs(prod + 1.0).max() < 1e-12  # -A^2/4 with A = 2
-    assert np.abs(g2.samples - 2.0 * ex2.samples).max() == 0.0
-    with pytest.raises(NonpositiveProfile):
-        eta_general(soliton, lambda x: np.zeros_like(x),
-                    lambda y: np.ones_like(y))
 
 
 def test_integrate_plus(soliton):
