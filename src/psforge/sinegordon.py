@@ -319,7 +319,7 @@ def _scaled(M, q, e):
     r = np.maximum(s, 1).astype(_U)
     floor = (hi << (_U(64) - r)) | (lo >> r)
     half = _U(1) << (r - _U(1))
-    # past half, or at half with an odd floor (rem + 1 < 2**63 here)
+    # past half, or at half with an odd floor (rem + 1 <= 2**63)
     up = (lo & (half + half - _U(1))) + (floor & _U(1)) > half
     left = np.flatnonzero(s <= 0)     # M 5**(16 - e) < 2**57 there
     if left.size:
@@ -334,11 +334,11 @@ def _frexp53(x):
     return (m * 2.0 ** 53).astype(_U), q
 
 
-# _TEN[k] is the least double >= 10**(k - 11), by the exact test
+# _TEN[k] is the least double >= 10**(k - 11), k < 27, by the exact test
 # floor(x 10**(16 - e)) >= 10**16, so that x has e = floor(log10 x) =
 # searchsorted(_TEN, x, "right") - 12; _TEN[0] and 1e16 bound the range
-_TEN = 10.0 ** _e[1:]
-_TEN = np.where(_scaled(*_frexp53(_TEN), _e[1:])[0] < _E16,
+_TEN = 10.0 ** _e[1:28]
+_TEN = np.where(_scaled(*_frexp53(_TEN), _e[1:28])[0] < _E16,
                 np.nextafter(_TEN, np.inf), _TEN)
 del _e
 
