@@ -37,14 +37,12 @@ from .algebra import (E12, E13, E23, P_TWIST, gauge_rotation, spinor_map,
                       unhat)
 from .errors import StepFailure, ZeroSpectralParameter
 from .numerics import _mm, deriv4, group_deviation, polar_project, refine
-from .sinegordon import _read_rows, _write_rows
 
 __all__ = [
     "ExtendedFrame", "MaurerCartanForm", "FormField",
     "lax_matrices", "integrate_frame", "compatibility_residual",
     "maurer_cartan", "flatness_residual", "lambda_forms",
     "check_conditions_K", "gauge", "su2_frame", "sample_frame_loop",
-    "save_frame", "load_frame",
 ]
 
 
@@ -108,15 +106,14 @@ class ExtendedFrame:
     """Grid of frame matrices U(x, y; lambda) and Sym positions psi.
 
     F = [[U, psi], [0, 1]] solves F^{-1} dF = [[A, tau], [0, 0]] with
-    tau = -lambda e1 dx - unhat(B) dy. psi is None for a frame read back
-    by load_frame. When lam is a 1-D array, U and psi carry it as a
-    leading batch axis.
+    tau = -lambda e1 dx - unhat(B) dy. When lam is a 1-D array, U and psi
+    carry it as a leading batch axis.
     """
 
     grid: object
     lam: float
     U: np.ndarray
-    psi: np.ndarray = None
+    psi: np.ndarray
 
 
 @dataclass
@@ -369,7 +366,7 @@ def _spectral(lam):
     return lam
 
 
-def integrate_frame(f, lam, order="xy", substeps=1, initial=None):
+def integrate_frame(f, lam, order="xy", substeps=1):
     """Integrate the extended frame U and the Sym position psi over the
     whole grid from U(0,0) = I, psi(0,0) = 0, marching the Euclidean frame
     [U | psi] (see `ExtendedFrame`).
@@ -377,16 +374,14 @@ def integrate_frame(f, lam, order="xy", substeps=1, initial=None):
     order="xy" sweeps along the x axis through the origin first and then
     along every column (the default); "yx" is the transposed path, useful
     for path-independence checks. substeps > 1 subdivides each grid step
-    (the spectral accuracy limit of plain RK4 at the grid step). initial
-    overrides the frame at the origin (a constant SO(3) matrix). lam is a
+    (the spectral accuracy limit of plain RK4 at the grid step). lam is a
     (complex) number or a 1-D array of positive numbers; an array becomes
     the leading axis of U and psi, every member integrated at once. Raises
     StepFailure when the march leaves the group, i.e. when the step is too
     coarse for lambda; more substeps resolve it.
     """
     lam = _spectral(lam)
-    u0 = np.zeros((3, 4), complex if np.iscomplexobj(lam) else float)
-    u0[:, :3] = np.eye(3) if initial is None else initial
+    u0 = np.eye(3, 4, dtype=complex if np.iscomplexobj(lam) else float)
     F = _fill_grid(f, lam, order, u0, substeps, _SE3)
     return ExtendedFrame(f.grid, lam, F[..., :3].copy(), F[..., 3].copy())
 
@@ -444,10 +439,11 @@ def lambda_forms(f, lam):
 
     omega1 = cos(phi/2)(dx/lam + lam dy), omega2 = sin(phi/2)(dx/lam - lam dy),
     omega12 = (phi_x dx - phi_y dy)/2, omega13 = sin(phi/2)(dx/lam + lam dy),
-    omega23 = -cos(phi/2)(dx/lam - lam dy).
+    omega23 = -cos(phi/2)(dx/lam - lam dy). lam must be a positive real
+    number (ValueError otherwise).
     """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if np.ndim(lam) or np.iscomplexobj(lam) or not 0 < lam < np.inf:
+        raise ValueError(f"lambda must be a positive real number, not {lam!r}")
     g = f.grid
     c, s = np.cos(f.phi / 2.0), np.sin(f.phi / 2.0)
     phi_x, phi_y = f.dphi_dx, f.phi_y()
@@ -507,61 +503,6 @@ def su2_frame(f, lam, order="xy", substeps=1):
     """
     return _fill_grid(f, _spectral(lam), order, np.eye(2, dtype=complex),
                       substeps, _SU2)
-
-
-def save_frame(frame, path):
-    """Dump a frame grid to CSV (9 row-major entries per node, formatted by
-    `sinegordon._write_rows`) or, when the path ends in .npz, to a binary
-    archive. The header repeats the grid layout and lambda.
-
-    Only what load_frame reads back is written: a lambda-batched or
-    complex-lambda frame raises ValueError, and so, for CSV, does any
-    frame other than a real 3x3 one (spinor frames go to .npz); nothing
-    is written then."""
-    g = frame.grid
-    path = str(path)
-    lam = np.asarray(frame.lam)
-    if lam.ndim or np.iscomplexobj(lam):
-        raise ValueError(f"{path}: save_frame writes a frame at one real "
-                         f"lambda, not {frame.lam!r}; save each member of a "
-                         f"batch on its own")
-    if path.endswith(".npz"):
-        np.savez(path, U=frame.U, lam=frame.lam,
-                 grid=np.array([g.x0, g.y0, g.nx, g.ny, g.hx, g.hy]))
-        return
-    U = frame.U
-    if np.iscomplexobj(U) or U.shape != (g.nx, g.ny, 3, 3):
-        raise ValueError(f"{path}: the CSV format holds real 3x3 frames on "
-                         f"the {g.nx}x{g.ny} grid, not {U.dtype} {U.shape}; "
-                         f"use .npz")
-    with open(path, "w") as fh:
-        _write_rows(fh, [[g.nx, g.ny, g.x0, g.y0, g.hx, g.hy, frame.lam]],
-                    head="# ", sep=" ", ints=2)
-        _write_rows(fh, U.reshape(-1, 9))
-
-
-def load_frame(path):
-    """Read a frame written by save_frame back into an ExtendedFrame."""
-    from .sinegordon import GridSpec
-
-    path = str(path)
-    if path.endswith(".npz"):
-        data = np.load(path)
-        x0, y0, nx, ny, hx, hy = data["grid"]
-        grid = GridSpec(float(x0), float(y0), int(nx), int(ny),
-                        float(hx), float(hy))
-        return ExtendedFrame(grid, float(data["lam"]), data["U"])
-    with open(path) as fh:
-        header = fh.readline().split()
-        if not header or header[0] != "#" or len(header) != 8:
-            raise ValueError(f"{path}: malformed frame header")
-        nx, ny = int(header[1]), int(header[2])
-        x0, y0, hx, hy, lam = map(float, header[3:8])
-        rows = _read_rows(fh, path)
-    if len(rows) != nx * ny or any(r.size != 9 for r in rows):
-        raise ValueError(f"{path}: data block does not match header")
-    U = np.stack(rows).reshape(nx, ny, 3, 3)
-    return ExtendedFrame(GridSpec(x0, y0, nx, ny, hx, hy), lam, U)
 
 
 def _loop_legs(f, i, j, lams, substeps):

@@ -34,6 +34,8 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
             raise ValueError("grid needs nx, ny >= 2")
+        if not np.all(np.isfinite([self.x0, self.y0, self.hx, self.hy])):
+            raise ValueError("grid origin and steps must be finite")
         if self.hx <= 0 or self.hy <= 0:
             raise ValueError("grid steps must be positive")
 
@@ -485,16 +487,21 @@ def _read_rows(fh, path):
 
 
 def load_angle_csv(path, derivative_path=None):
-    """Read an angle field written by save_angle_csv; a malformed or
-    non-finite value raises ValueError naming the file and its line or
-    node."""
+    """Read an angle field written by save_angle_csv; a malformed header
+    or a malformed or non-finite value raises ValueError naming the file
+    (and the line or node)."""
     def read_one(p):
         with open(p) as fh:
             header = fh.readline().split()
             if not header or header[0] != "#" or len(header) != 7:
                 raise ValueError(f"{p}: malformed angle CSV header")
-            nx, ny = int(header[1]), int(header[2])
-            x0, y0, hx, hy = map(float, header[3:7])
+            try:
+                nx, ny = int(header[1]), int(header[2])
+                x0, y0, hx, hy = map(float, header[3:7])
+                grid = GridSpec(x0, y0, nx, ny, hx, hy)
+            except ValueError as exc:
+                raise ValueError(f"{p}: malformed angle CSV header: "
+                                 f"{exc}") from None
             rows = _read_rows(fh, p)
         if len(rows) != ny or any(r.size != nx for r in rows):
             raise ValueError(f"{p}: data block does not match header")
@@ -504,7 +511,7 @@ def load_angle_csv(path, derivative_path=None):
             j, i = bad[0]
             raise ValueError(f"{p}: non-finite value {float(data[i, j])!r} "
                              f"at node (i={i}, j={j})")
-        return GridSpec(x0, y0, nx, ny, hx, hy), data
+        return grid, data
 
     grid, phi = read_one(path)
     dphi = None

@@ -78,14 +78,13 @@ def sym_immersion(f, lam, substeps=2, frame=None):
     """Reconstruct the immersion psi = lam * dU/dlam * U^{-1}.
 
     psi vanishes at the origin because U(0,0) = I for every lambda. A
-    pre-integrated frame can be passed to skip integration; it must carry
-    psi (a frame from load_frame does not, and raises ValueError).
+    pre-integrated frame can be passed to skip integration; it must be
+    the frame at lam (ValueError otherwise).
     """
     if frame is None:
         frame = integrate_frame(f, lam, substeps=substeps)
-    if frame.psi is None:
-        raise ValueError("frame carries no Sym position psi; integrate it "
-                         "with integrate_frame")
+    elif not np.array_equal(frame.lam, lam):
+        raise ValueError(f"frame is at lambda {frame.lam!r}, not {lam!r}")
     return Immersion(f.grid, lam, frame.psi, frame)
 
 
@@ -227,8 +226,8 @@ def export_mesh(s, path, mask=None):
     Vertices appear in row-major node order; each grid cell contributes
     two triangles. Faces touching a masked-out node are dropped. Both
     blocks are tables formatted by `sinegordon._write_rows`. Complex
-    points (an immersion at complex lambda) raise ValueError before
-    anything is written.
+    points (an immersion at complex lambda) and a mask of another shape
+    than the grid raise ValueError before anything is written.
     """
     g = s.grid
     if np.iscomplexobj(s.points):
@@ -236,6 +235,9 @@ def export_mesh(s, path, mask=None):
                          f"complex immersion at lambda {s.lam!r}")
     mask = (np.ones((g.nx, g.ny), dtype=bool) if mask is None
             else np.asarray(mask, dtype=bool))
+    if mask.shape != (g.nx, g.ny):
+        raise ValueError(f"{path}: mask of shape {mask.shape} on the "
+                         f"{g.nx}x{g.ny} grid")
     cells = mask[:-1, :-1] & mask[1:, :-1] & mask[:-1, 1:] & mask[1:, 1:]
     i, j = np.nonzero(cells)
     a = i * g.ny + j + 1

@@ -456,6 +456,25 @@ def test_verify_rejects_malformed_csv_line_exit_2(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("command", ["surface", "verify"])
+@pytest.mark.parametrize("field, token", [
+    ("hx", "inf"), ("hx", "nan"), ("x0", "nan"), ("hy", "-inf"),
+    ("ny", "11.5")])
+def test_malformed_grid_header_exit_2(tmp_path, capsys, command, field,
+                                      token):
+    phi = tmp_path / "phi.csv"
+    save_angle_csv(soliton_angle(1.0, GridSpec(-0.1, -0.1, 11, 11, 0.02,
+                                               0.02)), phi)
+    head, rest = phi.read_text().split("\n", 1)
+    head = head.split()
+    head[["#", "nx", "ny", "x0", "y0", "hx", "hy"].index(field)] = token
+    phi.write_text(" ".join(head) + "\n" + rest)
+    code = main([command, "--phi", str(phi), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(phi) in err and "Traceback" not in err
+
+
 def test_python_dash_m_psforge():
     src = str(Path(__file__).resolve().parents[1] / "src")
     run = subprocess.run([sys.executable, "-m", "psforge", "--help"],

@@ -98,58 +98,6 @@ def test_compatibility_lambda_independent(soliton):
     assert np.ptp(sups) < 1e-10  # the defect matrix is lambda-free
 
 
-def test_frame_dump_round_trip(tmp_path, small_soliton):
-    from psforge.frames import load_frame, save_frame
-    from psforge.surfaces import sym_immersion
-    fr = integrate_frame(small_soliton, 1.5)
-    save_frame(fr, tmp_path / "u.csv")
-    back = load_frame(tmp_path / "u.csv")
-    assert back.grid == fr.grid and back.lam == fr.lam
-    assert np.array_equal(back.U, fr.U)
-    save_frame(fr, tmp_path / "u.npz")
-    back2 = load_frame(tmp_path / "u.npz")
-    assert np.array_equal(back2.U, fr.U)
-    # the files hold U only, so no Sym immersion can be read off them
-    for loaded in (back, back2):
-        with pytest.raises(ValueError, match="no Sym position"):
-            sym_immersion(small_soliton, 1.5, frame=loaded)
-
-
-@pytest.mark.parametrize("suffix", [".csv", ".npz"])
-@pytest.mark.parametrize("kind", ["batched", "complex"])
-def test_frame_dump_rejects_unreadable_frame(tmp_path, small_soliton, kind,
-                                             suffix):
-    # neither a lambda batch nor a complex lambda reads back through
-    # load_frame, so nothing is written
-    from psforge.frames import save_frame
-    lam = np.array([0.5, 1.0]) if kind == "batched" else np.exp(0.4j)
-    fr = integrate_frame(small_soliton, lam)
-    path = tmp_path / ("u" + suffix)
-    with pytest.raises(ValueError, match="one real lambda"):
-        save_frame(fr, path)
-    assert not path.exists()
-
-
-def test_frame_dump_csv_rejects_spinor_frame(tmp_path, small_soliton):
-    from psforge.frames import ExtendedFrame, load_frame, save_frame
-    fr = ExtendedFrame(small_soliton.grid, 1.0, su2_frame(small_soliton, 1.0))
-    with pytest.raises(ValueError, match="real 3x3 frames"):
-        save_frame(fr, tmp_path / "u.csv")
-    assert not (tmp_path / "u.csv").exists()
-    save_frame(fr, tmp_path / "u.npz")
-    assert np.array_equal(load_frame(tmp_path / "u.npz").U, fr.U)
-
-
-def test_frame_load_names_malformed_line(tmp_path, small_soliton):
-    from psforge.frames import load_frame, save_frame
-    save_frame(integrate_frame(small_soliton, 1.5), tmp_path / "u.csv")
-    lines = (tmp_path / "u.csv").read_text().splitlines()
-    lines[4] = lines[4].replace(",", ",1.0.0,", 1)
-    (tmp_path / "u.csv").write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=r"u\.csv:5: .*'1\.0\.0'"):
-        load_frame(tmp_path / "u.csv")
-
-
 def test_maurer_cartan_coefficients(soliton):
     form = maurer_cartan(soliton)
     assert np.array_equal(form.alpha1[0, 0], -E23)
@@ -212,6 +160,14 @@ def test_lambda_forms_values(soliton):
     a = lambda_forms(soliton, 0.5)["omega12"]
     b = lambda_forms(soliton, 2.0)["omega12"]
     assert np.array_equal(a.p, b.p) and np.array_equal(a.q, b.q)
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, 1.0 + 0.5j, [0.5, 1.0]],
+                         ids=["zero", "negative", "complex", "array"])
+def test_lambda_forms_rejects_lambda(lam):
+    f = constant_angle(np.pi / 2, GridSpec(0.0, 0.0, 5, 5, 0.1, 0.1))
+    with pytest.raises(ValueError, match="positive real number"):
+        lambda_forms(f, lam)
 
 
 def test_lambda_forms_two_parametrizations():

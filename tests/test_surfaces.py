@@ -3,7 +3,7 @@ import pytest
 
 from psforge.errors import SingularAngle
 from psforge.frames import gauge, integrate_frame
-from psforge.sinegordon import AngleField, GridSpec
+from psforge.sinegordon import AngleField, GridSpec, soliton_angle
 from psforge.surfaces import (Immersion, associated_family, export_mesh,
                               fundamental_forms, gauss_map,
                               harmonicity_check, principal_curvatures,
@@ -163,14 +163,12 @@ def test_associated_family(soliton):
         assert abs(b_mean - 1.0 / lam) < 1e-3
 
 
-def test_rigid_motion_equivariance(soliton):
-    from scipy.linalg import expm
-    from psforge.algebra import hat
-    r0 = expm(hat(np.array([0.3, -0.2, 0.5])))
-    base = sym_immersion(soliton, 1.0, substeps=2)
-    fr = integrate_frame(soliton, 1.0, substeps=2, initial=r0)
-    moved = sym_immersion(soliton, 1.0, frame=fr)
-    assert np.abs(moved.points - base.points @ r0.T).max() < 1e-6
+@pytest.mark.parametrize("frame_lam", [2.0, np.array([0.5, 1.0])],
+                         ids=["other", "batch"])
+def test_sym_immersion_rejects_frame_at_other_lambda(frame_lam):
+    f = soliton_angle(1.0, GridSpec(-0.1, -0.1, 11, 11, 0.02, 0.02))
+    with pytest.raises(ValueError, match="frame is at lambda"):
+        sym_immersion(f, 0.5, frame=integrate_frame(f, frame_lam))
 
 
 def test_lie_lorentz_consistency(soliton):
@@ -215,6 +213,16 @@ def test_export_mesh_mask_drops_faces(tmp_path):
     export_mesh(Immersion(grid, 1.0, pts), path, mask=mask)
     _, faces = read_obj(path)
     assert len(faces) == 0  # every cell touches the masked center node
+
+
+@pytest.mark.parametrize("shape", [(6, 4), (5, 5)])
+def test_export_mesh_rejects_mask_of_other_shape(tmp_path, shape):
+    grid = GridSpec(0.0, 0.0, 5, 4, 1.0, 1.0)
+    path = tmp_path / "m.obj"
+    with pytest.raises(ValueError, match="mask of shape"):
+        export_mesh(Immersion(grid, 1.0, rng.normal(size=(5, 4, 3))), path,
+                    mask=np.ones(shape, dtype=bool))
+    assert not path.exists()
 
 
 def test_export_mesh_rejects_complex_immersion(tmp_path, small_soliton):

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import util
 from psforge import sinegordon
 from psforge.cli import _write_geometry_csv
-from psforge.frames import ExtendedFrame, save_frame
 from psforge.potentials import (PotentialForm, load_potential_csv,
                                 save_potential2_csv, save_potential_csv)
 from psforge.sinegordon import AngleField, GridSpec, save_angle_csv
@@ -62,10 +61,6 @@ def _write_both(case, rng, new, ref):
         util.ref_save_angle_csv(f, ref, ref.with_suffix(".x.csv"))
         assert (new.with_suffix(".x.csv").read_bytes()
                 == ref.with_suffix(".x.csv").read_bytes())
-    elif case == "frame_csv":
-        frame = ExtendedFrame(grid, 1e-300, _values((nx, ny, 3, 3), rng))
-        save_frame(frame, new)
-        util.ref_save_frame(frame, ref)
     elif case == "potential_csv":
         pot = PotentialForm("x", _values(nx, rng), _values((nx, 3, 3), rng), +1)
         save_potential_csv(pot, new)
@@ -80,8 +75,7 @@ def _write_both(case, rng, new, ref):
 
 @pytest.mark.parametrize("block", ["whole", "small"])
 @pytest.mark.parametrize("case", ["geometry_csv", "obj_mesh", "angle_csv",
-                                  "frame_csv", "potential_csv",
-                                  "potential2_csv"])
+                                  "potential_csv", "potential2_csv"])
 def test_writer_bytes_equal_per_node_reference(tmp_path, monkeypatch, case,
                                                block):
     if block == "small":

@@ -260,18 +260,6 @@ def ref_save_angle_csv(f, path, derivative_path=None):
             fh.write("\n".join(lines) + "\n")
 
 
-def ref_save_frame(frame, path):
-    g = frame.grid
-    header = (f"# {g.nx} {g.ny} {g.x0:.17g} {g.y0:.17g} "
-              f"{g.hx:.17g} {g.hy:.17g} {frame.lam:.17g}")
-    lines = [header]
-    for i in range(g.nx):
-        for j in range(g.ny):
-            lines.append(",".join(f"{v:.17g}" for v in frame.U[i, j].ravel()))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 _REF_COLS = [(0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1)]
 
 
