@@ -1,7 +1,7 @@
 """psforge: pseudospherical surfaces (K = -1) from sine-Gordon angle
 fields, and back to Weierstrass-type potentials.
 
-Pipeline: angle field -> extended frame -> Sym immersion -> geometry
+Pipeline: angle field -> extended frame and its Sym surface -> geometry
 checks, and frame -> Birkhoff factors -> normalized x/y potentials, with
 numerical factorization of twisted matrix Laurent loops.
 """
@@ -20,9 +20,8 @@ from .potentials import (boundary_forms, cross_check_split, eta_2x2, eta_x,
                          eta_y, integrate_minus, integrate_plus)
 from .sinegordon import (AngleField, GridSpec, constant_angle, goursat_solve,
                          sg_residual, soliton_angle)
-from .surfaces import (HarmonicityReport, Immersion, SurfaceGeometry,
-                       associated_family, export_mesh, fundamental_forms,
-                       gauss_map, harmonicity_check, principal_curvatures,
-                       sym_immersion)
+from .surfaces import (HarmonicityReport, SurfaceGeometry, associated_family,
+                       export_mesh, fundamental_forms, gauss_map,
+                       harmonicity_check, principal_curvatures)
 
 __version__ = "0.1.0"

@@ -189,10 +189,11 @@ def cmd_surface(args):
     summary = {"lambdas": lambdas, "members": [],
                "M_deviation_sup": family_report["M_deviation_sup"],
                "angle_deviation_sup": family_report["angle_deviation_sup"]}
-    for (imm, geom, mask), lam in zip(_masked(field, members), lambdas):
+    for (frame, geom, mask), lam in zip(_masked(field, members), lambdas):
         tag = f"{lam:g}"
         if args.mesh is not False:
-            surfaces.export_mesh(imm, os.path.join(outdir, f"mesh_lam{tag}.obj"),
+            surfaces.export_mesh(frame.psi,
+                                 os.path.join(outdir, f"mesh_lam{tag}.obj"),
                                  mask=geom.mask)
         _write_geometry_csv(geom, os.path.join(outdir, f"geometry_lam{tag}.csv"))
         summary["members"].append({
@@ -272,10 +273,10 @@ def _probe_indices(grid):
 
 
 def _masked(field, members):
-    """Each family member as (immersion, geometry, statistics mask); the
+    """Each family member as (frame, geometry, statistics mask); the
     mask geom.mask & |sin phi| > 0.1 also leaves out the cuspidal edges."""
     sin_mask = np.abs(np.sin(field.phi)) > 0.1
-    return [(imm, geom, geom.mask & sin_mask) for imm, geom in members]
+    return [(frame, geom, geom.mask & sin_mask) for frame, geom in members]
 
 
 def _sup_mean(pairs):
@@ -343,14 +344,13 @@ class _Checks:
         return max(devs.values()), max(devs.values()), devs
 
     def harmonicity(self):
-        imm, geom, mask = self.members()[self.at_one]
-        rep = surfaces.harmonicity_check(surfaces.gauss_map(imm.frame),
-                                         grid=self.field.grid)
+        frame, geom, mask = self.members()[self.at_one]
+        rep = surfaces.harmonicity_check(surfaces.gauss_map(frame), frame.grid)
         return _sup_mean([(rep.tangential_residual, None),
                           (rep.nx_norm - geom.metricA, mask)])
 
     def gauge_invariance(self):
-        frame = self.members()[0][0].frame
+        frame = self.members()[0][0]
         theta = np.random.default_rng(7).uniform(-np.pi, np.pi, frame.U.shape[:2])
         dev = float(np.abs(surfaces.gauss_map(frame) - surfaces.gauss_map(
             frames.gauge(frame, theta))).max())

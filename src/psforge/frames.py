@@ -278,11 +278,13 @@ def _check_transport(u, holomorphic=None):
 
 
 def _check_march(lam, substeps):
-    """Raise ValueError unless substeps is an integer >= 1, and
-    ZeroSpectralParameter if lambda (a number or an array) is 0, where the
-    frame equations' 1/lambda is singular."""
+    """Raise ValueError unless substeps is an integer >= 1 and lambda (a
+    number or an array) is finite, and ZeroSpectralParameter if lambda is
+    0, where the frame equations' 1/lambda is singular."""
     if not isinstance(substeps, (int, np.integer)) or substeps < 1:
         raise ValueError(f"substeps must be an integer >= 1, not {substeps!r}")
+    if not np.all(np.isfinite(lam)):
+        raise ValueError(f"lambda must be finite, not {lam!r}")
     if np.any(np.asarray(lam) == 0):
         raise ZeroSpectralParameter("the frame equations are singular at "
                                     "lambda = 0")

@@ -117,15 +117,17 @@ def _integrate_axis(pot, axis, lam, substeps, node=None):
     xi = lambda * eta_x (axis "x") or eta_y / lambda (axis "y"). Returns
     the solution at every node, or, given a node, only at that node,
     marching from the origin to it over a stage table of that span only.
-    The march steps by the first spacing of the coordinates, so any other
-    spacing raises ValueError."""
+    The march steps by the first spacing, so fewer than 2 coordinates, a
+    non-finite one or any other spacing raises ValueError."""
     if pot.axis != axis:
         raise ValueError(f"expected an {axis}-potential, got {pot.axis!r}")
-    _check_march(lam, substeps)  # lambda = 0 (real or complex), substeps
+    _check_march(lam, substeps)  # lambda 0 or not finite, substeps
     if not np.iscomplexobj(np.asarray(lam)) and lam < 0:
         raise ValueError("lambda must be positive")
     factor = -lam if axis == "x" else -1.0 / lam
     coords = pot.coords
+    if len(coords) < 2 or not np.all(np.isfinite(coords)):
+        raise ValueError(f"{axis}-potential needs 2 or more finite nodes")
     h = coords[1] - coords[0]
     steps = np.diff(coords)
     bad = np.flatnonzero(np.abs(steps - h) > 1e-9 * abs(h))
@@ -248,8 +250,8 @@ def save_potential_csv(pot, path):
 
 def load_potential_csv(path):
     """Read a 3x3 potential written by save_potential_csv; a line without
-    eight fields, with a token that is not a number or with another axis
-    than the first line's raises ValueError naming path:line."""
+    eight fields, with a token that is not a finite number or with another
+    axis than the first line's raises ValueError naming path:line."""
     axis = None
     coords, mats = [], []
     with open(path) as fh:
@@ -263,6 +265,8 @@ def load_potential_csv(path):
                                  f"fields, got {len(parts)}")
             try:
                 vals = [float(v) for v in parts[1:]]
+                if not np.all(np.isfinite(vals)):
+                    raise ValueError(f"non-finite value in {line!r}")
             except ValueError as exc:
                 raise ValueError(f"{path}:{n}: {exc}") from None
             if axis is None:

@@ -32,8 +32,9 @@ class GridSpec:
     hy: float
 
     def __post_init__(self):
-        if self.nx < 2 or self.ny < 2:
-            raise ValueError("grid needs nx, ny >= 2")
+        if not all(isinstance(n, (int, np.integer)) and n >= 2
+                   for n in (self.nx, self.ny)):
+            raise ValueError("grid needs integer nx, ny >= 2")
         if not np.all(np.isfinite([self.x0, self.y0, self.hx, self.hy])):
             raise ValueError("grid origin and steps must be finite")
         if self.hx <= 0 or self.hy <= 0:

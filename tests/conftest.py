@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from psforge import GridSpec, integrate_frame, soliton_angle, sym_immersion
+from psforge import GridSpec, integrate_frame, soliton_angle
 from psforge.surfaces import fundamental_forms
 
 
@@ -32,9 +32,8 @@ def soliton_frame(soliton):
 
 
 @pytest.fixture(scope="session")
-def pseudosphere(soliton, soliton_frame):
-    imm = sym_immersion(soliton, 1.0, frame=soliton_frame)
-    return imm, fundamental_forms(imm)
+def pseudosphere(soliton_frame):
+    return soliton_frame, fundamental_forms(soliton_frame)
 
 
 @pytest.fixture(scope="session")

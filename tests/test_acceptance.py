@@ -19,7 +19,7 @@ from psforge.potentials import cross_check_split, eta_2x2, eta_x, eta_y
 from psforge.sinegordon import (AngleField, GridSpec, constant_angle,
                                 goursat_solve, save_angle_csv, soliton_angle)
 from psforge.surfaces import (associated_family, fundamental_forms,
-                              gauss_map, harmonicity_check, sym_immersion)
+                              gauss_map, harmonicity_check)
 from util import coeff_dev, random_twisted_factor
 
 rng = np.random.default_rng(2024)
@@ -95,11 +95,11 @@ def test_criterion_03_flatness_and_conditions(soliton):
 
 def test_criterion_04_pseudosphere(soliton, sin_mask):
     t0 = time.time()
-    imm = sym_immersion(soliton, 1.0, substeps=2)
-    geom = fundamental_forms(imm)
+    frame = integrate_frame(soliton, 1.0, substeps=2)
+    geom = fundamental_forms(frame)
     elapsed = time.time() - t0
     i0, j0 = soliton.grid.origin_index()
-    origin_exact = np.array_equal(imm.points[i0, j0], np.zeros(3))
+    origin_exact = np.array_equal(frame.psi[i0, j0], np.zeros(3))
     mask = geom.mask & sin_mask
     dev = np.abs(geom.K[mask] + 1.0)
     ok = (dev.mean() < 1e-3 and dev.max() < 1e-2 and origin_exact
@@ -128,7 +128,7 @@ def test_criterion_06_harmonicity(soliton, soliton_frame, pseudosphere,
                                   sin_mask):
     _, geom = pseudosphere
     n = gauss_map(soliton_frame)
-    rep = harmonicity_check(n, geom)
+    rep = harmonicity_check(n, geom.grid)
     mask = geom.mask & sin_mask
     tang = rep.tangential_residual.max()
     metric = np.abs(rep.nx_norm - geom.metricA)[mask].max()

@@ -16,6 +16,7 @@ from psforge.numerics import deriv4, group_deviation
 from psforge.potentials import eta_x, eta_y, integrate_minus, integrate_plus
 from psforge.sinegordon import (AngleField, GridSpec, constant_angle,
                                 load_angle_csv, save_angle_csv, soliton_angle)
+from psforge.surfaces import associated_family
 from util import ref_march, two_soliton
 
 rng = np.random.default_rng(23)
@@ -514,6 +515,23 @@ def test_march_rejects_zero_complex_lambda(small_soliton):
              lambda: integrate_minus(eta_y(f), 0j)]
     for call in calls:
         with pytest.raises(ZeroSpectralParameter, match="lambda = 0"):
+            call()
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf, complex(np.nan, 1.0),
+                                 np.array([0.5, np.nan])],
+                         ids=["nan", "inf", "complex-nan", "batch-nan"])
+def test_march_rejects_non_finite_lambda(small_soliton, lam):
+    # rejected before any step: a nan lambda used to end in a StepFailure
+    # that blamed the step, an inf one in a RuntimeWarning
+    f = small_soliton
+    calls = [lambda: integrate_frame(f, lam), lambda: su2_frame(f, lam),
+             lambda: frames._loop_legs(f, 60, 40, np.atleast_1d(lam) + 0j, 2),
+             lambda: integrate_plus(eta_x(f), lam)]
+    if not np.iscomplexobj(lam):
+        calls.append(lambda: associated_family(f, np.atleast_1d(lam)))
+    for call in calls:
+        with pytest.raises(ValueError, match="lambda must be finite"):
             call()
 
 

@@ -299,6 +299,9 @@ def test_cross_check_split_rejects_sample_count_before_marching(
     ("x,0,1,2", "eta_x.csv:3: expected 8 comma-separated fields, got 4"),
     ("abc", "eta_x.csv:3: expected 8 comma-separated fields, got 1"),
     ("x,0.5,0,abc,0,0,0,0", "eta_x.csv:3: could not convert string to float: 'abc'"),
+    ("x,nan,0,0,-1,0,0,1", "eta_x.csv:3: non-finite value"),
+    ("x,0.5,0,inf,-1,0,0,1", "eta_x.csv:3: non-finite value"),
+    ("x,0.5,0,0,-1,0,-inf,1", "eta_x.csv:3: non-finite value"),
 ])
 def test_potential_csv_rejects_malformed_line(tmp_path, line, message):
     path = tmp_path / "eta_x.csv"
@@ -306,6 +309,19 @@ def test_potential_csv_rejects_malformed_line(tmp_path, line, message):
                     "x,0,0,0,-1,0,0,1\n" + line + "\n")
     with pytest.raises(ValueError, match=message):
         load_potential_csv(path)
+
+
+@pytest.mark.parametrize("coords", [[0.0], [0.0, np.nan, 1.0],
+                                    [0.0, 0.5, np.inf]],
+                         ids=["one-node", "nan", "inf"])
+def test_integrate_axis_rejects_short_or_non_finite_axis(coords):
+    # one node used to end in an IndexError, and a nan coordinate, which
+    # passes the uniform-step check, in an IndexError of the stage table
+    samples = np.broadcast_to(BETA1, (len(coords), 3, 3))
+    pot = PotentialForm("x", np.array(coords), samples, +1)
+    with pytest.raises(ValueError, match="x-potential needs 2 or more "
+                                         "finite nodes"):
+        integrate_plus(pot, 1.0)
 
 
 def test_potential_csv_round_trip(tmp_path, soliton):

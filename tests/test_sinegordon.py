@@ -21,6 +21,11 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         GridSpec(0.05, 0.0, 5, 5, 0.1, 0.1).origin_index()
     assert GridSpec(-0.2, 0.0, 5, 5, 0.1, 0.1).origin_index() == (2, 0)
+    # a node count of 5.5 used to give a grid whose xs had 6 nodes
+    for nx, ny in [(5.5, 5), (5, 5.0), (5, "5")]:
+        with pytest.raises(ValueError, match="integer nx, ny >= 2"):
+            GridSpec(0, 0, nx, ny, 0.1, 0.1)
+    assert GridSpec(0, 0, np.int64(5), 5, 0.1, 0.1).xs.size == 5
 
 
 def test_soliton_values(soliton):

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from psforge.algebra import E12, unhat
 from psforge.errors import SingularAngle
 from psforge.frames import gauge, integrate_frame
+from psforge.numerics import deriv4
 from psforge.sinegordon import AngleField, GridSpec, soliton_angle
-from psforge.surfaces import (Immersion, associated_family, export_mesh,
+from psforge.surfaces import (associated_family, export_mesh,
                               fundamental_forms, gauss_map,
                               harmonicity_check, principal_curvatures,
-                              read_obj, sym_immersion)
+                              read_obj)
 
 rng = np.random.default_rng(31)
 
@@ -15,8 +17,8 @@ rng = np.random.default_rng(31)
 def test_sym_origin_is_zero(soliton):
     i0, j0 = soliton.grid.origin_index()
     for lam in (0.5, 1.0, 2.0):
-        s = sym_immersion(soliton, lam, substeps=1)
-        assert np.array_equal(s.points[i0, j0], np.zeros(3))
+        s = integrate_frame(soliton, lam, substeps=1)
+        assert np.array_equal(s.psi[i0, j0], np.zeros(3))
 
 
 @pytest.mark.parametrize("substeps, bound", [(1, 1e-6), (2, 1e-7)])
@@ -24,7 +26,6 @@ def test_sym_position_matches_lambda_difference(small_soliton, substeps,
                                                 bound):
     # oracle: the Sym formula psi = lam * U_lam * U^T with U_lam a central
     # difference of two plain frame integrations at lam (1 +- 1e-4)
-    from psforge.algebra import unhat
     lams = np.array([0.5, 1.0, 2.0])
     sampled = AngleField(small_soliton.grid, small_soliton.phi,
                          small_soliton.dphi_dx)
@@ -61,8 +62,7 @@ def test_second_form_structure(pseudosphere, soliton, sin_mask):
 
 
 def test_metric_scaling_with_lambda(soliton, sin_mask):
-    s = sym_immersion(soliton, 2.0)
-    geom = fundamental_forms(s)
+    geom = fundamental_forms(integrate_frame(soliton, 2.0, substeps=2))
     mask = geom.mask & sin_mask
     assert np.abs(geom.metricA[mask] - 2.0).max() < 1e-3
     assert np.abs(geom.metricB[mask] - 0.5).max() < 1e-3
@@ -107,24 +107,28 @@ def test_principal_curvatures_eigen_oracle():
 
 
 def test_gauss_map(soliton_frame, pseudosphere, sin_mask):
-    n = gauss_map(soliton_frame, verify_parallel_tol=1e-8)
+    n = gauss_map(soliton_frame)
     i0, j0 = soliton_frame.grid.origin_index()
     assert np.array_equal(n[i0, j0], [0.0, 0.0, 1.0])
     assert np.abs(np.linalg.norm(n, axis=-1) - 1.0).max() < 1e-12
-    imm, geom = pseudosphere
-    from psforge.numerics import deriv4
-    g = soliton_frame.grid
-    px = deriv4(imm.points, g.hx, axis=0)
-    py = deriv4(imm.points, g.hy, axis=1)
+    # the axis read off the adjoint orbit U E12 U^T through the hat map is
+    # parallel to N (the two identifications agree up to orientation)
+    u = soliton_frame.U
+    orbit = unhat(u @ E12 @ np.swapaxes(u, -1, -2), check=False)
+    assert np.abs(np.cross(orbit, n)).max() <= 1e-8
+    frame, geom = pseudosphere
+    g = frame.grid
+    px = deriv4(frame.psi, g.hx, axis=0)
+    py = deriv4(frame.psi, g.hy, axis=1)
     mask = geom.mask & sin_mask
     assert np.abs((n * px).sum(-1)[mask]).max() < 1e-4
     assert np.abs((n * py).sum(-1)[mask]).max() < 1e-4
 
 
 def test_harmonicity(soliton_frame, pseudosphere, sin_mask):
-    imm, geom = pseudosphere
+    _, geom = pseudosphere
     n = gauss_map(soliton_frame)
-    rep = harmonicity_check(n, geom)
+    rep = harmonicity_check(n, geom.grid)
     mask = geom.mask & sin_mask
     assert rep.tangential_residual.max() < 1e-3
     assert np.abs(rep.nx_norm - geom.metricA)[mask].max() < 1e-3
@@ -132,15 +136,14 @@ def test_harmonicity(soliton_frame, pseudosphere, sin_mask):
 
 
 def test_harmonicity_detects_perturbation(soliton_frame, pseudosphere):
-    imm, geom = pseudosphere
+    frame, geom = pseudosphere
     n = gauss_map(soliton_frame)
     # push N along a tangent direction; the residual must react at the
     # perturbation scale
-    from psforge.numerics import deriv4
-    tangent = deriv4(imm.points, imm.grid.hx, axis=0)
+    tangent = deriv4(frame.psi, frame.grid.hx, axis=0)
     bad = n + 0.01 * tangent
     bad /= np.linalg.norm(bad, axis=-1, keepdims=True)
-    rep = harmonicity_check(bad, geom)
+    rep = harmonicity_check(bad, geom.grid)
     assert rep.tangential_residual.max() > 1e-3
 
 
@@ -156,19 +159,25 @@ def test_associated_family(soliton):
     members, report = associated_family(soliton, [0.5, 1.0, 2.0])
     assert report["M_deviation_sup"] < 1e-3
     assert report["angle_deviation_sup"] < 1e-3
-    for (lam, a_mean, b_mean) in zip(report["lambdas"],
-                                     report["metricA_mean"],
-                                     report["metricB_mean"]):
-        assert abs(a_mean - lam) < 1e-3
-        assert abs(b_mean - 1.0 / lam) < 1e-3
+    # metric factors A = lam, B = 1/lam, averaged over the nodes where
+    # every member is non-degenerate
+    mask = np.logical_and.reduce([geom.mask for _, geom in members])
+    for frame, geom in members:
+        assert abs(np.nanmean(geom.metricA[mask]) - frame.lam) < 1e-3
+        assert abs(np.nanmean(geom.metricB[mask]) - 1.0 / frame.lam) < 1e-3
 
 
-@pytest.mark.parametrize("frame_lam", [2.0, np.array([0.5, 1.0])],
-                         ids=["other", "batch"])
-def test_sym_immersion_rejects_frame_at_other_lambda(frame_lam):
-    f = soliton_angle(1.0, GridSpec(-0.1, -0.1, 11, 11, 0.02, 0.02))
-    with pytest.raises(ValueError, match="frame is at lambda"):
-        sym_immersion(f, 0.5, frame=integrate_frame(f, frame_lam))
+@pytest.mark.parametrize("n, lam", [(21, 0.5), (11, np.array([0.5, 1.0]))],
+                         ids=["other_grid", "batch"])
+def test_fundamental_forms_rejects_psi_off_its_grid(n, lam):
+    # an 11x11 frame holding the psi of a 21x21 grid or of a lambda batch
+    def field(n):
+        x0 = -0.01 * (n - 1)
+        return soliton_angle(1.0, GridSpec(x0, x0, n, n, 0.02, 0.02))
+    frame = integrate_frame(field(11), 0.5)
+    frame.psi = integrate_frame(field(n), lam).psi
+    with pytest.raises(ValueError, match="on the 11x11 grid"):
+        fundamental_forms(frame)
 
 
 def test_lie_lorentz_consistency(soliton):
@@ -178,56 +187,61 @@ def test_lie_lorentz_consistency(soliton):
     g = soliton.grid
     g2 = GridSpec(g.x0 * lam, g.y0 / lam, g.nx, g.ny, g.hx * lam, g.hy / lam)
     rescaled = AngleField(g2, soliton.phi.copy(), soliton.dphi_dx / lam)
-    a = sym_immersion(soliton, lam, substeps=2)
-    b = sym_immersion(rescaled, 1.0, substeps=2)
-    assert np.abs(a.points - b.points).max() < 1e-3
+    a = integrate_frame(soliton, lam, substeps=2)
+    b = integrate_frame(rescaled, 1.0, substeps=2)
+    assert np.abs(a.psi - b.psi).max() < 1e-3
 
 
 def test_export_mesh_counts(tmp_path):
-    grid = GridSpec(0.0, 0.0, 2, 2, 1.0, 1.0)
     pts = rng.normal(size=(2, 2, 3))
     path = tmp_path / "m.obj"
-    export_mesh(Immersion(grid, 1.0, pts), path)
+    export_mesh(pts, path)
     verts, faces = read_obj(path)
     assert verts.shape == (4, 3)
     assert faces.shape == (2, 3)
 
 
 def test_export_mesh_round_trip(tmp_path, small_soliton):
-    s = sym_immersion(small_soliton, 1.0, substeps=1)
+    s = integrate_frame(small_soliton, 1.0, substeps=1)
     path = tmp_path / "s.obj"
-    export_mesh(s, path)
+    export_mesh(s.psi, path)
     verts, faces = read_obj(path)
     g = small_soliton.grid
     assert verts.shape == (g.nx * g.ny, 3)
-    assert np.array_equal(verts.reshape(g.nx, g.ny, 3), s.points)
+    assert np.array_equal(verts.reshape(g.nx, g.ny, 3), s.psi)
     assert faces.min() == 1 and faces.max() == g.nx * g.ny
 
 
 def test_export_mesh_mask_drops_faces(tmp_path):
-    grid = GridSpec(0.0, 0.0, 3, 3, 1.0, 1.0)
     pts = rng.normal(size=(3, 3, 3))
     mask = np.ones((3, 3), dtype=bool)
     mask[1, 1] = False
     path = tmp_path / "masked.obj"
-    export_mesh(Immersion(grid, 1.0, pts), path, mask=mask)
+    export_mesh(pts, path, mask=mask)
     _, faces = read_obj(path)
     assert len(faces) == 0  # every cell touches the masked center node
 
 
 @pytest.mark.parametrize("shape", [(6, 4), (5, 5)])
 def test_export_mesh_rejects_mask_of_other_shape(tmp_path, shape):
-    grid = GridSpec(0.0, 0.0, 5, 4, 1.0, 1.0)
     path = tmp_path / "m.obj"
     with pytest.raises(ValueError, match="mask of shape"):
-        export_mesh(Immersion(grid, 1.0, rng.normal(size=(5, 4, 3))), path,
+        export_mesh(rng.normal(size=(5, 4, 3)), path,
                     mask=np.ones(shape, dtype=bool))
     assert not path.exists()
 
 
 def test_export_mesh_rejects_complex_immersion(tmp_path, small_soliton):
-    s = sym_immersion(small_soliton, np.exp(0.4j), substeps=1)
+    s = integrate_frame(small_soliton, np.exp(0.4j), substeps=1)
     path = tmp_path / "c.obj"
-    with pytest.raises(ValueError, match="complex immersion"):
-        export_mesh(s, path)
+    with pytest.raises(ValueError, match="not complex128"):
+        export_mesh(s.psi, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("shape", [(132, 3), (12, 11, 2), (2, 12, 11, 3)])
+def test_export_mesh_rejects_points_not_on_a_grid(tmp_path, shape):
+    path = tmp_path / "m.obj"
+    with pytest.raises(ValueError, match=r"real \(nx, ny, 3\) array"):
+        export_mesh(rng.normal(size=shape), path)
     assert not path.exists()
