@@ -16,8 +16,8 @@ from .frames import (ExtendedFrame, MaurerCartanForm, check_conditions_K,
                      maurer_cartan, su2_frame)
 from .loops import (LaurentLoop, SampledLoop, birkhoff_split, check_reality,
                     check_twist, loop_eval, loop_norm, multiply)
-from .potentials import (boundary_forms, cross_check_split, eta_2x2, eta_x,
-                         eta_y, integrate_minus, integrate_plus)
+from .potentials import (cross_check_split, eta_2x2, eta_x, eta_y,
+                         integrate_minus, integrate_plus)
 from .sinegordon import (AngleField, GridSpec, constant_angle, goursat_solve,
                          sg_residual, soliton_angle)
 from .surfaces import (HarmonicityReport, SurfaceGeometry, associated_family,

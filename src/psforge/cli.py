@@ -38,8 +38,6 @@ DEFAULT_TOLERANCES = {
     "split_cross_check": 1e-4,
 }
 
-_SUBSTEPS = 2    # frame substeps of every march run_verification makes
-
 _CONFIG_TYPES = {
     "soliton": float, "h": float, "hx": float, "hy": float,
     "domain": str, "lambdas": str, "out": str, "phi": str, "phi_x": str,
@@ -289,14 +287,13 @@ def _sup_mean(pairs):
 class _Checks:
     """The checks of run_verification: one method per DEFAULT_TOLERANCES
     key, returning (sup, mean) or (sup, mean, extra report entries). The
-    associated family is built once; every march takes _SUBSTEPS."""
+    associated family is built once; every march takes frames._SUBSTEPS."""
 
     def __init__(self, field, lambdas, tol):
         self.field, self.lambdas, self.tol = field, lambdas, tol
         self.at_one = int(np.argmin(np.abs(np.asarray(lambdas) - 1.0)))
         try:
-            members, self.report = surfaces.associated_family(
-                field, lambdas, substeps=_SUBSTEPS)
+            members, self.report = surfaces.associated_family(field, lambdas)
             self._members = _masked(field, members)
         except (PsforgeError, ValueError) as exc:
             self._members = exc
@@ -360,7 +357,8 @@ class _Checks:
         # every root marched: a loop unfolded from the quarter circle
         # would be twisted and real by construction
         values = frames._loop_legs(self.field, *self.probe,
-                                   loops._circle_points(32), _SUBSTEPS)[1]
+                                   loops._circle_points(32),
+                                   frames._SUBSTEPS)[1]
         loop = loops.SampledLoop(values, twisted=True, real=True).to_laurent()
         dev = max(loops.twist_deviation(loop),
                   float(np.abs(loop.stack.imag).max()))
@@ -368,8 +366,8 @@ class _Checks:
 
     def split_cross_check(self):
         # cross_check_split at (pi, j0) and (pi, pj), sharing the x-leg
-        axis, off_axis = potentials._cross_check(
-            self.field, *self.probe, substeps=_SUBSTEPS, with_axis=True)
+        axis, off_axis = potentials._cross_check(self.field, *self.probe,
+                                                 with_axis=True)
         vals = [*axis.values(), *off_axis.values()]
         return max(vals), float(np.mean(vals)), dict(axis=axis, off_axis=off_axis)
 
@@ -381,7 +379,7 @@ def run_verification(field, lambdas, tolerances=None):
     its extra entries carry their own "pass" (curvature: the mean within a
     tenth of the tolerance too; chebyshev: the mean alone). A check that
     raises PsforgeError or ValueError fails with sup = mean = inf and the
-    error as "reason". Frames are marched with _SUBSTEPS = 2 substeps.
+    error as "reason". Frames are marched with frames._SUBSTEPS substeps.
     """
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:

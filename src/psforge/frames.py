@@ -259,6 +259,11 @@ def _march_end(u, ts, start, stop, spacing, substeps, coeff):
 # deviation is already about 1e-2 off a substeps-16 reference
 _GROUP_TOL = 1e-8
 
+# the fixed resolution of the associated family, the split check and
+# verify's loops: substeps per grid step, samples of a frame loop
+_SUBSTEPS = 2
+_LOOP_SAMPLES = 64
+
 
 def _check_transport(u, holomorphic=None):
     """Raise StepFailure unless the square blocks u[..., :m] of the marched
@@ -548,7 +553,7 @@ def _frame_loop_legs(f, i, j, n, substeps):
     return tuple(out)
 
 
-def sample_frame_loop(f, i, j, n=64, substeps=1):
+def sample_frame_loop(f, i, j, n=_LOOP_SAMPLES, substeps=1):
     """Frame loop lambda -> U(x_i, y_j; lambda) at the n-th roots of unity.
 
     Integrates the Lax system jointly for the sample points along the path

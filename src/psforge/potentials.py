@@ -6,22 +6,22 @@ and cross-validation against numerical splitting of the frame loop.
 Both potentials are p-valued axis forms (span of E13, E23) determined by
 the angle restricted to the axes: eta_x by conjugating the constant -E23
 with the accumulated rotation of angle phi(0,0) - phi(x,0), eta_y equal to
-the boundary form gamma1 itself.
+the Maurer-Cartan coefficient alpha_m1 on the y axis itself.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import E12, E13, E23, gauge_rotation, so3_to_su2
-from .frames import (_check_march, _check_transport, _frame_loop_legs,
-                     _march, _stage_table)
+from .algebra import E13, E23, gauge_rotation, so3_to_su2
+from .frames import (_LOOP_SAMPLES, _SUBSTEPS, _check_march, _check_transport,
+                     _frame_loop_legs, _march, _stage_table)
 from .loops import SampledLoop, birkhoff_split, loop_eval
 from .numerics import refine_span
-from .sinegordon import _write_rows
+from .sinegordon import _origin_node, _write_rows
 
 __all__ = [
-    "PotentialForm", "BoundaryForms", "boundary_forms", "rotation_V0",
+    "PotentialForm", "rotation_V0",
     "eta_x", "eta_y", "eta_2x2",
     "integrate_plus", "integrate_minus", "cross_check_split",
     "save_potential_csv", "load_potential_csv", "save_potential2_csv",
@@ -33,30 +33,13 @@ class PotentialForm:
     """Lie-algebra-valued 1-form sampled along one axis.
 
     samples[k] is the matrix coefficient of dx (axis 'x') or dy ('y') at
-    the k-th axis node; lambda_power records how the meromorphic form
-    scales: xi^x = lambda * eta^x (+1), xi^y = eta^y / lambda (-1).
+    the k-th axis node. The meromorphic form is xi^x = lambda * eta^x on
+    the x axis and xi^y = eta^y / lambda on the y axis.
     """
 
     axis: str
     coords: np.ndarray
     samples: np.ndarray
-    lambda_power: int
-
-
-@dataclass
-class BoundaryForms:
-    """Axis restrictions of the Maurer-Cartan coefficients.
-
-    beta0/beta1 sample the dx part along y=0, gamma0/gamma1 the dy part
-    along x=0; gamma0 is identically zero and beta1 constant -E23.
-    """
-
-    xs: np.ndarray
-    ys: np.ndarray
-    beta0: np.ndarray
-    beta1: np.ndarray
-    gamma0: np.ndarray
-    gamma1: np.ndarray
 
 
 def _axis_data(f):
@@ -64,20 +47,9 @@ def _axis_data(f):
     return i0, j0, f.phi[:, j0], f.phi[i0, :]
 
 
-def boundary_forms(f):
-    """Restrict the Maurer-Cartan coefficient fields to the two axes."""
-    _, j0 = f.grid.origin_index()
-    nx, ny = f.grid.nx, f.grid.ny
-    beta0 = f.dphi_dx[:, j0][:, None, None] * E12
-    beta1 = np.broadcast_to(-E23, (nx, 3, 3)).copy()
-    gamma0 = np.zeros((ny, 3, 3))
-    gamma1 = eta_y(f).samples
-    return BoundaryForms(f.grid.xs, f.grid.ys, beta0, beta1, gamma0, gamma1)
-
-
 def rotation_V0(f):
-    """The rotation exp(theta(0) - theta(x)) conjugating beta1 into eta_x
-    (angle phi(0,0) - phi(x,0) around e3), sampled on the x axis."""
+    """The rotation exp(theta(0) - theta(x)) conjugating alpha1 = -E23 into
+    eta_x (angle phi(0,0) - phi(x,0) around e3), sampled on the x axis."""
     i0, _, xrow, _ = _axis_data(f)
     return gauge_rotation(xrow[i0] - xrow)
 
@@ -86,20 +58,21 @@ def eta_x(f):
     """Normalized x-potential in closed form.
 
     With delta(x) = phi(0,0) - phi(x,0), the coefficient of dx is
-    -sin(delta) E13 - cos(delta) E23; at x = 0 it equals beta1 = -E23.
+    -sin(delta) E13 - cos(delta) E23; at x = 0 it equals alpha1 = -E23.
     """
     i0, _, xrow, _ = _axis_data(f)
     delta = xrow[i0] - xrow
     samples = -np.sin(delta)[:, None, None] * E13 \
         - np.cos(delta)[:, None, None] * E23
-    return PotentialForm("x", f.grid.xs, samples, +1)
+    return PotentialForm("x", f.grid.xs, samples)
 
 
 def eta_y(f):
-    """Normalized y-potential: exactly the boundary form gamma1."""
+    """Normalized y-potential: the coefficient alpha_m1 of
+    `frames.maurer_cartan` on the y axis, bit for bit."""
     _, _, _, ycol = _axis_data(f)
     samples = np.sin(ycol)[:, None, None] * E13 + np.cos(ycol)[:, None, None] * E23
-    return PotentialForm("y", f.grid.ys, samples, -1)
+    return PotentialForm("y", f.grid.ys, samples)
 
 
 def eta_2x2(f):
@@ -108,26 +81,40 @@ def eta_2x2(f):
     samples of eta_x and eta_y. The product of the off-diagonal entries
     is -1/4 for both (Chebyshev profiles).
     """
-    return tuple(PotentialForm(p.axis, p.coords, so3_to_su2(p.samples),
-                               p.lambda_power) for p in (eta_x(f), eta_y(f)))
+    return tuple(PotentialForm(p.axis, p.coords, so3_to_su2(p.samples))
+                 for p in (eta_x(f), eta_y(f)))
 
 
-def _integrate_axis(pot, axis, lam, substeps, node=None):
+# axis-ODE substeps of integrate_plus / integrate_minus and the split check
+_AXIS_SUBSTEPS = 4
+_LAM_EVAL = 1.0     # lambda at which the split check compares factors
+_SPLIT_TOL = 1e-6   # residual of the split check's Birkhoff splits
+
+
+def _integrate_axis(pot, axis, lam, node=None):
     """Solve U' = -U * xi(t) outward from U = I at the origin node, where
-    xi = lambda * eta_x (axis "x") or eta_y / lambda (axis "y"). Returns
-    the solution at every node, or, given a node, only at that node,
-    marching from the origin to it over a stage table of that span only.
-    The march steps by the first spacing, so fewer than 2 coordinates, a
-    non-finite one or any other spacing raises ValueError."""
+    xi = lambda * eta_x (axis "x") or eta_y / lambda (axis "y"), in
+    _AXIS_SUBSTEPS substeps per node. Returns the solution at every node,
+    or, given a node, only at that node, marching from the origin to it
+    over a stage table of that span only. The march steps by the first
+    spacing, so fewer than 2 coordinates, a non-finite one, any other
+    spacing, no node at 0 (`sinegordon._origin_node`) or samples that are
+    not one finite 3x3 matrix per node raise ValueError."""
     if pot.axis != axis:
         raise ValueError(f"expected an {axis}-potential, got {pot.axis!r}")
-    _check_march(lam, substeps)  # lambda 0 or not finite, substeps
+    _check_march(lam, _AXIS_SUBSTEPS)  # lambda 0 or not finite
     if not np.iscomplexobj(np.asarray(lam)) and lam < 0:
         raise ValueError("lambda must be positive")
     factor = -lam if axis == "x" else -1.0 / lam
-    coords = pot.coords
+    coords, samples = pot.coords, pot.samples
     if len(coords) < 2 or not np.all(np.isfinite(coords)):
         raise ValueError(f"{axis}-potential needs 2 or more finite nodes")
+    if samples.shape != (len(coords), 3, 3):
+        raise ValueError(f"{axis}-potential has samples of shape "
+                         f"{samples.shape}, not one 3x3 matrix for each of "
+                         f"its {len(coords)} nodes")
+    if not np.all(np.isfinite(samples)):
+        raise ValueError(f"{axis}-potential has a non-finite sample")
     h = coords[1] - coords[0]
     steps = np.diff(coords)
     bad = np.flatnonzero(np.abs(steps - h) > 1e-9 * abs(h))
@@ -136,41 +123,36 @@ def _integrate_axis(pot, axis, lam, substeps, node=None):
         raise ValueError(f"{axis}-potential axis is not uniform: step "
                          f"{steps[k]:.6g} from node {k} to {k + 1} differs "
                          f"from the first step {h:.6g}")
-    u0 = np.eye(3, dtype=np.result_type(factor, pot.samples))
-    origin = int(np.argmin(np.abs(coords)))
+    origin = _origin_node(coords[0], h, len(coords),
+                          f"the {axis}-potential's axis")
+    u0 = np.eye(3, dtype=np.result_type(factor, samples))
     lo, hi = (0, len(coords) - 1) if node is None else sorted((origin, node))
     span = refine_span(len(coords), lo, hi)
-    coeff = _stage_table(factor * pot.samples[span], coords[span.start], h,
-                         substeps)
+    coeff = _stage_table(factor * samples[span], coords[span.start], h,
+                         _AXIS_SUBSTEPS)
     out = np.zeros((hi - lo + 1,) + u0.shape, u0.dtype)
     out[origin - lo] = u0
     for stop in (hi, lo):
-        for k, u in _march(u0, coords, origin, stop, h, substeps, coeff):
+        for k, u in _march(u0, coords, origin, stop, h, _AXIS_SUBSTEPS, coeff):
             out[k - lo] = u
     _check_transport(out)
     return out if node is None else out[node - lo]
 
 
-# axis substeps of integrate_plus / integrate_minus and of the split check
-_AXIS_SUBSTEPS = 4
-_LAM_EVAL = 1.0     # lambda at which the split check compares factors
-_SPLIT_TOL = 1e-6   # residual of the split check's Birkhoff splits
-
-
-def integrate_plus(pot, lam, substeps=_AXIS_SUBSTEPS):
+def integrate_plus(pot, lam):
     """Integrate the plus Birkhoff factor: U+^{-1} dU+/dx = -lambda eta_x,
     U+(0) = I. Returns the factor along the x axis at one lambda (complex
     lambda admitted for circle sampling)."""
-    return _integrate_axis(pot, "x", lam, substeps)
+    return _integrate_axis(pot, "x", lam)
 
 
-def integrate_minus(pot, lam, substeps=_AXIS_SUBSTEPS):
+def integrate_minus(pot, lam):
     """Integrate the minus Birkhoff factor: U-^{-1} dU-/dy = -eta_y/lambda,
     U-(0) = I. Returns the factor along the y axis at one lambda."""
-    return _integrate_axis(pot, "y", lam, substeps)
+    return _integrate_axis(pot, "y", lam)
 
 
-def cross_check_split(f, i, j, n_samples=64, substeps=2):
+def cross_check_split(f, i, j):
     """Compare potential-integrated Birkhoff factors with factors from
     numerically splitting the sampled frame loop at node (i, j).
 
@@ -180,32 +162,32 @@ def cross_check_split(f, i, j, n_samples=64, substeps=2):
     re-splits on the axis to verify that the plus factor does not depend
     on y. On the axis the constant complementary factor is checked against
     the closed-form rotation V0. Returns a dict of sup deviations. Raises
-    ValueError unless (i, j) is a grid node and n_samples a power of 2 >= 4.
+    ValueError unless (i, j) is a grid node.
 
     Only what the result needs is marched: the frame loop along
     origin -> (x_i, y_0) -> (x_i, y_j), whose x-leg ends in the on-axis
     loop at (x_i, y_0), and the two axis ODEs from the origin to node i
     and to node j. Each equals, bit for bit, the value read from
-    sample_frame_loop, integrate_plus or integrate_minus.
+    sample_frame_loop(f, i, j, 64, frames._SUBSTEPS) (not at its default
+    substeps=1), integrate_plus or integrate_minus.
     """
-    return _cross_check(f, i, j, n_samples, substeps)[-1]
+    return _cross_check(f, i, j)[-1]
 
 
-def _cross_check(f, i, j, n_samples=64, substeps=2, with_axis=False):
+def _cross_check(f, i, j, with_axis=False):
     """The cross_check_split reports at node (i, j) and, with_axis, first
     at the on-axis node (i, j0) too, as a list (one report when j is j0).
     Both come from one march of the x-leg, one plus ODE to node i and one
     plus-first split of the on-axis loop, so each equals, bit for bit, the
     report of its own cross_check_split call."""
     _, j0 = f.grid.origin_index()
-    axis_values, values = _frame_loop_legs(f, i, j, n_samples, substeps)
-    plus_ode = _integrate_axis(eta_x(f), "x", _LAM_EVAL, _AXIS_SUBSTEPS, i)
+    axis_values, values = _frame_loop_legs(f, i, j, _LOOP_SAMPLES, _SUBSTEPS)
+    plus_ode = _integrate_axis(eta_x(f), "x", _LAM_EVAL, i)
     eta_minus = eta_y(f)
 
     def factor_devs(loop, u_plus, node):
         u_minus, _ = birkhoff_split(loop, "minus-first", tol=_SPLIT_TOL)
-        minus_ode = _integrate_axis(eta_minus, "y", _LAM_EVAL, _AXIS_SUBSTEPS,
-                                    node)
+        minus_ode = _integrate_axis(eta_minus, "y", _LAM_EVAL, node)
         return {
             "plus_factor_dev": float(np.abs(
                 loop_eval(u_plus, _LAM_EVAL) - plus_ode).max()),
@@ -281,8 +263,7 @@ def load_potential_csv(path):
             mats.append(m)
     if axis not in ("x", "y"):
         raise ValueError(f"{path}: unknown potential axis {axis!r}")
-    return PotentialForm(axis, np.asarray(coords), np.stack(mats),
-                         +1 if axis == "x" else -1)
+    return PotentialForm(axis, np.asarray(coords), np.stack(mats))
 
 
 def save_potential2_csv(pot, path):

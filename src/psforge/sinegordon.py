@@ -49,28 +49,32 @@ class GridSpec:
         return self.y0 + self.hy * np.arange(self.ny)
 
     def origin_index(self):
-        """Indices (i0, j0) of the node at the origin; raises ValueError
-        unless one lies within 1e-9 (relative) of it."""
-        i0 = round(-self.x0 / self.hx)
-        j0 = round(-self.y0 / self.hy)
-        if not (0 <= i0 < self.nx and 0 <= j0 < self.ny):
-            raise ValueError("grid does not contain the origin")
-        if abs(self.x0 + i0 * self.hx) > 1e-9 * max(1.0, abs(self.x0)) or \
-           abs(self.y0 + j0 * self.hy) > 1e-9 * max(1.0, abs(self.y0)):
-            raise ValueError("origin does not fall on a grid node")
-        return i0, j0
+        """Indices (i0, j0) of the node at the origin (`_origin_node`)."""
+        return (_origin_node(self.x0, self.hx, self.nx, "the grid's x axis"),
+                _origin_node(self.y0, self.hy, self.ny, "the grid's y axis"))
 
     def meshgrid(self):
         return np.meshgrid(self.xs, self.ys, indexing="ij")
 
 
+def _origin_node(start, step, n, name):
+    """Index k < n of the node at 0 on the axis start + k * step, which
+    errors call name; ValueError unless one lies within 1e-9 (relative)."""
+    k = round(-start / step) if step else 0   # step 0: every node at start
+    if not 0 <= k < n:
+        raise ValueError(f"{name} does not contain the origin")
+    if abs(start + k * step) > 1e-9 * max(1.0, abs(start)):
+        raise ValueError(f"the origin does not fall on a node of {name}")
+    return k
+
+
 def _check_nodes(grid):
     """Raise ValueError, naming the grid, unless each axis has the 5 nodes
-    that the 4th-order differences of a sampled angle field need."""
+    that 4th-order differences need."""
     if grid.nx < 5 or grid.ny < 5:
-        raise ValueError(f"the {grid.nx}x{grid.ny} grid is too small for an "
-                         f"angle field: 4th-order differences need at least "
-                         f"5 nodes per axis")
+        raise ValueError(f"the {grid.nx}x{grid.ny} grid is too small: "
+                         f"4th-order differences need at least 5 nodes per "
+                         f"axis")
 
 
 @dataclass

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularAngle
-from .frames import ExtendedFrame, integrate_frame
+from .frames import _SUBSTEPS, ExtendedFrame, integrate_frame
 from .numerics import deriv4
-from .sinegordon import _write_rows
+from .sinegordon import _check_nodes, _write_rows
 
 __all__ = [
     "SurfaceGeometry", "HarmonicityReport", "fundamental_forms",
@@ -71,8 +71,7 @@ def fundamental_forms(frame):
     coefficients are kept.
     """
     g, p = frame.grid, frame.psi
-    if g.nx < 5 or g.ny < 5:
-        raise ValueError("fundamental forms need a grid of at least 5x5")
+    _check_nodes(g)
     if p.shape != (g.nx, g.ny, 3):
         raise ValueError(f"Sym positions of shape {p.shape} on the "
                          f"{g.nx}x{g.ny} grid")
@@ -127,10 +126,13 @@ def harmonicity_check(N, grid):
 
     q is the normal component of N_xy; tangential_residual the norm of the
     rest (zero for a harmonic Gauss map). nx_norm/ny_norm are |N_x|, |N_y|
-    for comparison with the metric factors A, B of the surface.
+    for comparison with the metric factors A, B of the surface. N must
+    be (nx, ny, 3) on a grid of 5 or more nodes per axis (ValueError).
     """
-    if grid.nx < 5 or grid.ny < 5:
-        raise ValueError("harmonicity check needs a grid of at least 5x5")
+    _check_nodes(grid)
+    if N.shape != (grid.nx, grid.ny, 3):
+        raise ValueError(f"normal field of shape {N.shape} on the "
+                         f"{grid.nx}x{grid.ny} grid")
     Nx = deriv4(N, grid.hx, axis=0)
     Nxy = deriv4(Nx, grid.hy, axis=1)
     Ny = deriv4(N, grid.hy, axis=1)
@@ -141,16 +143,17 @@ def harmonicity_check(N, grid):
                              np.linalg.norm(Ny, axis=-1))
 
 
-def associated_family(f, lambdas, substeps=2):
+def associated_family(f, lambdas):
     """(frame, geometry) of each lambda's member, plus invariance report.
 
-    All members' frames are integrated together, lambda as a batch axis.
+    All members' frames are integrated together, lambda as a batch axis,
+    in `frames._SUBSTEPS` substeps per grid step.
     The report holds the sup deviation across members of the mixed
     second-form coefficient M and of the recovered asymptotic angle from
     phi, both on the non-degenerate mask intersection.
     """
     lambdas = [float(l) for l in lambdas]
-    batch = integrate_frame(f, np.array(lambdas), substeps=substeps)
+    batch = integrate_frame(f, np.array(lambdas), substeps=_SUBSTEPS)
     members = []
     for k, lam in enumerate(lambdas):
         frame = ExtendedFrame(f.grid, lam, batch.U[k], batch.psi[k])

@@ -109,7 +109,7 @@ def test_criterion_04_pseudosphere(soliton, sin_mask):
 
 
 def test_criterion_05_associated_family(soliton, sin_mask):
-    members, report = associated_family(soliton, [0.5, 2.0], substeps=2)
+    members, report = associated_family(soliton, [0.5, 2.0])
     metric_ok = True
     details = []
     for (_, geom), lam in zip(members, [0.5, 2.0]):
@@ -179,14 +179,17 @@ def test_criterion_07_birkhoff_oracle():
 def test_criterion_08_potential_consistency(soliton):
     from scipy.interpolate import CubicSpline
     from util import _rk4_pair
-    from psforge.potentials import boundary_forms, rotation_V0
+    from psforge.frames import maurer_cartan
+    from psforge.potentials import rotation_V0
 
-    # (a) closed forms against the conjugation/ODE definitions
-    bf = boundary_forms(soliton)
+    # (a) closed forms against the conjugation/ODE definitions, from the
+    # Maurer-Cartan coefficients on the axes
+    mc = maurer_cartan(soliton)
     g = soliton.grid
     i0, j0 = g.origin_index()
-    spline = CubicSpline(g.xs, bf.beta0, axis=0)
-    v_num = np.zeros_like(bf.beta0)
+    beta0, beta1 = mc.alpha0_prime[:, j0], mc.alpha1[:, j0]
+    spline = CubicSpline(g.xs, beta0, axis=0)
+    v_num = np.zeros_like(beta0)
     v_num[i0] = np.eye(3)
     for direction in (1, -1):
         u, k = np.eye(3), i0
@@ -197,14 +200,14 @@ def test_criterion_08_potential_consistency(soliton):
                 u, _ = _rk4_pair(u, None, lambda t: -spline(t0 + t), None, h)
             k += direction
             v_num[k] = u
-    eta_ode = v_num @ bf.beta1 @ np.linalg.inv(v_num)
+    eta_ode = v_num @ beta1 @ np.linalg.inv(v_num)
     dev_x = np.abs(eta_x(soliton).samples - eta_ode).max()
     dev_v0 = np.abs(v_num - rotation_V0(soliton)).max()
-    dev_y = np.abs(eta_y(soliton).samples - bf.gamma1).max()
+    dev_y = np.abs(eta_y(soliton).samples - mc.alpha_m1[i0]).max()
 
     # (b) against factors split off the integrated frame loop
-    rep_axis = cross_check_split(soliton, 150, j0, substeps=2)
-    rep_off = cross_check_split(soliton, 150, 125, substeps=2)
+    rep_axis = cross_check_split(soliton, 150, j0)
+    rep_off = cross_check_split(soliton, 150, 125)
     split_dev = max(rep_axis["plus_factor_dev"], rep_axis["minus_factor_dev"],
                     rep_off["plus_factor_dev"], rep_off["minus_factor_dev"])
     indep = rep_off["uplus_y_independence"]

@@ -9,10 +9,10 @@ import pytest
 
 from psforge import frames
 from psforge.algebra import E13
-from psforge.cli import _stats, main, run_verification
+from psforge.cli import _probe_indices, _stats, main, run_verification
 from psforge.loops import (LaurentLoop, load_loop_json, multiply,
                            save_loop_json)
-from psforge.potentials import load_potential_csv
+from psforge.potentials import cross_check_split, load_potential_csv
 from psforge.sinegordon import (GridSpec, constant_angle, save_angle_csv,
                                 soliton_angle)
 from psforge.surfaces import read_obj
@@ -392,6 +392,16 @@ def test_verify_nan_residual_fails(monkeypatch):
     report, ok = run_verification(f, [1.0])
     assert not ok and report["failures"] == ["compatibility"]
     assert report["checks"]["compatibility"]["sup"] == float("inf")
+
+
+def test_verify_split_check_equals_cross_check_split():
+    # verify and the library march the split check at one resolution
+    f = soliton_angle(1.0, GridSpec(-1.0, -0.6, 51, 41, 0.04, 0.04))
+    report, _ = run_verification(f, [1.0])
+    check = report["checks"]["split_cross_check"]
+    (pi, pj), (_, j0) = _probe_indices(f.grid), f.grid.origin_index()
+    assert check["axis"] == cross_check_split(f, pi, j0)
+    assert check["off_axis"] == cross_check_split(f, pi, pj)
 
 
 @pytest.mark.filterwarnings("ignore:twist violation")

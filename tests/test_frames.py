@@ -500,9 +500,7 @@ def test_march_rejects_bad_substeps(small_soliton, substeps):
     f = small_soliton
     calls = [lambda: integrate_frame(f, 1.0, substeps=substeps),
              lambda: su2_frame(f, 1.0, substeps=substeps),
-             lambda: sample_frame_loop(f, 60, 40, 16, substeps),
-             lambda: potentials.cross_check_split(f, 60, 40, 16, substeps),
-             lambda: integrate_plus(eta_x(f), 1.0, substeps)]
+             lambda: sample_frame_loop(f, 60, 40, 16, substeps)]
     for call in calls:
         with pytest.raises(ValueError, match="substeps must be an integer"):
             call()

@@ -5,15 +5,14 @@ from scipy.linalg import expm
 
 from psforge import frames
 from psforge.algebra import E13, E23, gauge_rotation, so3_to_su2
-from psforge.frames import _frame_loop_legs, sample_frame_loop
+from psforge.frames import _frame_loop_legs, maurer_cartan, sample_frame_loop
 from psforge.loops import birkhoff_split, loop_eval
 from psforge.numerics import deriv4
 from psforge.potentials import (PotentialForm, _integrate_axis,
-                                boundary_forms, cross_check_split, eta_2x2,
-                                eta_x, eta_y, integrate_minus,
-                                integrate_plus, load_potential_csv,
-                                rotation_V0, save_potential_csv,
-                                save_potential2_csv)
+                                cross_check_split, eta_2x2, eta_x, eta_y,
+                                integrate_minus, integrate_plus,
+                                load_potential_csv, rotation_V0,
+                                save_potential_csv, save_potential2_csv)
 from psforge.sinegordon import (AngleField, GridSpec, constant_angle,
                                 load_angle_csv, save_angle_csv,
                                 soliton_angle)
@@ -23,12 +22,14 @@ BETA1 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
 
 
 def test_boundary_forms(soliton):
-    bf = boundary_forms(soliton)
-    assert np.abs(bf.gamma0).max() == 0.0
-    assert np.array_equal(bf.beta1[17], BETA1)
+    # the boundary forms are the Maurer-Cartan coefficients on the axes
+    i0, j0 = soliton.grid.origin_index()
+    mc = maurer_cartan(soliton)
+    assert np.array_equal(mc.alpha1[17, j0], BETA1)
+    assert np.array_equal(mc.alpha_m1[i0], eta_y(soliton).samples)
     half = constant_angle(np.pi / 2, soliton.grid)
-    bh = boundary_forms(half)
-    assert np.allclose(bh.gamma1[3], [[0, 0, 1], [0, 0, 0], [-1, 0, 0]])
+    assert np.allclose(maurer_cartan(half).alpha_m1[i0, 3],
+                       [[0, 0, 1], [0, 0, 0], [-1, 0, 0]])
 
 
 def test_eta_x_values(soliton):
@@ -48,14 +49,15 @@ def test_eta_x_values(soliton):
 def test_eta_x_matches_conjugation_and_ode(soliton):
     ex = eta_x(soliton)
     v0 = rotation_V0(soliton)
-    bf = boundary_forms(soliton)
-    conj = v0 @ bf.beta1 @ np.swapaxes(v0, -1, -2)
+    g = soliton.grid
+    i0, j0 = g.origin_index()
+    mc = maurer_cartan(soliton)
+    beta0, beta1 = mc.alpha0_prime[:, j0], mc.alpha1[:, j0]
+    conj = v0 @ beta1 @ np.swapaxes(v0, -1, -2)
     assert np.abs(ex.samples - conj).max() < 1e-14
     # independent oracle: integrate V0' = -V0 beta0 numerically
-    g = soliton.grid
-    i0, _ = g.origin_index()
-    spline = CubicSpline(g.xs, bf.beta0, axis=0)
-    v_num = np.zeros_like(bf.beta0)
+    spline = CubicSpline(g.xs, beta0, axis=0)
+    v_num = np.zeros_like(beta0)
     v_num[i0] = np.eye(3)
     for direction in (1, -1):
         u = np.eye(3)
@@ -68,14 +70,14 @@ def test_eta_x_matches_conjugation_and_ode(soliton):
             k += direction
             v_num[k] = u
     assert np.abs(v_num - v0).max() < 1e-8
-    eta_ode = v_num @ bf.beta1 @ np.linalg.inv(v_num)
+    eta_ode = v_num @ beta1 @ np.linalg.inv(v_num)
     assert np.abs(ex.samples - eta_ode).max() < 1e-8
 
 
 def test_eta_y_values(soliton):
     ey = eta_y(soliton)
-    bf = boundary_forms(soliton)
-    assert np.array_equal(ey.samples, bf.gamma1)
+    i0, _ = soliton.grid.origin_index()
+    assert np.array_equal(ey.samples, maurer_cartan(soliton).alpha_m1[i0])
     assert np.abs(ey.samples + np.swapaxes(ey.samples, -1, -2)).max() < 1e-15
     fpi = constant_angle(np.pi, soliton.grid)
     assert np.allclose(eta_y(fpi).samples[5], BETA1, atol=1e-15)
@@ -107,11 +109,11 @@ def test_eta_2x2(soliton):
 
 def test_integrate_plus(soliton):
     g = soliton.grid
-    zero = PotentialForm("x", g.xs, np.zeros((g.nx, 3, 3)), +1)
+    zero = PotentialForm("x", g.xs, np.zeros((g.nx, 3, 3)))
     out = integrate_plus(zero, 1.0)
     assert np.abs(out - np.eye(3)).max() == 0.0
     # constant potential: exponential oracle
-    const = PotentialForm("x", g.xs, np.broadcast_to(BETA1, (g.nx, 3, 3)), +1)
+    const = PotentialForm("x", g.xs, np.broadcast_to(BETA1, (g.nx, 3, 3)))
     got = integrate_plus(const, 1.0)
     i0, _ = g.origin_index()
     for i in (0, 57, g.nx - 1):
@@ -132,7 +134,7 @@ def test_integrate_plus_no_negative_modes(soliton):
 
 def test_integrate_minus(soliton):
     g = soliton.grid
-    zero = PotentialForm("y", g.ys, np.zeros((g.ny, 3, 3)), -1)
+    zero = PotentialForm("y", g.ys, np.zeros((g.ny, 3, 3)))
     assert np.abs(integrate_minus(zero, 2.0) - np.eye(3)).max() == 0.0
     const_field = constant_angle(0.9, g)
     gamma1 = eta_y(const_field)
@@ -165,7 +167,7 @@ def test_round_trip_minus(soliton):
 
 def test_cross_check_split_origin(soliton):
     i0, j0 = soliton.grid.origin_index()
-    rep = cross_check_split(soliton, i0, j0, n_samples=16)
+    rep = cross_check_split(soliton, i0, j0)
     assert rep["plus_factor_dev"] < 1e-12
     assert rep["minus_factor_dev"] < 1e-12
 
@@ -190,7 +192,7 @@ def _split_from_public_pieces(f, i, j):
     public functions: whole-axis ODE solutions and separately sampled
     loops."""
     i0, j0 = f.grid.origin_index()
-    loop = sample_frame_loop(f, i, j, n=64, substeps=2)
+    loop = sample_frame_loop(f, i, j, substeps=frames._SUBSTEPS)
     u_plus, v_minus = birkhoff_split(loop, "plus-first", tol=1e-6)
     u_minus, _ = birkhoff_split(loop, "minus-first", tol=1e-6)
     rep = {
@@ -200,7 +202,7 @@ def _split_from_public_pieces(f, i, j):
                                          - integrate_minus(eta_y(f), 1.0)[j]).max()),
     }
     if j != j0:
-        axis_loop = sample_frame_loop(f, i, j0, n=64, substeps=2)
+        axis_loop = sample_frame_loop(f, i, j0, substeps=frames._SUBSTEPS)
         u_plus_axis, _ = birkhoff_split(axis_loop, "plus-first", tol=1e-6)
         rep["uplus_y_independence"] = coeff_dev(u_plus, u_plus_axis)
     else:
@@ -228,9 +230,10 @@ def test_cross_check_split_equals_public_pieces(tmp_path, soliton_51, sampled):
         rep = cross_check_split(f, i, j)
         assert rep == _split_from_public_pieces(f, i, j)
         assert ("uplus_y_independence" in rep) == (j != j0)
-        x_leg, _ = _frame_loop_legs(f, i, j, 64, 2)
-        assert np.array_equal(x_leg, sample_frame_loop(f, i, j0, n=64,
-                                                       substeps=2).values)
+        x_leg, _ = _frame_loop_legs(f, i, j, frames._LOOP_SAMPLES,
+                                    frames._SUBSTEPS)
+        assert np.array_equal(x_leg, sample_frame_loop(
+            f, i, j0, substeps=frames._SUBSTEPS).values)
 
 
 def test_cross_check_pair_equals_separate_calls(soliton_51):
@@ -261,7 +264,7 @@ def test_axis_ode_to_a_node_equals_whole_axis(tmp_path, sampled):
         for lam in (1.3, np.exp(0.7j)):
             want = whole(pot, lam)
             for k in sorted(nodes & set(range(n))):
-                assert np.array_equal(_integrate_axis(pot, axis, lam, 4, k),
+                assert np.array_equal(_integrate_axis(pot, axis, lam, k),
                                       want[k]), (axis, k)
 
 
@@ -281,18 +284,8 @@ def test_cross_check_split_far_corner_64_samples(node):
     # the truncation doubles from 16 to the 31 Fourier blocks that 64
     # samples support, which the frame loop at a corner of [-4,4]^2 needs
     f = two_soliton(GridSpec(-4.0, -4.0, 321, 321, 0.025, 0.025))
-    report = cross_check_split(f, *node, n_samples=64)
+    report = cross_check_split(f, *node)
     assert max(report.values()) <= 1e-6
-
-
-def test_cross_check_split_rejects_sample_count_before_marching(
-        soliton_51, monkeypatch):
-    def march(*args):
-        raise AssertionError("marched")
-
-    monkeypatch.setattr(frames, "_loop_legs", march)
-    with pytest.raises(ValueError, match="n = 12"):
-        cross_check_split(soliton_51, 30, 30, n_samples=12)
 
 
 @pytest.mark.parametrize("line, message", [
@@ -318,10 +311,46 @@ def test_integrate_axis_rejects_short_or_non_finite_axis(coords):
     # one node used to end in an IndexError, and a nan coordinate, which
     # passes the uniform-step check, in an IndexError of the stage table
     samples = np.broadcast_to(BETA1, (len(coords), 3, 3))
-    pot = PotentialForm("x", np.array(coords), samples, +1)
+    pot = PotentialForm("x", np.array(coords), samples)
     with pytest.raises(ValueError, match="x-potential needs 2 or more "
                                          "finite nodes"):
         integrate_plus(pot, 1.0)
+
+
+def test_integrate_axis_needs_a_node_at_the_origin():
+    # coordinates 0.1 .. 1.0 used to be marched from U = I at 0.1, the
+    # node nearest to 0, with no error
+    coords = np.linspace(0.1, 1.0, 10)
+    pot = PotentialForm("y", coords, np.broadcast_to(BETA1, (10, 3, 3)))
+    with pytest.raises(ValueError, match="the y-potential's axis does not "
+                                         "contain the origin"):
+        integrate_minus(pot, 1.0)
+    pot.coords = coords - 0.05    # -0.05 .. 0.85: 0 between two nodes
+    with pytest.raises(ValueError, match="the origin does not fall on a "
+                                         "node of the y-potential's axis"):
+        integrate_minus(pot, 1.0)
+    pot.coords = np.full(10, 0.5)  # coinciding nodes: no step to round by
+    with pytest.raises(ValueError, match="the origin does not fall on a "
+                                         "node of the y-potential's axis"):
+        integrate_minus(pot, 1.0)
+    pot.coords = coords - 0.1     # the grid rule: 0 at node 0
+    assert np.array_equal(integrate_minus(pot, 1.0)[0], np.eye(3))
+
+
+def test_integrate_axis_rejects_bad_samples(soliton_51):
+    # 5 samples on 51 nodes used to end in an IndexError of the stage
+    # table, and a nan sample in a StepFailure that blamed the step
+    ex = eta_x(soliton_51)
+    ex.samples = ex.samples[:5]
+    with pytest.raises(ValueError, match=r"x-potential has samples of shape "
+                                         r"\(5, 3, 3\), not one 3x3 matrix "
+                                         r"for each of its 51 nodes"):
+        integrate_plus(ex, 1.0)
+    ey = eta_y(soliton_51)
+    ey.samples[40, 0, 2] = np.nan
+    with pytest.raises(ValueError, match="y-potential has a non-finite "
+                                         "sample"):
+        integrate_minus(ey, 1.0)
 
 
 def test_potential_csv_round_trip(tmp_path, soliton):

@@ -3,7 +3,7 @@ import pytest
 
 from psforge.algebra import E12, unhat
 from psforge.errors import SingularAngle
-from psforge.frames import gauge, integrate_frame
+from psforge.frames import ExtendedFrame, gauge, integrate_frame
 from psforge.numerics import deriv4
 from psforge.sinegordon import AngleField, GridSpec, soliton_angle
 from psforge.surfaces import (associated_family, export_mesh,
@@ -178,6 +178,29 @@ def test_fundamental_forms_rejects_psi_off_its_grid(n, lam):
     frame.psi = integrate_frame(field(n), lam).psi
     with pytest.raises(ValueError, match="on the 11x11 grid"):
         fundamental_forms(frame)
+
+
+def test_harmonicity_check_rejects_normals_off_its_grid():
+    # the Gauss map of a 21x21 frame checked on an 11x11 grid used to
+    # return a 21x21 report differentiated with the 11x11 spacing
+    big = soliton_angle(1.0, GridSpec(-0.2, -0.2, 21, 21, 0.02, 0.02))
+    small = GridSpec(-0.1, -0.1, 11, 11, 0.02, 0.02)
+    n = gauss_map(integrate_frame(big, 1.0))
+    with pytest.raises(ValueError, match=r"normal field of shape "
+                                         r"\(21, 21, 3\) on the 11x11 grid"):
+        harmonicity_check(n, small)
+
+
+def test_surface_checks_reject_grid_under_5_nodes():
+    f = soliton_angle(1.0, GridSpec(-0.04, -0.04, 5, 5, 0.02, 0.02))
+    full = integrate_frame(f, 1.0)
+    grid = GridSpec(-0.04, -0.04, 5, 4, 0.02, 0.02)
+    frame = ExtendedFrame(grid, 1.0, full.U[:, :4], full.psi[:, :4])
+    for call in (lambda: fundamental_forms(frame),
+                 lambda: harmonicity_check(gauss_map(frame), grid)):
+        with pytest.raises(ValueError, match="the 5x4 grid is too small: "
+                                             "4th-order differences"):
+            call()
 
 
 def test_lie_lorentz_consistency(soliton):

@@ -62,13 +62,13 @@ def _write_both(case, rng, new, ref):
         assert (new.with_suffix(".x.csv").read_bytes()
                 == ref.with_suffix(".x.csv").read_bytes())
     elif case == "potential_csv":
-        pot = PotentialForm("x", _values(nx, rng), _values((nx, 3, 3), rng), +1)
+        pot = PotentialForm("x", _values(nx, rng), _values((nx, 3, 3), rng))
         save_potential_csv(pot, new)
         util.ref_save_potential_csv(pot, ref)
     else:
         samples = _values((ny, 2, 2), rng).astype(complex)
         samples.imag = _values((ny, 2, 2), rng)
-        pot = PotentialForm("y", _values(ny, rng), samples, -1)
+        pot = PotentialForm("y", _values(ny, rng), samples)
         save_potential2_csv(pot, new)
         util.ref_save_potential2_csv(pot, ref)
 
@@ -161,7 +161,7 @@ def test_potential_csv_save_load_save_byte_identical(tmp_path, rows, axis):
     samples = np.zeros((len(rows), 3, 3))
     samples[:, [0, 0, 1, 1, 2, 2], [1, 2, 2, 0, 0, 1]] = rows[:, 1:]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    save_potential_csv(PotentialForm(axis, rows[:, 0], samples, +1), a)
+    save_potential_csv(PotentialForm(axis, rows[:, 0], samples), a)
     save_potential_csv(load_potential_csv(a), b)
     assert a.read_bytes() == b.read_bytes()
 
