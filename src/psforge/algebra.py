@@ -13,7 +13,7 @@ from .errors import NotSkew, NotUnitary
 __all__ = [
     "E12", "E13", "E23", "P_TWIST", "SIGMA1", "SIGMA2", "SIGMA3",
     "wiener_matrix_norm", "hat", "unhat", "gauge_rotation",
-    "spinor_map", "spinor_unmap", "adjoint_map",
+    "spinor_map", "spinor_unmap", "spinor_adjoint", "adjoint_map",
     "so3_to_su2", "su2_to_so3",
 ]
 
@@ -91,8 +91,13 @@ def spinor_map(r):
     J(r1 x r2) = [J(r1), J(r2)].
     """
     r = np.asarray(r)
-    x, y, z = r[..., 0], r[..., 1], r[..., 2]
-    out = np.zeros(r.shape[:-1] + (2, 2), dtype=complex)
+    return _spinor(r[..., 0], r[..., 1], r[..., 2])
+
+
+def _spinor(x, y, z):
+    """spinor_map of the vector with components x, y, z (arrays of one
+    shape)."""
+    out = np.empty(np.shape(x) + (2, 2), dtype=complex)
     out[..., 0, 0] = -0.5j * z
     out[..., 0, 1] = -0.5j * x - 0.5 * y
     out[..., 1, 0] = -0.5j * x + 0.5 * y
@@ -109,11 +114,35 @@ def spinor_unmap(m):
     return np.stack([x, y, z], axis=-1)
 
 
+def spinor_adjoint(p):
+    """SO(3, C) image of an SL(2, C) matrix under the spinor double cover,
+    batched: column k is the spinor_map preimage of p J(e_k) adj(p), the
+    holomorphic extension of spinor_unmap, written out as quadratics in
+    the entries of p. A homomorphism on SL(2, C) (U^T U = I, det U = 1),
+    even in p; no check is made."""
+    p = np.asarray(p)
+    a, b, c, d = p[..., 0, 0], p[..., 0, 1], p[..., 1, 0], p[..., 1, 1]
+    aa, bb, cc, dd = a * a, b * b, c * c, d * d
+    ab, cd, ac, bd = a * b, c * d, a * c, b * d
+    out = np.empty(p.shape[:-2] + (3, 3), dtype=complex)
+    out[..., 0, 0] = 0.5 * (aa - bb - cc + dd)
+    out[..., 0, 1] = -0.5j * (aa + bb - cc - dd)
+    out[..., 0, 2] = cd - ab
+    out[..., 1, 0] = 0.5j * (aa - bb + cc - dd)
+    out[..., 1, 1] = 0.5 * (aa + bb + cc + dd)
+    out[..., 1, 2] = -1j * (ab + cd)
+    out[..., 2, 0] = bd - ac
+    out[..., 2, 1] = 1j * (ac + bd)
+    out[..., 2, 2] = a * d + b * c
+    return out
+
+
 def adjoint_map(p, tol=1e-9):
     """SO(3) image of an SU(2) matrix under the spinor double cover.
 
-    Column k of the result is the spinor_map preimage of p J(e_k) p^{-1}.
-    A group homomorphism with adjoint_map(p) == adjoint_map(-p).
+    Column k of the result is the spinor_map preimage of p J(e_k) p^{-1}:
+    the real part of spinor_adjoint(p). A group homomorphism with
+    adjoint_map(p) == adjoint_map(-p).
     Raises NotUnitary when p fails unitarity (or |det p - 1|) at tol.
     """
     p = np.asarray(p, dtype=complex)
@@ -124,8 +153,7 @@ def adjoint_map(p, tol=1e-9):
     ddev = np.abs(np.linalg.det(p) - 1.0).max()
     if ddev > tol:
         raise NotUnitary(f"determinant deviates from 1 by {ddev:.3e}")
-    cols = [spinor_unmap(p @ spinor_map(e) @ ph) for e in np.eye(3)]
-    return np.stack(cols, axis=-1)
+    return spinor_adjoint(p).real
 
 
 # Basis dictionary E12 <-> -(i/2)s3, E13 <-> -(i/2)s2, E23 <-> -(i/2)s1

@@ -165,9 +165,10 @@ def cross_check_split(f, i, j):
     ValueError unless (i, j) is a grid node.
 
     Only what the result needs is marched: the frame loop along
-    origin -> (x_i, y_0) -> (x_i, y_j), whose x-leg ends in the on-axis
-    loop at (x_i, y_0), and the two axis ODEs from the origin to node i
-    and to node j. Each equals, bit for bit, the value read from
+    origin -> (x_i, y_0) -> (x_i, y_j), as its spinor lift (see
+    `frames._loop_legs`), whose x-leg ends in the on-axis loop at
+    (x_i, y_0), and the two axis ODEs from the origin to node i and to
+    node j. Each equals, bit for bit, the value read from
     sample_frame_loop(f, i, j, 64, frames._SUBSTEPS) (not at its default
     substeps=1), integrate_plus or integrate_minus.
     """

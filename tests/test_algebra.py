@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from psforge.algebra import (E12, E13, E23, P_TWIST, SIGMA1, SIGMA2, SIGMA3,
-                             adjoint_map, gauge_rotation, hat, spinor_map,
-                             spinor_unmap, so3_to_su2, su2_to_so3, unhat,
+                             adjoint_map, gauge_rotation, hat,
+                             spinor_adjoint, spinor_map, spinor_unmap,
+                             so3_to_su2, su2_to_so3, unhat,
                              wiener_matrix_norm)
 from psforge.errors import NotSkew, NotUnitary
 
@@ -169,6 +170,54 @@ def test_adjoint_map_homomorphism_and_double_cover(seed):
     assert np.abs(dev).max() <= 1e-14
     # p and -p cover the same rotation
     assert np.array_equal(adjoint_map(-p), adjoint_map(p))
+
+
+def _sl2c(r, n=8):
+    """n random SL(2, C) matrices: complex normal entries over a square
+    root of the determinant."""
+    p = r.normal(size=(n, 2, 2)) + 1j * r.normal(size=(n, 2, 2))
+    return p / np.sqrt(np.linalg.det(p))[:, None, None]
+
+
+def _unmap_holomorphic(m):
+    # spinor_unmap without its real parts
+    return np.stack([1j * (m[..., 0, 1] + m[..., 1, 0]),
+                     m[..., 1, 0] - m[..., 0, 1],
+                     1j * (m[..., 0, 0] - m[..., 1, 1])], axis=-1)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(seed=_seeds)
+def test_spinor_adjoint_matches_definition(seed):
+    # column k is the preimage of p J(e_k) adj(p), adj(p) = p^-1 on SL(2, C)
+    p = _sl2c(np.random.default_rng(seed))
+    adj = np.stack([np.stack([p[:, 1, 1], -p[:, 0, 1]], -1),
+                    np.stack([-p[:, 1, 0], p[:, 0, 0]], -1)], -2)
+    want = np.stack([_unmap_holomorphic(p @ spinor_map(e) @ adj)
+                     for e in np.eye(3)], axis=-1)
+    scale = np.abs(p).max(axis=(1, 2)) ** 2
+    dev = np.abs(spinor_adjoint(p) - want).max(axis=(1, 2))
+    assert np.all(dev <= 1e-14 * scale)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(seed=_seeds)
+def test_spinor_adjoint_is_complex_orthogonal_homomorphism(seed):
+    r = np.random.default_rng(seed)
+    p, q = _sl2c(r), _sl2c(r)
+    up, uq = spinor_adjoint(p), spinor_adjoint(q)
+    sp = np.abs(up).max(axis=(1, 2), keepdims=True)
+    sq = np.abs(uq).max(axis=(1, 2), keepdims=True)
+    # U^T U = I and det U = 1 at complex P
+    assert np.all(np.abs(np.swapaxes(up, 1, 2) @ up - np.eye(3))
+                  <= 1e-14 * sp ** 2)
+    assert np.all(np.abs(np.linalg.det(up) - 1.0) <= 1e-14 * sp[:, 0, 0] ** 3)
+    # Ad(PQ) = Ad(P) Ad(Q), and P and -P cover the same matrix
+    assert np.all(np.abs(spinor_adjoint(p @ q) - up @ uq) <= 1e-14 * sp * sq)
+    assert np.array_equal(spinor_adjoint(-p), up)
+    # on SU(2) it is adjoint_map
+    s = _su2(r)
+    assert np.abs(spinor_adjoint(s) - adjoint_map(s)).max() <= 1e-15
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)

@@ -5,14 +5,15 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from psforge import frames, potentials
-from psforge.algebra import E12, E23, P_TWIST, adjoint_map, spinor_map
+from psforge.algebra import (E12, E23, P_TWIST, adjoint_map, spinor_adjoint,
+                             spinor_map)
 from psforge.errors import StepFailure, ZeroSpectralParameter
 from psforge.frames import (check_conditions_K, compatibility_residual,
                             flatness_residual, gauge, integrate_frame,
                             lambda_forms, lax_matrices, maurer_cartan,
                             sample_frame_loop, su2_frame)
 from psforge.loops import _circle_points, check_twist
-from psforge.numerics import deriv4, group_deviation
+from psforge.numerics import deriv4, group_deviation, polar_project
 from psforge.potentials import eta_x, eta_y, integrate_minus, integrate_plus
 from psforge.sinegordon import (AngleField, GridSpec, constant_angle,
                                 load_angle_csv, save_angle_csv, soliton_angle)
@@ -420,20 +421,43 @@ def test_frame_loop_unfold_matches_direct_march(march_field):
         frames._frame_loop_legs(march_field, 80, 30, 30, 2)
 
 
-def _per_node_legs(f, i, j, lams, substeps):
-    """The two legs of `_loop_legs` marched substep by substep by the
-    reference RK4 march `ref_march`, which shares no code with psforge's."""
+def _holomorphic_march(u, ts, start, stop, spacing, substeps, coeff):
+    """`util.ref_march` with the projection of SL(2, C), the group of the
+    spinor lift at a complex lambda, in place of its unitary one."""
+    direction = 1 if stop >= start else -1
+    h_node = direction * spacing
+    h = h_node / substeps
+    for n in range(start, stop, direction):
+        for k in range(substeps):
+            t0 = ts[n] + h_node * k / substeps
+            a1, a2, a3 = coeff(t0), coeff(t0 + 0.5 * h), coeff(t0 + h)
+            k1 = u @ a1
+            k2 = (u + 0.5 * h * k1) @ a2
+            k3 = (u + 0.5 * h * k2) @ a2
+            k4 = (u + h * k3) @ a3
+            u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        u = polar_project(u, holomorphic=True)
+        yield n + direction, u
+
+
+def _per_node_legs(f, i, j, lams, substeps, gens=frames._SU2,
+                   march=_holomorphic_march):
+    """The two legs of `_loop_legs` marched substep by substep under the
+    generator pair gens by a reference RK4 march that shares no code with
+    psforge's: by default the spinor lift P, as `_loop_legs` marches it,
+    mapped to U = spinor_adjoint(P) at each leg's end."""
     g = f.grid
     i0, j0 = g.origin_index()
-    u = np.broadcast_to(np.eye(3, dtype=complex), lams.shape + (3, 3)).copy()
+    m = 2 if gens is frames._SU2 else 3
+    u = np.broadcast_to(np.eye(m, dtype=complex), lams.shape + (m, m)).copy()
     legs = []
     for ts, start, stop, h, axis, line in ((g.xs, i0, i, g.hx, 0, j0),
                                            (g.ys, j0, j, g.hy, 1, i)):
-        coeff = frames._lax_on_line(f, lams, axis, line, frames._SO3, substeps)
-        for _, u in ref_march(u, ts, start, stop, h, substeps,
-                              lambda t: coeff(np.array([t]))[0]):
+        coeff = frames._lax_on_line(f, lams, axis, line, gens, substeps)
+        for _, u in march(u, ts, start, stop, h, substeps,
+                          lambda t: coeff(np.array([t]))[0]):
             pass
-        legs.append(u)
+        legs.append(spinor_adjoint(u) if m == 2 else u)
     return legs
 
 
@@ -448,6 +472,34 @@ def test_march_end_matches_per_node_march(march_field, node):
         assert np.abs(leg - u).max() <= 1e-13 * np.abs(u).max(), node
 
 
+@pytest.mark.parametrize("node", [(80, 30), (17, 91)])
+def test_real_lambda_legs_match_ref_march(march_field, node):
+    # at a real lambda the spinor lift lies in SU(2), whose projection is
+    # the one `util.ref_march` makes
+    lams = np.array([0.5, 1.0, 2.0])
+    want = _per_node_legs(march_field, *node, lams, 2, march=ref_march)
+    for leg, u in zip(frames._loop_legs(march_field, *node, lams, 2), want,
+                      strict=True):
+        assert np.abs(leg - u).max() <= 1e-13 * np.abs(u).max(), node
+
+
+_Y_FIELD = two_soliton(GridSpec(-1.0, -1.0, 41, 41, 0.05, 0.05))
+
+
+def test_spinor_legs_beat_3x3_legs_at_equal_substeps(small_soliton):
+    # the spinor generator turns at half U's rate, so RK4 at substeps 2 ends
+    # about 16 times closer (7-18 times here) to a substeps-16 march of U
+    # than the 3x3 RK4 march of U at substeps 2
+    lams = _circle_points(64)[:17]
+    for f, node in ((small_soliton, (100, 0)), (_Y_FIELD, (40, 40))):
+        ref = _per_node_legs(f, *node, lams, 16, frames._SO3, ref_march)
+        old = _per_node_legs(f, *node, lams, 2, frames._SO3, ref_march)
+        new = frames._loop_legs(f, *node, lams, 2)
+        for u_old, u_new, want in zip(old, new, ref, strict=True):
+            assert (np.abs(u_old - want).max()
+                    >= 4.0 * np.abs(u_new - want).max()), node
+
+
 def test_zero_length_leg_returns_its_input(march_field):
     g = march_field.grid
     i0, j0 = g.origin_index()
@@ -460,9 +512,6 @@ def test_zero_length_leg_returns_its_input(march_field):
     coeff = frames._lax_on_line(march_field, lams, 1, i0, frames._SO3, 2)
     assert np.array_equal(frames._march_end(u0, g.ys, 7, 7, g.hy, 2, coeff),
                           u0)
-
-
-_Y_FIELD = two_soliton(GridSpec(-1.0, -1.0, 41, 41, 0.05, 0.05))
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
