@@ -8,18 +8,17 @@ numerical factorization of twisted matrix Laurent loops.
 
 from . import algebra, cli, frames, loops, potentials, sinegordon, surfaces
 from .errors import (BigCellViolation, IncompatibleCorner, NonconvergentCell,
-                     NotSkew, NotUnitary, PsforgeError, SingularAngle,
-                     StepFailure, TruncationTooSmall, ZeroSpectralParameter)
+                     NotSkew, PsforgeError, SingularAngle, StepFailure,
+                     TruncationTooSmall, ZeroSpectralParameter)
 from .frames import (ExtendedFrame, MaurerCartanForm, check_conditions_K,
                      compatibility_residual, flatness_residual, gauge,
-                     integrate_frame, lambda_forms, lax_matrices,
-                     maurer_cartan, su2_frame)
+                     integrate_frame, lambda_forms, maurer_cartan, su2_frame)
 from .loops import (LaurentLoop, SampledLoop, birkhoff_split, check_reality,
-                    check_twist, loop_eval, loop_norm, multiply)
+                    check_twist, loop_eval)
 from .potentials import (cross_check_split, eta_2x2, eta_x, eta_y,
                          integrate_minus, integrate_plus)
-from .sinegordon import (AngleField, GridSpec, constant_angle, goursat_solve,
-                         sg_residual, soliton_angle)
+from .sinegordon import (AngleField, GridSpec, goursat_solve, sg_residual,
+                         soliton_angle)
 from .surfaces import (HarmonicityReport, SurfaceGeometry, associated_family,
                        export_mesh, fundamental_forms, gauss_map,
                        harmonicity_check, principal_curvatures)

@@ -1,5 +1,5 @@
-"""Fixed-size matrix kernels: so(3)/su(2) dictionaries, basis constants,
-rotations and the Wiener matrix norm.
+"""Fixed-size matrix kernels: the so(3) basis, hat and spinor maps, the
+spinor double cover, the su(2) dictionary, rotations and the Wiener norm.
 
 Geometric 3x3 data is real at real lambda; frame loops and Lax matrices
 at complex lambda are complex 3x3, and the 2x2 (su(2)) side is complex.
@@ -8,13 +8,11 @@ Most functions accept batched arrays (leading axes are broadcast).
 
 import numpy as np
 
-from .errors import NotSkew, NotUnitary
+from .errors import NotSkew
 
 __all__ = [
-    "E12", "E13", "E23", "P_TWIST", "SIGMA1", "SIGMA2", "SIGMA3",
-    "wiener_matrix_norm", "hat", "unhat", "gauge_rotation",
-    "spinor_map", "spinor_unmap", "spinor_adjoint", "adjoint_map",
-    "so3_to_su2", "su2_to_so3",
+    "E12", "E13", "E23", "P_TWIST", "wiener_matrix_norm", "hat", "unhat",
+    "gauge_rotation", "spinor_map", "spinor_adjoint", "so3_to_su2",
 ]
 
 
@@ -33,10 +31,6 @@ E23 = _basis(1, 2)
 # Twist involution matrix: conjugation by P flips the sign of E13 and E23
 # and fixes E12.
 P_TWIST = np.diag([1.0, 1.0, -1.0])
-
-SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def wiener_matrix_norm(a):
@@ -105,21 +99,12 @@ def _spinor(x, y, z):
     return out
 
 
-def spinor_unmap(m):
-    """Inverse of spinor_map on su(2) (anti-Hermitian traceless input)."""
-    m = np.asarray(m)
-    x = (1j * (m[..., 0, 1] + m[..., 1, 0])).real
-    y = (m[..., 1, 0] - m[..., 0, 1]).real
-    z = (1j * (m[..., 0, 0] - m[..., 1, 1])).real
-    return np.stack([x, y, z], axis=-1)
-
-
 def spinor_adjoint(p):
     """SO(3, C) image of an SL(2, C) matrix under the spinor double cover,
-    batched: column k is the spinor_map preimage of p J(e_k) adj(p), the
-    holomorphic extension of spinor_unmap, written out as quadratics in
-    the entries of p. A homomorphism on SL(2, C) (U^T U = I, det U = 1),
-    even in p; no check is made."""
+    batched: column k is the spinor_map preimage of p J(e_k) adj(p),
+    written out as quadratics in the entries of p. A homomorphism on
+    SL(2, C) (U^T U = I, det U = 1), even in p, whose real part is the
+    SO(3) rotation of an SU(2) matrix; no check is made."""
     p = np.asarray(p)
     a, b, c, d = p[..., 0, 0], p[..., 0, 1], p[..., 1, 0], p[..., 1, 1]
     aa, bb, cc, dd = a * a, b * b, c * c, d * d
@@ -137,31 +122,12 @@ def spinor_adjoint(p):
     return out
 
 
-def adjoint_map(p, tol=1e-9):
-    """SO(3) image of an SU(2) matrix under the spinor double cover.
-
-    Column k of the result is the spinor_map preimage of p J(e_k) p^{-1}:
-    the real part of spinor_adjoint(p). A group homomorphism with
-    adjoint_map(p) == adjoint_map(-p).
-    Raises NotUnitary when p fails unitarity (or |det p - 1|) at tol.
-    """
-    p = np.asarray(p, dtype=complex)
-    ph = np.conj(np.swapaxes(p, -1, -2))
-    dev = np.abs(ph @ p - np.eye(2)).max()
-    if dev > tol:
-        raise NotUnitary(f"matrix deviates from unitarity by {dev:.3e}")
-    ddev = np.abs(np.linalg.det(p) - 1.0).max()
-    if ddev > tol:
-        raise NotUnitary(f"determinant deviates from 1 by {ddev:.3e}")
-    return spinor_adjoint(p).real
-
-
 # Basis dictionary E12 <-> -(i/2)s3, E13 <-> -(i/2)s2, E23 <-> -(i/2)s1
 # between so(3) and su(2), transporting potentials between the 3x3 and 2x2
 # pictures: the double-cover differential spinor_map o unhat after the
 # rotation R = diag(-1, 1, -1) by pi about e2. The 2x2 potentials and
 # frames.su2_frame (the plain spinor_map picture) are therefore related
-# by Ad R: conjugation by i s2, which adjoint_map sends to R.
+# by Ad R: conjugation by i s2, which spinor_adjoint sends to R.
 _R_DIAG = np.array([-1.0, 1.0, -1.0])
 
 
@@ -169,7 +135,3 @@ def so3_to_su2(s, tol=1e-9):
     """spinor_map(R unhat(s)); raises NotSkew as unhat does."""
     return spinor_map(_R_DIAG * unhat(s, tol))
 
-
-def su2_to_so3(m):
-    """Inverse of so3_to_su2: hat(R spinor_unmap(m))."""
-    return hat(_R_DIAG * spinor_unmap(m))

@@ -5,10 +5,6 @@ class PsforgeError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NotUnitary(PsforgeError):
-    """A matrix expected in SU(2) fails the unitarity tolerance."""
-
-
 class NotSkew(PsforgeError):
     """A matrix expected to be skew-symmetric is not, within tolerance."""
 

@@ -1,4 +1,4 @@
-"""Lax matrices, extended-frame integration, Maurer-Cartan assembly and
+"""Extended-frame integration of the Lax pair, Maurer-Cartan assembly and
 the flatness / compatibility / conditions-(K) residuals.
 
 The extended frame U(x, y; lambda) solves the right-invariant system
@@ -39,10 +39,10 @@ from .errors import StepFailure, ZeroSpectralParameter
 from .numerics import _mm, deriv4, group_deviation, polar_project, refine
 
 __all__ = [
-    "ExtendedFrame", "MaurerCartanForm", "FormField",
-    "lax_matrices", "integrate_frame", "compatibility_residual",
-    "maurer_cartan", "flatness_residual", "lambda_forms",
-    "check_conditions_K", "gauge", "su2_frame", "sample_frame_loop",
+    "ExtendedFrame", "MaurerCartanForm", "FormField", "integrate_frame",
+    "compatibility_residual", "maurer_cartan", "flatness_residual",
+    "lambda_forms", "check_conditions_K", "gauge", "su2_frame",
+    "sample_frame_loop",
 ]
 
 
@@ -102,11 +102,6 @@ def _spinor_lax(axis):
 _SE3 = (_se3_A, _se3_B)
 _SO3 = (_lax_A, _lax_B)
 _SU2 = (_spinor_lax(0), _spinor_lax(1))
-
-
-def lax_matrices(phi, phi_x, lam):
-    """The Lax pair (A, B) at a point; both skew for real lambda."""
-    return _lax_A(phi_x, lam), _lax_B(phi, lam)
 
 
 @dataclass
@@ -514,7 +509,7 @@ def su2_frame(f, lam, order="xy", substeps=1):
     """Integrate the 2x2 spinor frame P with P(0,0) = I.
 
     The su(2) Lax matrices are the images of A and B under the double
-    cover differential, so adjoint_map(P) reproduces the 3x3 frame. lam
+    cover differential, so spinor_adjoint(P) reproduces the 3x3 frame. lam
     is taken as by `integrate_frame`: a 1-D array becomes the leading
     axis of P, and at a complex lambda P J(e_k) P^-1 = J(U e_k) with the
     complex U of integrate_frame (J = `algebra.spinor_map`).
@@ -532,6 +527,8 @@ def _loop_legs(f, i, j, lams, substeps):
     half U's rate, so about 16 times less RK4 error at the same step.
     Each leg's end is mapped once to U = `algebra.spinor_adjoint`(P)."""
     g = f.grid
+    if not all(isinstance(k, (int, np.integer)) for k in (i, j)):
+        raise ValueError(f"node ({i}, {j}) is not a pair of integers")
     if not (0 <= i < g.nx and 0 <= j < g.ny):
         raise ValueError(f"node ({i}, {j}) is outside the {g.nx}x{g.ny} grid")
     _check_march(lams, substeps)
@@ -559,8 +556,8 @@ def _frame_loop_legs(f, i, j, n, substeps):
     U_{n-s} = conj(U_s) give the rest, exactly in floating point."""
     from .loops import _circle_points
 
-    if n < 4 or n & (n - 1):
-        raise ValueError(f"n = {n} samples: not a power of two >= 4")
+    if not isinstance(n, (int, np.integer)) or n < 4 or n & (n - 1):
+        raise ValueError(f"n = {n} samples: not an integer power of two >= 4")
     legs = _loop_legs(f, i, j, _circle_points(n)[:n // 4 + 1], substeps)
     out = []
     for q in legs:
@@ -570,15 +567,12 @@ def _frame_loop_legs(f, i, j, n, substeps):
 
 
 def sample_frame_loop(f, i, j, n=_LOOP_SAMPLES, substeps=1):
-    """Frame loop lambda -> U(x_i, y_j; lambda) at the n-th roots of unity.
-
-    Integrates the spinor lift of the Lax system (`_loop_legs`) jointly
-    for the sample points along the path origin -> (x_i, y_origin) ->
-    (x_i, y_j): only the n/4 + 1 roots exp(2 pi i s / n), s = 0 .. n/4,
-    and the other samples follow from U(conj lambda) = conj U(lambda) and
-    U(-lambda) = P U(lambda) P. The result is twisted and has real
-    Fourier coefficients. Raises ValueError unless (i, j) is a grid node
-    and n a power of two >= 4.
+    """Frame loop lambda -> U(x_i, y_j; lambda) at the n-th roots of unity:
+    the spinor lift of the Lax system marched along the path origin ->
+    (x_i, y_origin) -> (x_i, y_j) at the n/4 + 1 roots of a quarter circle
+    only, and unfolded by reality and twist (`_frame_loop_legs`), so the
+    loop is twisted with real Fourier coefficients. Raises ValueError
+    unless (i, j) is a grid node and n a power of two >= 4.
     """
     from .loops import SampledLoop
 

@@ -26,9 +26,9 @@ from .algebra import wiener_matrix_norm
 from .errors import BigCellViolation, TruncationTooSmall, ZeroSpectralParameter
 
 __all__ = [
-    "LaurentLoop", "SampledLoop", "loop_norm", "multiply", "loop_eval",
-    "twist_deviation", "check_twist", "check_reality", "birkhoff_split",
-    "save_loop_json", "load_loop_json",
+    "LaurentLoop", "SampledLoop", "loop_eval", "twist_deviation",
+    "check_twist", "check_reality", "birkhoff_split", "save_loop_json",
+    "load_loop_json",
 ]
 
 # Entry masks for the twist parity rule: "block" entries (not mixing the
@@ -111,21 +111,6 @@ class SampledLoop:
         (powers -n/2 .. n/2-1) with the sampled loop's flags."""
         return LaurentLoop(np.fft.fftshift(_fft_coeffs(self.values), axes=0),
                            -(len(self.values) // 2), self.twisted, self.real)
-
-
-def loop_norm(x):
-    """Wiener norm: sum over powers of the max-row-sum matrix norm."""
-    return float(wiener_matrix_norm(x.stack).sum())
-
-
-def multiply(x, y):
-    """Cauchy product of two loops; degree bounds add."""
-    out = np.zeros((len(x.stack) + len(y.stack) - 1, 3, 3),
-                   dtype=np.result_type(x.stack, y.stack))
-    for i, c in enumerate(x.stack):
-        out[i:i + len(y.stack)] += c @ y.stack
-    return LaurentLoop(out, x.kmin + y.kmin, twisted=x.twisted and y.twisted,
-                       real=x.real and y.real)
 
 
 def loop_eval(x, lam):

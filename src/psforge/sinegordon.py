@@ -15,8 +15,8 @@ from .errors import IncompatibleCorner, NonconvergentCell
 from .numerics import deriv4, refine
 
 __all__ = [
-    "GridSpec", "AngleField", "soliton_angle", "constant_angle",
-    "goursat_solve", "sg_residual", "save_angle_csv", "load_angle_csv",
+    "GridSpec", "AngleField", "soliton_angle", "goursat_solve",
+    "sg_residual", "save_angle_csv", "load_angle_csv",
 ]
 
 
@@ -163,18 +163,6 @@ def soliton_angle(a, grid):
     return AngleField(grid, phi_fn(x, y), phix_fn(x, y),
                       phi_fn=phi_fn, phix_fn=phix_fn,
                       phiy_fn=phiy_fn, phixy_fn=phixy_fn)
-
-
-def constant_angle(c, grid):
-    """Constant field phi = c; solves the sine-Gordon equation iff sin c = 0."""
-    c = float(c)
-    x, _ = grid.meshgrid()
-    zero = np.zeros_like(x)
-    return AngleField(grid, np.full_like(x, c), zero,
-                      phi_fn=lambda xx, yy: np.broadcast_to(c, np.shape(xx * yy)).copy(),
-                      phix_fn=lambda xx, yy: np.zeros(np.shape(xx * yy)),
-                      phiy_fn=lambda xx, yy: np.zeros(np.shape(xx * yy)),
-                      phixy_fn=lambda xx, yy: np.zeros(np.shape(xx * yy)))
 
 
 def _goursat_raw(x_data, y_data, grid):

@@ -9,18 +9,18 @@ import time
 import numpy as np
 
 from psforge import cli
-from psforge.algebra import adjoint_map
+from psforge.algebra import spinor_adjoint
 from psforge.errors import BigCellViolation
 from psforge.frames import (check_conditions_K, compatibility_residual,
                             flatness_residual, gauge, integrate_frame,
                             lambda_forms, maurer_cartan, su2_frame)
-from psforge.loops import SampledLoop, birkhoff_split, multiply
+from psforge.loops import SampledLoop, birkhoff_split
 from psforge.potentials import cross_check_split, eta_2x2, eta_x, eta_y
-from psforge.sinegordon import (AngleField, GridSpec, constant_angle,
-                                goursat_solve, save_angle_csv, soliton_angle)
+from psforge.sinegordon import (AngleField, GridSpec, goursat_solve,
+                                save_angle_csv, soliton_angle)
 from psforge.surfaces import (associated_family, fundamental_forms,
                               gauss_map, harmonicity_check)
-from util import coeff_dev, random_twisted_factor
+from util import coeff_dev, constant_angle, multiply, random_twisted_factor
 
 rng = np.random.default_rng(2024)
 
@@ -220,12 +220,16 @@ def test_criterion_08_potential_consistency(soliton):
 def test_criterion_09_spinor_passage(soliton):
     p = su2_frame(soliton, 1.0, substeps=4)
     fr = integrate_frame(soliton, 1.0, substeps=4)
-    dev = np.abs(adjoint_map(p) - fr.U).max()
+    # P in SU(2) to 1e-9: unitary, with determinant 1
+    unit_dev = np.abs(np.conj(np.swapaxes(p, -1, -2)) @ p - np.eye(2)).max()
+    det_dev = np.abs(np.linalg.det(p) - 1.0).max()
+    dev = np.abs(spinor_adjoint(p).real - fr.U).max()
     ex2, _ = eta_2x2(soliton)
     prod_dev = np.abs(ex2.samples[:, 0, 1] * ex2.samples[:, 1, 0] + 0.25).max()
-    ok = dev < 1e-8 and prod_dev < 1e-12
-    _report(9, ok, f"adjoint(P) vs U {dev:.2e}, off-diagonal product "
-                   f"dev {prod_dev:.1e}")
+    ok = (unit_dev <= 1e-9 and det_dev <= 1e-9 and dev < 1e-8
+          and prod_dev < 1e-12)
+    _report(9, ok, f"P in SU(2) to {max(unit_dev, det_dev):.1e}, adjoint(P) "
+                   f"vs U {dev:.2e}, off-diagonal product dev {prod_dev:.1e}")
 
 
 def test_criterion_10_end_to_end(tmp_path):

@@ -10,13 +10,13 @@ import pytest
 from psforge import frames
 from psforge.algebra import E13
 from psforge.cli import _probe_indices, _stats, main, run_verification
-from psforge.loops import (LaurentLoop, load_loop_json, multiply,
-                           save_loop_json)
-from psforge.potentials import cross_check_split, load_potential_csv
-from psforge.sinegordon import (GridSpec, constant_angle, save_angle_csv,
+from psforge.loops import LaurentLoop, load_loop_json, save_loop_json
+from psforge.potentials import (PotentialForm, cross_check_split, eta_2x2,
+                                load_potential_csv, save_potential2_csv)
+from psforge.sinegordon import (GridSpec, load_angle_csv, save_angle_csv,
                                 soliton_angle)
 from psforge.surfaces import read_obj
-from util import random_twisted_factor
+from util import constant_angle, multiply, random_twisted_factor
 
 BETA1 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
 
@@ -176,8 +176,20 @@ def test_potentials_outputs(solved, tmp_path):
     assert np.allclose(ex.samples[i0], BETA1)
     ey_lines = (tmp_path / "eta_y.csv").read_text().splitlines()
     assert len(ey_lines) == 1 + 201
-    assert (tmp_path / "eta_x_su2.csv").exists()
-    assert (tmp_path / "eta_y_su2.csv").exists()
+    # psforge writes the 2x2 potentials only; read back here, they give
+    # eta_2x2 bit for bit, and written again the same bytes
+    for axis, want in zip("xy", eta_2x2(load_angle_csv(solved / "phi.csv"))):
+        path = tmp_path / f"eta_{axis}_su2.csv"
+        coords, re01, im01, re10, im10 = np.loadtxt(
+            path, delimiter=",", usecols=range(1, 6), unpack=True)
+        samples = np.zeros((len(coords), 2, 2), dtype=complex)
+        samples[:, 0, 1] = re01 + 1j * im01
+        samples[:, 1, 0] = re10 + 1j * im10
+        assert np.array_equal(coords, want.coords)
+        assert np.array_equal(samples, want.samples)
+        again = tmp_path / f"again_{axis}.csv"
+        save_potential2_csv(PotentialForm(axis, coords, samples), again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 def test_split_identity(tmp_path):

@@ -5,29 +5,28 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from psforge import frames, potentials
-from psforge.algebra import (E12, E23, P_TWIST, adjoint_map, spinor_adjoint,
-                             spinor_map)
+from psforge.algebra import E12, E23, P_TWIST, spinor_adjoint, spinor_map
 from psforge.errors import StepFailure, ZeroSpectralParameter
 from psforge.frames import (check_conditions_K, compatibility_residual,
                             flatness_residual, gauge, integrate_frame,
-                            lambda_forms, lax_matrices, maurer_cartan,
-                            sample_frame_loop, su2_frame)
+                            lambda_forms, maurer_cartan, sample_frame_loop,
+                            su2_frame)
 from psforge.loops import _circle_points, check_twist
 from psforge.numerics import deriv4, group_deviation, polar_project
 from psforge.potentials import eta_x, eta_y, integrate_minus, integrate_plus
-from psforge.sinegordon import (AngleField, GridSpec, constant_angle,
-                                load_angle_csv, save_angle_csv, soliton_angle)
+from psforge.sinegordon import (AngleField, GridSpec, load_angle_csv,
+                                save_angle_csv, soliton_angle)
 from psforge.surfaces import associated_family
-from util import ref_march, two_soliton
+from util import constant_angle, ref_march, two_soliton
 
 rng = np.random.default_rng(23)
 
 
 def test_lax_matrices_printed_values():
-    a, b = lax_matrices(np.pi, 0.0, 1.0)
+    a, b = frames._lax_A(0.0, 1.0), frames._lax_B(np.pi, 1.0)
     assert np.allclose(a, [[0, 0, 0], [0, 0, 1], [0, -1, 0]])
     assert np.allclose(b, [[0, 0, 0], [0, 0, 1], [0, -1, 0]])
-    a2, b2 = lax_matrices(np.pi / 2, 0.3, 2.0)
+    a2, b2 = frames._lax_A(0.3, 2.0), frames._lax_B(np.pi / 2, 2.0)
     assert np.allclose(b2, 0.5 * np.array([[0, 0, -1], [0, 0, 0], [1, 0, 0]]))
     assert np.allclose(a2, [[0, -0.3, 0], [0.3, 0, 2], [0, -2, 0]])
     assert np.allclose(a2, -a2.T) and np.allclose(b2, -b2.T)
@@ -35,8 +34,8 @@ def test_lax_matrices_printed_values():
 
 def test_lax_twist():
     for lam in (0.5, 1.7):
-        a, b = lax_matrices(1.1, 0.4, lam)
-        am, bm = lax_matrices(1.1, 0.4, -lam + 0j)
+        a, b = frames._lax_A(0.4, lam), frames._lax_B(1.1, lam)
+        am, bm = frames._lax_A(0.4, -lam + 0j), frames._lax_B(1.1, -lam + 0j)
         assert np.allclose(am, P_TWIST @ a @ P_TWIST)
         assert np.allclose(bm, P_TWIST @ b @ P_TWIST)
 
@@ -77,6 +76,9 @@ def test_frame_constant_angle_exponential_oracle():
 def test_frame_rejects_bad_lambda(soliton):
     with pytest.raises(ValueError):
         integrate_frame(soliton, -1.0)
+    for integrate, eta in ((integrate_plus, eta_x), (integrate_minus, eta_y)):
+        with pytest.raises(ValueError, match="lambda must be positive"):
+            integrate(eta(soliton), -1.0)
     with pytest.raises(ValueError):
         integrate_frame(soliton, 1.0, order="diagonal")
     with pytest.raises(ValueError):
@@ -249,7 +251,7 @@ def test_su2_frame_matches_adjoint(small_soliton):
         assert np.abs(ph @ p - np.eye(2)).max() < 1e-9
         assert np.abs(np.linalg.det(p) - 1.0).max() < 1e-9
         fr = integrate_frame(small_soliton, lam, order=order, substeps=4)
-        assert np.abs(adjoint_map(p) - fr.U).max() < 1e-8
+        assert np.abs(spinor_adjoint(p).real - fr.U).max() < 1e-8
 
 
 def test_su2_frame_lambda_batch_matches_members(small_soliton):
@@ -413,12 +415,16 @@ def test_direct_frame_loop_is_twisted_real(march_field):
 def test_frame_loop_unfold_matches_direct_march(march_field):
     n = 64
     direct = frames._loop_legs(march_field, 80, 30, _circle_points(n), 2)
-    for leg, want in zip(frames._frame_loop_legs(march_field, 80, 30, n, 2),
-                         direct):
+    # numpy integers are indices and sample counts as well
+    unfolded = frames._frame_loop_legs(march_field, np.int64(80),
+                                       np.int64(30), np.int64(n), 2)
+    for leg, want in zip(unfolded, direct):
         assert np.abs(leg - want).max() <= 1e-12 * np.abs(want).max()
-    # a SampledLoop takes a power of two >= 4 samples only
-    with pytest.raises(ValueError, match="n = 30"):
-        frames._frame_loop_legs(march_field, 80, 30, 30, 2)
+    # a SampledLoop takes an integer power of two >= 4 samples only
+    for bad in (30, 16.0):
+        with pytest.raises(ValueError, match=f"n = {bad} samples: not an "
+                                             "integer power of two"):
+            frames._frame_loop_legs(march_field, 80, 30, bad, 2)
 
 
 def _holomorphic_march(u, ts, start, stop, spacing, substeps, coeff):
@@ -574,7 +580,8 @@ def test_march_rejects_non_finite_lambda(small_soliton, lam):
     f = small_soliton
     calls = [lambda: integrate_frame(f, lam), lambda: su2_frame(f, lam),
              lambda: frames._loop_legs(f, 60, 40, np.atleast_1d(lam) + 0j, 2),
-             lambda: integrate_plus(eta_x(f), lam)]
+             lambda: integrate_plus(eta_x(f), lam),
+             lambda: integrate_minus(eta_y(f), lam)]
     if not np.iscomplexobj(lam):
         calls.append(lambda: associated_family(f, np.atleast_1d(lam)))
     for call in calls:

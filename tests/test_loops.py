@@ -10,9 +10,9 @@ from psforge.frames import sample_frame_loop
 from psforge.sinegordon import GridSpec
 from psforge.loops import (LaurentLoop, SampledLoop, birkhoff_split,
                            check_reality, check_twist, load_loop_json,
-                           loop_eval, loop_norm, multiply, save_loop_json)
-from util import (coeff_dev, random_twisted_algebra, random_twisted_factor,
-                  two_soliton)
+                           loop_eval, save_loop_json)
+from util import (coeff_dev, loop_norm, multiply, random_twisted_algebra,
+                  random_twisted_factor, two_soliton)
 
 rng = np.random.default_rng(5)
 

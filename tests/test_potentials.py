@@ -12,11 +12,10 @@ from psforge.potentials import (PotentialForm, _integrate_axis,
                                 cross_check_split, eta_2x2, eta_x, eta_y,
                                 integrate_minus, integrate_plus,
                                 load_potential_csv, rotation_V0,
-                                save_potential_csv, save_potential2_csv)
-from psforge.sinegordon import (AngleField, GridSpec, constant_angle,
-                                load_angle_csv, save_angle_csv,
-                                soliton_angle)
-from util import _rk4_pair, coeff_dev, two_soliton
+                                save_potential_csv)
+from psforge.sinegordon import (AngleField, GridSpec, load_angle_csv,
+                                save_angle_csv, soliton_angle)
+from util import _rk4_pair, coeff_dev, constant_angle, two_soliton
 
 BETA1 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
 
@@ -268,14 +267,18 @@ def test_axis_ode_to_a_node_equals_whole_axis(tmp_path, sampled):
                                       want[k]), (axis, k)
 
 
-@pytest.mark.parametrize("node", ["i=-1", "j=-1", "i=nx", "j=ny"])
+@pytest.mark.parametrize("node", ["i=-1", "j=-1", "i=nx", "j=ny",
+                                  "i=30.5", "j=16.0"])
 def test_probe_node_out_of_range(soliton_51, node):
     g = soliton_51.grid
-    i, j = {"i=-1": (-1, 30), "j=-1": (30, -1),
-            "i=nx": (g.nx, 30), "j=ny": (30, g.ny)}[node]
-    with pytest.raises(ValueError, match="outside the 51x51 grid"):
+    out, frac = "outside the 51x51 grid", "not a pair of integers"
+    i, j, match = {"i=-1": (-1, 30, out), "j=-1": (30, -1, out),
+                   "i=nx": (g.nx, 30, out), "j=ny": (30, g.ny, out),
+                   "i=30.5": (30.5, 30, frac),
+                   "j=16.0": (30, 16.0, frac)}[node]
+    with pytest.raises(ValueError, match=match):
         cross_check_split(soliton_51, i, j)
-    with pytest.raises(ValueError, match="outside the 51x51 grid"):
+    with pytest.raises(ValueError, match=match):
         sample_frame_loop(soliton_51, i, j, n=16)
 
 
@@ -361,10 +364,6 @@ def test_potential_csv_round_trip(tmp_path, soliton):
     assert back.axis == "x"
     assert np.array_equal(back.coords, ex.coords)
     assert np.array_equal(back.samples, ex.samples)
-    ex2, _ = eta_2x2(soliton)
-    save_potential2_csv(ex2, tmp_path / "eta_x2.csv")
-    lines = (tmp_path / "eta_x2.csv").read_text().splitlines()
-    assert len(lines) == 1 + soliton.grid.nx
 
 
 def test_potential_csv_rejects_mixed_axes(tmp_path):

@@ -4,9 +4,9 @@ import pytest
 from psforge.errors import IncompatibleCorner, NonconvergentCell
 from psforge.numerics import deriv4
 from psforge.sinegordon import (AngleField, GridSpec, _goursat_raw,
-                                constant_angle, goursat_solve, load_angle_csv,
-                                save_angle_csv, sg_residual, soliton_angle)
-from util import ref_goursat_raw, two_soliton
+                                goursat_solve, load_angle_csv, save_angle_csv,
+                                sg_residual, soliton_angle)
+from util import constant_angle, ref_goursat_raw, two_soliton
 
 
 def unit_grid(n=101, h=0.02):

@@ -1,16 +1,18 @@
 """Shared test helpers: random twisted loop-group factors, an RK4 ODE
 oracle independent of psforge's march (`_rk4_pair`, one step of u' = u a
-and, given w, of its derivative w' = w a + u d), the per-substep march
-psforge used before its propagator form (`ref_march`), the per-interval
-Lagrange weights of `numerics.refine` before they were shared per offset
-(`ref_refine`), the quadrant-by-quadrant Goursat sweep before the
-one-wavefront sweep (`ref_goursat_raw`), a closed-form two-soliton field and
-per-node reference writers."""
+and, given w, of its derivative w' = w a + u d), the Wiener loop norm,
+Cauchy product and constant angle field that only tests use (`loop_norm`,
+`multiply`, `constant_angle`), the per-substep march psforge used before
+its propagator form (`ref_march`), the per-interval Lagrange weights of
+`numerics.refine` before they were shared per offset (`ref_refine`), the
+quadrant-by-quadrant Goursat sweep before the one-wavefront sweep
+(`ref_goursat_raw`), a closed-form two-soliton field and per-node
+reference writers."""
 
 import numpy as np
 from scipy.linalg import expm
 
-from psforge.algebra import E12, E13, E23
+from psforge.algebra import E12, E13, E23, wiener_matrix_norm
 from psforge.errors import NonconvergentCell
 from psforge.loops import LaurentLoop
 from psforge.numerics import _STENCIL, polar_project
@@ -194,6 +196,33 @@ def two_soliton(grid, a1=0.8, a2=1.7):
     x, y = grid.meshgrid()
     return AngleField(grid, phi_fn(x, y), phix_fn(x, y), phi_fn=phi_fn,
                       phix_fn=phix_fn)
+
+
+def loop_norm(x):
+    """Wiener norm: sum over powers of the max-row-sum matrix norm."""
+    return float(wiener_matrix_norm(x.stack).sum())
+
+
+def multiply(x, y):
+    """Cauchy product of two loops; degree bounds add."""
+    out = np.zeros((len(x.stack) + len(y.stack) - 1, 3, 3),
+                   dtype=np.result_type(x.stack, y.stack))
+    for i, c in enumerate(x.stack):
+        out[i:i + len(y.stack)] += c @ y.stack
+    return LaurentLoop(out, x.kmin + y.kmin, twisted=x.twisted and y.twisted,
+                       real=x.real and y.real)
+
+
+def constant_angle(c, grid):
+    """Constant field phi = c; solves the sine-Gordon equation iff sin c = 0."""
+    c = float(c)
+    x, _ = grid.meshgrid()
+    zero = np.zeros_like(x)
+    return AngleField(grid, np.full_like(x, c), zero,
+                      phi_fn=lambda xx, yy: np.broadcast_to(c, np.shape(xx * yy)).copy(),
+                      phix_fn=lambda xx, yy: np.zeros(np.shape(xx * yy)),
+                      phiy_fn=lambda xx, yy: np.zeros(np.shape(xx * yy)),
+                      phixy_fn=lambda xx, yy: np.zeros(np.shape(xx * yy)))
 
 
 def coeff_dev(a, b):
