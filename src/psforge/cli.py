@@ -119,7 +119,13 @@ def _grid_from_args(args):
         raise SystemExit("psforge: domain bounds must be ordered, steps positive")
     nx = round((x1 - x0) / hx) + 1
     ny = round((y1 - y0) / hy) + 1
-    return GridSpec(x0, y0, nx, ny, hx, hy)
+    for axis, a, b, h, n in (("x", x0, x1, hx, nx), ("y", y0, y1, hy, ny)):
+        if abs(a + (n - 1) * h - b) > 1e-9 * max(1.0, abs(b)):
+            raise SystemExit(f"psforge: the step {h!r} does not tile the "
+                             f"{axis} domain [{a!r}, {b!r}]")
+    grid = GridSpec(x0, y0, nx, ny, hx, hy)
+    grid.origin_index()  # ValueError (exit 2) without a node at the origin
+    return grid
 
 
 def _load_field(args):

@@ -288,17 +288,25 @@ def _check_transport(u, holomorphic=None):
                           "more substeps or a finer grid")
 
 
-def _check_march(lam, substeps):
-    """Raise ValueError unless substeps is an integer >= 1 and lambda (a
-    number or an array) is finite, and ZeroSpectralParameter if lambda is
-    0, where the frame equations' 1/lambda is singular."""
+def _spectral(lam, substeps, batch=True):
+    """The one rule by which every march takes lambda and substeps: an
+    integer >= 1; lambda finite, positive or complex (0j raises
+    ZeroSpectralParameter), one number or, where the march batches, a 1-D
+    array. Returns lambda as floats or complex numbers; else ValueError."""
     if not isinstance(substeps, (int, np.integer)) or substeps < 1:
         raise ValueError(f"substeps must be an integer >= 1, not {substeps!r}")
     if not np.all(np.isfinite(lam)):
         raise ValueError(f"lambda must be finite, not {lam!r}")
-    if np.any(np.asarray(lam) == 0):
+    a = np.asarray(lam, complex if np.iscomplexobj(lam) else float)
+    if not (np.iscomplexobj(a) or np.all(a > 0)):
+        raise ValueError(f"lambda must be positive or complex, not {lam!r}")
+    if a.ndim > batch:
+        raise ValueError("lambda must be positive or complex, and a number"
+                         + (" or a 1-D array" if batch else ""))
+    if np.any(a == 0):
         raise ZeroSpectralParameter("the frame equations are singular at "
                                     "lambda = 0")
+    return a if a.ndim else a.item()
 
 
 def _lax_on_line(f, lam, axis, line, gens, substeps):
@@ -344,7 +352,6 @@ def _fill_grid(f, lam, order, u0, substeps, gens):
     gens. Returns the states, of shape lam.shape + (nx, ny) + u0.shape."""
     if order not in ("xy", "yx"):
         raise ValueError("order must be 'xy' or 'yx'")
-    _check_march(lam, substeps)
     g = f.grid
     U = np.zeros(np.shape(lam) + (g.nx, g.ny) + u0.shape, u0.dtype)
     a, b = (0, 1) if order == "xy" else (1, 0)
@@ -368,17 +375,6 @@ def _fill_grid(f, lam, order, u0, substeps, gens):
     return U
 
 
-def _spectral(lam):
-    """lambda as the frame integrators take it: a complex number (array),
-    or a positive number or 1-D array of them (ValueError otherwise)."""
-    if np.iscomplexobj(np.asarray(lam)):
-        return lam
-    lam = np.asarray(lam, dtype=float) if np.ndim(lam) else float(lam)
-    if np.ndim(lam) > 1 or np.any(lam <= 0):
-        raise ValueError("lambda must be positive (a number or a 1-D array)")
-    return lam
-
-
 def integrate_frame(f, lam, order="xy", substeps=1):
     """Integrate the extended frame U and the Sym position psi over the
     whole grid from U(0,0) = I, psi(0,0) = 0, marching the Euclidean frame
@@ -387,13 +383,14 @@ def integrate_frame(f, lam, order="xy", substeps=1):
     order="xy" sweeps along the x axis through the origin first and then
     along every column (the default); "yx" is the transposed path, useful
     for path-independence checks. substeps > 1 subdivides each grid step
-    (the spectral accuracy limit of plain RK4 at the grid step). lam is a
-    (complex) number or a 1-D array of positive numbers; an array becomes
-    the leading axis of U and psi, every member integrated at once. Raises
+    (the spectral accuracy limit of plain RK4 at the grid step). lam and
+    substeps follow the rule of every march (`_spectral`): lam is positive
+    or complex, a number or a 1-D array; an array becomes the leading
+    axis of U and psi, every member integrated at once. Raises
     StepFailure when the march leaves the group, i.e. when the step is too
     coarse for lambda; more substeps resolve it.
     """
-    lam = _spectral(lam)
+    lam = _spectral(lam, substeps)
     u0 = np.eye(3, 4, dtype=complex if np.iscomplexobj(lam) else float)
     F = _fill_grid(f, lam, order, u0, substeps, _SE3)
     return ExtendedFrame(f.grid, lam, F[..., :3].copy(), F[..., 3].copy())
@@ -510,12 +507,12 @@ def su2_frame(f, lam, order="xy", substeps=1):
 
     The su(2) Lax matrices are the images of A and B under the double
     cover differential, so spinor_adjoint(P) reproduces the 3x3 frame. lam
-    is taken as by `integrate_frame`: a 1-D array becomes the leading
-    axis of P, and at a complex lambda P J(e_k) P^-1 = J(U e_k) with the
-    complex U of integrate_frame (J = `algebra.spinor_map`).
+    is taken by the rule of every march (`_spectral`): a 1-D array becomes
+    the leading axis of P, and at a complex lambda P J(e_k) P^-1 = J(U e_k)
+    with the complex U of integrate_frame (J = `algebra.spinor_map`).
     """
-    return _fill_grid(f, _spectral(lam), order, np.eye(2, dtype=complex),
-                      substeps, _SU2)
+    return _fill_grid(f, _spectral(lam, substeps), order,
+                      np.eye(2, dtype=complex), substeps, _SU2)
 
 
 def _loop_legs(f, i, j, lams, substeps):
@@ -531,10 +528,10 @@ def _loop_legs(f, i, j, lams, substeps):
         raise ValueError(f"node ({i}, {j}) is not a pair of integers")
     if not (0 <= i < g.nx and 0 <= j < g.ny):
         raise ValueError(f"node ({i}, {j}) is outside the {g.nx}x{g.ny} grid")
-    _check_march(lams, substeps)
+    lams = _spectral(lams, substeps)
     i0, j0 = g.origin_index()
     holomorphic = np.iscomplexobj(lams)
-    p = np.broadcast_to(np.eye(2, dtype=complex), lams.shape + (2, 2)).copy()
+    p = np.zeros(np.shape(lams) + (2, 2), complex) + np.eye(2)
     p_axis = _march_end(p, g.xs, i0, i, g.hx, substeps,
                         _lax_on_line(f, lams, 0, j0, _SU2, substeps))
     p = _march_end(p_axis, g.ys, j0, j, g.hy, substeps,

@@ -24,6 +24,7 @@ import numpy as np
 
 from .algebra import wiener_matrix_norm
 from .errors import BigCellViolation, TruncationTooSmall, ZeroSpectralParameter
+from .numerics import group_deviation
 
 __all__ = [
     "LaurentLoop", "SampledLoop", "loop_eval", "twist_deviation",
@@ -274,7 +275,7 @@ def birkhoff_split(g, direction="minus-first", truncation=16, tol=1e-10):
         cap = n // 2 - 1
         trunc = min(trunc, cap)
         samples = samples[sign * np.arange(n) % n]
-        dev = np.abs(np.swapaxes(samples, -1, -2) @ samples - np.eye(3)).max()
+        dev = group_deviation(samples)
         if not dev <= _ORTHO_TOL:  # NaN compares False
             what = "orthogonal-valued" if np.isfinite(dev) else "finite"
             raise ValueError(

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import E13, E23, gauge_rotation, so3_to_su2
-from .frames import (_LOOP_SAMPLES, _SUBSTEPS, _check_march, _check_transport,
-                     _frame_loop_legs, _march, _stage_table)
+from .frames import (_LOOP_SAMPLES, _SUBSTEPS, _check_transport,
+                     _frame_loop_legs, _march, _spectral, _stage_table)
 from .loops import SampledLoop, birkhoff_split, loop_eval
 from .numerics import refine_span
 from .sinegordon import _origin_node, _write_rows
@@ -97,14 +97,12 @@ def _integrate_axis(pot, axis, lam, node=None):
     _AXIS_SUBSTEPS substeps per node. Returns the solution at every node,
     or, given a node, only at that node, marching from the origin to it
     over a stage table of that span only. The march steps by the first
-    spacing, so fewer than 2 coordinates, a non-finite one, any other
-    spacing, no node at 0 (`sinegordon._origin_node`) or samples that are
-    not one finite 3x3 matrix per node raise ValueError."""
+    spacing, so fewer than 2 coordinates, a non-finite one, a zero or any
+    other spacing, no node at 0 (`sinegordon._origin_node`) or samples
+    that are not one finite 3x3 matrix per node raise ValueError."""
     if pot.axis != axis:
         raise ValueError(f"expected an {axis}-potential, got {pot.axis!r}")
-    _check_march(lam, _AXIS_SUBSTEPS)  # lambda 0 or not finite
-    if not np.iscomplexobj(np.asarray(lam)) and lam < 0:
-        raise ValueError("lambda must be positive")
+    lam = _spectral(lam, _AXIS_SUBSTEPS, batch=False)
     factor = -lam if axis == "x" else -1.0 / lam
     coords, samples = pot.coords, pot.samples
     if len(coords) < 2 or not np.all(np.isfinite(coords)):
@@ -125,6 +123,8 @@ def _integrate_axis(pot, axis, lam, node=None):
                          f"from the first step {h:.6g}")
     origin = _origin_node(coords[0], h, len(coords),
                           f"the {axis}-potential's axis")
+    if h == 0:
+        raise ValueError(f"{axis}-potential axis has a zero step")
     u0 = np.eye(3, dtype=np.result_type(factor, samples))
     lo, hi = (0, len(coords) - 1) if node is None else sorted((origin, node))
     span = refine_span(len(coords), lo, hi)
@@ -141,14 +141,14 @@ def _integrate_axis(pot, axis, lam, node=None):
 
 def integrate_plus(pot, lam):
     """Integrate the plus Birkhoff factor: U+^{-1} dU+/dx = -lambda eta_x,
-    U+(0) = I. Returns the factor along the x axis at one lambda (complex
-    lambda admitted for circle sampling)."""
+    U+(0) = I. Returns the factor along the x axis at one lambda, positive
+    or complex (the rule of every march, `frames._spectral`)."""
     return _integrate_axis(pot, "x", lam)
 
 
 def integrate_minus(pot, lam):
     """Integrate the minus Birkhoff factor: U-^{-1} dU-/dy = -eta_y/lambda,
-    U-(0) = I. Returns the factor along the y axis at one lambda."""
+    U-(0) = I, along the y axis at one lambda (see `integrate_plus`)."""
     return _integrate_axis(pot, "y", lam)
 
 

@@ -99,6 +99,27 @@ def test_solve_rejects_small_grid_exit_2(tmp_path, capsys, source):
     assert not (tmp_path / "phi.csv").exists()
 
 
+@pytest.mark.parametrize("domain, err", [
+    (["-1", "1", "-1", "1", "--h", "0.3"],
+     "the step 0.3 does not tile the x domain [-1.0, 1.0]"),
+    (["-1", "1", "-1", "1", "--h", "0.1", "--hy", "0.3"],
+     "the step 0.3 does not tile the y domain"),
+    (["0.1", "1.1", "-1", "1", "--h", "0.1"],
+     "the grid's x axis does not contain the origin"),
+    (["-0.45", "1.55", "-1", "1", "--h", "0.1"],
+     "the origin does not fall on a node of the grid's x axis"),
+], ids=["untiled-x", "untiled-y", "no-origin", "origin-off-node"])
+def test_solve_rejects_grid_exit_2(tmp_path, capsys, domain, err):
+    # these grids used to be written, the untiled one on [-1, 1.1]^2, and
+    # only `surface` found that the origin is not a node
+    out = tmp_path / "out"
+    code = main(["solve", "--soliton", "1", "--domain", *domain,
+                 "--out", str(out)])
+    assert code == 2
+    assert err in capsys.readouterr().err
+    assert not out.exists()
+
+
 _DOMAIN = ["--domain", "-1", "1", "-1", "1"]
 
 

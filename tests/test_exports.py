@@ -71,3 +71,25 @@ def test_private_definitions_are_used(name):
         unused += [d for d in defined if d.startswith("_")
                    and not d.startswith("__") and reads[d] == own[d]]
     assert not unused, f"psforge.{name} defines unused names {unused}"
+
+
+def _leading_text(node):
+    """The constant text a message expression starts with, or ''."""
+    while isinstance(node, ast.BinOp):
+        node = node.left
+    if isinstance(node, ast.JoinedStr) and node.values:
+        node = node.values[0]
+    value = node.value if isinstance(node, ast.Constant) else ""
+    return value if isinstance(value, str) else ""
+
+
+def test_lambda_is_checked_in_frames_only():
+    # every march takes lambda by one rule, frames._spectral: no other
+    # module raises a ValueError of its own about lambda
+    raisers = {name for name, tree in _TREES.items()
+               for node in ast.walk(tree) if isinstance(node, ast.Raise)
+               and isinstance(node.exc, ast.Call)
+               and getattr(node.exc.func, "id", None) == "ValueError"
+               and node.exc.args and _leading_text(
+                   node.exc.args[0]).startswith("lambda must be")}
+    assert raisers == {"frames"}, f"lambda checked outside frames: {raisers}"

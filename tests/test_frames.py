@@ -589,6 +589,32 @@ def test_march_rejects_non_finite_lambda(small_soliton, lam):
             call()
 
 
+def test_every_march_takes_lambda_by_one_rule(small_soliton):
+    # the grid frames, the loop legs and the axis ODEs refuse a real
+    # lambda <= 0 alike; the axis ODEs used to raise ZeroSpectralParameter
+    # at 0, and the loop legs marched -1
+    f = small_soliton
+    marches = [lambda lam: integrate_frame(f, lam),
+               lambda lam: su2_frame(f, lam),
+               lambda lam: frames._loop_legs(f, 60, 40, lam, 2),
+               lambda lam: integrate_plus(eta_x(f), lam),
+               lambda lam: integrate_minus(eta_y(f), lam)]
+    for lam in (0.0, -1.0):
+        errors = set()
+        for march in marches:
+            with pytest.raises(ValueError) as err:
+                march(lam)
+            errors.add(str(err.value))
+        (error,) = errors
+        assert error.startswith("lambda must be positive")
+    # the axis ODEs march one lambda; a batch used to end in numpy's
+    # "truth value of an array" error (real) or a broadcast error (complex)
+    for lam in (np.array([0.5, 1.0]), np.array([0.5j, 1j])):
+        for march in marches[3:]:
+            with pytest.raises(ValueError, match="lambda must be"):
+                march(lam)
+
+
 @pytest.fixture(scope="module")
 def two_soliton_201():
     return two_soliton(GridSpec(-2.0, -2.0, 201, 201, 0.02, 0.02))

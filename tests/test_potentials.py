@@ -340,6 +340,14 @@ def test_integrate_axis_needs_a_node_at_the_origin():
     assert np.array_equal(integrate_minus(pot, 1.0)[0], np.eye(3))
 
 
+def test_integrate_axis_rejects_zero_step():
+    # five nodes at 0: the origin is a node, but there is no step to march
+    # by; this used to end in RuntimeWarnings and numpy's IndexError
+    pot = PotentialForm("x", np.zeros(5), np.broadcast_to(BETA1, (5, 3, 3)))
+    with pytest.raises(ValueError, match="x-potential axis has a zero step"):
+        integrate_plus(pot, 1.0)
+
+
 def test_integrate_axis_rejects_bad_samples(soliton_51):
     # 5 samples on 51 nodes used to end in an IndexError of the stage
     # table, and a nan sample in a StepFailure that blamed the step
