@@ -40,10 +40,12 @@ DEFAULT_TOLERANCES = {
 
 _CONFIG_TYPES = {
     "soliton": float, "h": float, "hx": float, "hy": float,
-    "domain": str, "lambdas": str, "out": str, "phi": str, "phi_x": str,
+    "domain": str.split, "lambdas": str, "out": str, "phi": str, "phi_x": str,
     "x_data": str, "y_data": str, "loop": str, "direction": str,
     "truncation": int, "tol": float, "su2": bool, "mesh": bool,
 }
+_BOOLS = {"1": True, "true": True, "yes": True,
+          "0": False, "false": False, "no": False}
 
 
 def _finite(flag, value):
@@ -79,10 +81,11 @@ def _load_config(path, args):
             raise SystemExit(f"psforge: unknown config key {key!r}")
         if getattr(args, attr, None) is None:
             typ = _CONFIG_TYPES[attr]
-            if typ is bool:
-                setattr(args, attr, value.lower() in ("1", "true", "yes"))
-            else:
-                setattr(args, attr, typ(value))
+            if typ is bool and value.lower() not in _BOOLS:
+                raise SystemExit(f"psforge: config key {key!r} is a boolean "
+                                 f"(1/true/yes or 0/false/no), not {value!r}")
+            setattr(args, attr,
+                    _BOOLS[value.lower()] if typ is bool else typ(value))
     return args
 
 
@@ -100,13 +103,9 @@ def _parse_lambdas(text):
 def _grid_from_args(args):
     if args.domain is None:
         raise SystemExit("psforge: --domain is required")
-    if isinstance(args.domain, str):
-        parts = args.domain.split()
-        if len(parts) != 4:
-            raise SystemExit("psforge: domain needs four numbers")
-        x0, x1, y0, y1 = map(float, parts)
-    else:
-        x0, x1, y0, y1 = args.domain
+    if len(args.domain) != 4:
+        raise SystemExit("psforge: domain needs four numbers")
+    x0, x1, y0, y1 = map(float, args.domain)
     for v in (x0, x1, y0, y1):
         _finite("--domain", v)
     hx = args.hx if args.hx is not None else args.h
@@ -312,8 +311,7 @@ class _Checks:
         return self._members
 
     def compatibility(self):
-        return _sup_mean((frames.compatibility_residual(self.field, lam), None)
-                         for lam in self.lambdas)
+        return _stats(frames.compatibility_residual(self.field))
 
     def flatness(self):
         form = frames.maurer_cartan(self.field)

@@ -33,9 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (E12, E13, E23, P_TWIST, _spinor, gauge_rotation,
-                      spinor_adjoint, unhat)
+from .algebra import (E12, E13, E23, _spinor, gauge_rotation, spinor_adjoint,
+                      unhat)
 from .errors import StepFailure, ZeroSpectralParameter
+from .loops import _TWIST_SIGNS, SampledLoop, _circle_points
 from .numerics import _mm, deriv4, group_deviation, polar_project, refine
 
 __all__ = [
@@ -396,22 +397,12 @@ def integrate_frame(f, lam, order="xy", substeps=1):
     return ExtendedFrame(f.grid, lam, F[..., :3].copy(), F[..., 3].copy())
 
 
-def compatibility_residual(f, lam):
-    """Frobenius norm of A_y - B_x - [A, B] per node.
-
-    Vanishes exactly when phi solves the sine-Gordon equation; uses
-    analytic derivatives of phi when the field carries them.
-    """
-    phi = f.phi
-    phi_x = f.dphi_dx
-    phi_xy = f.phi_xy()
-    A = _lax_A(phi_x, lam)
-    B = _lax_B(phi, lam)
-    A_y = -phi_xy[..., None, None] * E12
-    B_x = (phi_x / lam)[..., None, None] * (-np.cos(phi)[..., None, None] * E13
-                                            + np.sin(phi)[..., None, None] * E23)
-    R = A_y - B_x - (A @ B - B @ A)
-    return np.linalg.norm(R, axis=(-2, -1))
+def compatibility_residual(f):
+    """Frobenius norm of A_y - B_x - [A, B] = (sin(phi) - phi_xy) E12 per
+    node, the same at every lambda: zero exactly when phi solves the
+    sine-Gordon equation. Analytic derivatives of phi are used when the
+    field carries them."""
+    return np.sqrt(2.0) * np.abs(np.sin(f.phi) - f.phi_xy())
 
 
 def maurer_cartan(f):
@@ -541,18 +532,12 @@ def _loop_legs(f, i, j, lams, substeps):
     return spinor_adjoint(p_axis), spinor_adjoint(p)
 
 
-# P U P for the twist P = diag(1, 1, -1): a sign flip per entry
-_TWIST_SIGNS = np.outer(np.diag(P_TWIST), np.diag(P_TWIST))
-
-
 def _frame_loop_legs(f, i, j, n, substeps):
     """`_loop_legs` at the n-th roots of unity lambda_s = exp(2 pi i s / n),
     n a power of two >= 4. The Lax system is real, U(conj lambda) =
     conj U(lambda), and twisted, U(-lambda) = P U(lambda) P, so only the
     quarter circle s = 0 .. n/4 is marched: U_{n/2-s} = P conj(U_s) P and
     U_{n-s} = conj(U_s) give the rest, exactly in floating point."""
-    from .loops import _circle_points
-
     if not isinstance(n, (int, np.integer)) or n < 4 or n & (n - 1):
         raise ValueError(f"n = {n} samples: not an integer power of two >= 4")
     legs = _loop_legs(f, i, j, _circle_points(n)[:n // 4 + 1], substeps)
@@ -571,7 +556,5 @@ def sample_frame_loop(f, i, j, n=_LOOP_SAMPLES, substeps=1):
     loop is twisted with real Fourier coefficients. Raises ValueError
     unless (i, j) is a grid node and n a power of two >= 4.
     """
-    from .loops import SampledLoop
-
     return SampledLoop(_frame_loop_legs(f, i, j, n, substeps)[1],
                        twisted=True, real=True)

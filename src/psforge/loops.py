@@ -18,11 +18,11 @@ on the big cell; failure is reported through BigCellViolation.
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import wiener_matrix_norm
+from .algebra import P_TWIST, wiener_matrix_norm
 from .errors import BigCellViolation, TruncationTooSmall, ZeroSpectralParameter
 from .numerics import group_deviation
 
@@ -32,9 +32,11 @@ __all__ = [
     "load_loop_json",
 ]
 
-# Entry masks for the twist parity rule: "block" entries (not mixing the
-# third index) live at even powers, "cross" entries at odd powers.
-_BLOCK = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=bool)
+# P X P for the twist P = diag(1, 1, -1): a sign flip per entry. The
+# entries it keeps ("block", not mixing the third index) live at even
+# powers, the others ("cross") at odd powers.
+_TWIST_SIGNS = np.outer(np.diag(P_TWIST), np.diag(P_TWIST))
+_BLOCK = _TWIST_SIGNS > 0
 _CROSS = ~_BLOCK
 
 _MAX_TRUNCATION = 256   # largest Fourier truncation birkhoff_split tries
@@ -71,10 +73,6 @@ class LaurentLoop:
             stack[k - kmin] = c
         return cls(stack, kmin, twisted, real)
 
-    @classmethod
-    def identity(cls):
-        return cls(np.eye(3)[None], 0, twisted=True, real=True)
-
     @property
     def kmax(self):
         return self.kmin + len(self.stack) - 1
@@ -87,25 +85,18 @@ class LaurentLoop:
 
 @dataclass
 class SampledLoop:
-    """Loop values at n equispaced points exp(2*pi*i*s/n) of the circle.
-    Twist/reality flags left unset are detected from the Fourier
-    coefficients of the samples at tolerance 1e-6."""
+    """Loop values at n equispaced points exp(2*pi*i*s/n) of the circle,
+    with the twist/reality flags its maker states."""
 
     values: np.ndarray
-    twisted: bool = field(default=None)
-    real: bool = field(default=None)
+    twisted: bool = False
+    real: bool = False
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
         n = self.values.shape[0]
         if self.values.shape != (n, 3, 3) or n < 4 or n & (n - 1):
             raise ValueError("samples must have shape (n, 3, 3), n a power of two")
-        if self.twisted is None or self.real is None:
-            loop = self.to_laurent()
-            if self.twisted is None:
-                self.twisted = check_twist(loop, tol=1e-6)
-            if self.real is None:
-                self.real = check_reality(loop, tol=1e-6)
 
     def to_laurent(self):
         """Fourier coefficients of the samples as a LaurentLoop
@@ -238,19 +229,23 @@ def birkhoff_split(g, direction="minus-first", truncation=16, tol=1e-10):
     SampledLoop's own, a LaurentLoop's at n = 2^ceil(log2 4 (truncation +
     spread + 1)), spread its largest |power|. It must be finite and
     orthogonal-valued on the circle within _ORTHO_TOL = 1e-6 (else
-    ValueError). The Fourier truncation doubles, capped at n/2 - 1, until
-    the residual (Wiener norm of g - factor1*factor2) drops below tol.
+    ValueError). The Fourier truncation doubles, capped at n/2 - 1 and
+    _MAX_TRUNCATION = 256, until the residual (Wiener norm of
+    g - factor1*factor2) drops below tol.
 
-    Raises ValueError unless truncation is an integer >= 1 and
+    Raises ValueError unless truncation is an integer in 1 .. 256 and
     0 < tol < inf, BigCellViolation when the truncated system is
     ill-conditioned beyond _COND_THRESHOLD = 1e8 (the loop lies outside
     the big cell), and TruncationTooSmall when the residual stops
-    decreasing or the truncation reaches n/2 - 1 or _MAX_TRUNCATION = 256.
+    decreasing or the truncation reaches either cap.
     """
     if direction not in ("minus-first", "plus-first"):
         raise ValueError(f"unknown direction {direction!r}")
     if not isinstance(truncation, (int, np.integer)) or truncation < 1:
         raise ValueError(f"truncation must be an integer >= 1, not "
+                         f"{truncation!r}")
+    if truncation > _MAX_TRUNCATION:
+        raise ValueError(f"truncation must be at most {_MAX_TRUNCATION}, not "
                          f"{truncation!r}")
     if not 0 < tol < np.inf:  # NaN compares False
         raise ValueError(f"tol must be positive and finite, not {tol!r}")
@@ -301,7 +296,7 @@ def birkhoff_split(g, direction="minus-first", truncation=16, tol=1e-10):
             raise TruncationTooSmall(
                 f"residual stalled at {res:.2e} (was {prev_res:.2e})")
         prev_res = res
-        trunc *= 2
+        trunc = min(2 * trunc, _MAX_TRUNCATION)
 
     # each factor's powers, ascending; coefficient k sits at sign * k mod n
     p1 = sign * np.arange(-trunc, 1)[::sign]
@@ -327,14 +322,17 @@ def save_loop_json(x, path):
 
 
 def load_loop_json(path):
-    """Read a loop JSON file; the powers it leaves out are zero. A payload
-    that is not a loop raises ValueError naming path."""
+    """Read a loop JSON file; the powers it leaves out are zero, and absent
+    flags mean twisted false, real true. A payload that is not a loop, or
+    a flag that is not a JSON boolean, raises ValueError naming path."""
     with open(path) as fh:
         try:
             payload = json.load(fh)
             coeffs = {int(k): np.asarray(v, dtype=float).reshape(3, 3)
                       for k, v in payload["coeffs"].items()}
+            flags = payload.get("twisted", False), payload.get("real", True)
+            if not all(isinstance(v, bool) for v in flags):
+                raise TypeError(f"flags {flags!r} are not JSON booleans")
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: not a loop JSON file: {exc!r}") from None
-    return LaurentLoop.from_dict(coeffs, bool(payload.get("twisted", False)),
-                                 bool(payload.get("real", True)))
+    return LaurentLoop.from_dict(coeffs, *flags)

@@ -65,7 +65,7 @@ def test_criterion_02_frame_integrity(soliton):
         elapsed = time.time() - t0
         orth = np.abs(np.swapaxes(a.U, -1, -2) @ a.U - np.eye(3)).max()
         path = np.abs(a.U - b.U).max()
-        compat = compatibility_residual(soliton, lam).max()
+        compat = compatibility_residual(soliton).max()
         ok &= orth < 1e-8 and path < 1e-6 and compat < 1e-8 and elapsed < 10.0
         details.append(f"lam={lam:g}: orth {orth:.1e} path {path:.1e} "
                        f"compat {compat:.1e} {elapsed:.1f}s")

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,14 +10,16 @@ import pytest
 
 from psforge import frames
 from psforge.algebra import E13
-from psforge.cli import _probe_indices, _stats, main, run_verification
+from psforge.cli import (_CONFIG_TYPES, _probe_indices, _stats, build_parser,
+                         main, run_verification)
 from psforge.loops import LaurentLoop, load_loop_json, save_loop_json
 from psforge.potentials import (PotentialForm, cross_check_split, eta_2x2,
                                 load_potential_csv, save_potential2_csv)
 from psforge.sinegordon import (GridSpec, load_angle_csv, save_angle_csv,
                                 soliton_angle)
 from psforge.surfaces import read_obj
-from util import constant_angle, multiply, random_twisted_factor
+from util import (constant_angle, identity_loop, multiply,
+                  random_twisted_factor)
 
 BETA1 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
 
@@ -214,7 +217,7 @@ def test_potentials_outputs(solved, tmp_path):
 
 
 def test_split_identity(tmp_path):
-    save_loop_json(LaurentLoop.identity(), tmp_path / "id.json")
+    save_loop_json(identity_loop(), tmp_path / "id.json")
     code = main(["split", "--loop", str(tmp_path / "id.json"),
                  "--out", str(tmp_path)])
     assert code == 0
@@ -263,8 +266,10 @@ def test_split_non_finite_loop_exit_2(tmp_path, capfd):
     assert "illegal value" not in captured.out + captured.err
 
 
-@pytest.mark.parametrize("payload", ['{"kmin": 0, "kmax": 0, "real": true}',
-                                     '[[1, 0, 0], [0, 1, 0], [0, 0, 1]]'])
+@pytest.mark.parametrize("payload", [
+    '{"kmin": 0, "kmax": 0, "real": true}', '[[1, 0, 0], [0, 1, 0], [0, 0, 1]]',
+    '{"coeffs": {"0": [1, 0, 0, 0, 1, 0, 0, 0, 1]}, "twisted": "false"}',
+    '{"coeffs": {"0": [1, 0, 0, 0, 1, 0, 0, 0, 1]}, "real": "no"}'])
 def test_split_malformed_loop_json_exit_2(tmp_path, capsys, payload):
     path = tmp_path / "bad.json"
     path.write_text(payload)
@@ -284,10 +289,13 @@ def test_split_malformed_loop_json_exit_2(tmp_path, capsys, payload):
     (["CFG:tol = nan"], "ValueError: tol must be positive and finite, not nan"),
     (["CFG:truncation = 0"], "ValueError: truncation must be an integer >= 1, "
                              "not 0"),
+    (["--truncation", "700"], "ValueError: truncation must be at most 256, "
+                              "not 700"),
 ], ids=["tol-nan", "tol-negative", "tol-inf", "truncation-0",
-        "truncation-negative", "config-tol-nan", "config-truncation-0"])
+        "truncation-negative", "config-tol-nan", "config-truncation-0",
+        "truncation-700"])
 def test_split_option_out_of_range_exit_2(tmp_path, capsys, args, message):
-    save_loop_json(LaurentLoop.identity(), tmp_path / "id.json")
+    save_loop_json(identity_loop(), tmp_path / "id.json")
     if args[0].startswith("CFG:"):
         (tmp_path / "run.cfg").write_text(args[0][4:] + "\n")
         args = ["--config", str(tmp_path / "run.cfg")]
@@ -326,6 +334,50 @@ def test_config_file(tmp_path):
     assert code == 0
     header = (tmp_path / "phi.csv").read_text().splitlines()[0]
     assert header == "# 5 5 0 0 0.25 0.25"
+
+
+@pytest.mark.parametrize("domain, code", [("0 1 0 1", 0), ("0 1 0", 2)])
+def test_config_domain(tmp_path, capsys, domain, code):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    cfg.write_text(f"soliton = 1.0\nh = 0.25\ndomain = {domain}\n")
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == code
+    if code:
+        assert "domain needs four numbers" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        header = (out / "phi.csv").read_text().splitlines()[0]
+        assert header == "# 5 5 0 0 0.25 0.25"
+
+
+@pytest.mark.parametrize("value, su2", [
+    ("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False),
+    ("NO", False), ("ture", None), ("", None)])
+def test_config_boolean(solved, tmp_path, capsys, value, su2):
+    # a typo must not read as False
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    cfg.write_text(f"su2 = {value}\n")
+    code = main(["potentials", "--phi", str(solved / "phi.csv"),
+                 "--config", str(cfg), "--out", str(out)])
+    if su2 is None:
+        assert code == 2
+        assert (f"config key 'su2' is a boolean (1/true/yes or 0/false/no), "
+                f"not {value!r}") in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert code == 0
+        assert (out / "eta_x_su2.csv").exists() == su2
+
+
+def test_config_types_match_the_flags():
+    # every flag of every subcommand can be set from a config file, and
+    # only those; --config and --tolerance have their own syntax
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for p in sub.choices.values() for a in p._actions
+             if a.dest != "help"}
+    assert set(_CONFIG_TYPES) == dests - {"config", "tolerance"}
 
 
 def test_config_unknown_key(tmp_path, capsys):
@@ -415,8 +467,8 @@ def test_verify_nan_residual_fails(monkeypatch):
     # a NaN in an unmasked residual is a failure, not a dropped node
     residual = frames.compatibility_residual
 
-    def with_nan(f, lam):
-        r = residual(f, lam)
+    def with_nan(f):
+        r = residual(f)
         r[7, 9] = np.nan
         return r
 

@@ -17,7 +17,8 @@ from psforge.potentials import eta_x, eta_y, integrate_minus, integrate_plus
 from psforge.sinegordon import (AngleField, GridSpec, load_angle_csv,
                                 save_angle_csv, soliton_angle)
 from psforge.surfaces import associated_family
-from util import constant_angle, ref_march, two_soliton
+from util import (constant_angle, ref_compatibility_residual, ref_march,
+                  two_soliton)
 
 rng = np.random.default_rng(23)
 
@@ -86,20 +87,23 @@ def test_frame_rejects_bad_lambda(soliton):
 
 
 def test_compatibility_residual(soliton):
-    for lam in (0.5, 1.0, 2.0):
-        assert compatibility_residual(soliton, lam).max() < 1e-8
+    assert compatibility_residual(soliton).max() < 1e-8
     g = soliton.grid
     half = constant_angle(np.pi / 2, g)
-    r = compatibility_residual(half, 1.0)
+    r = compatibility_residual(half)
     # direct evaluation of the defect for the non-solution: |sin(phi)| * ||E12||_F
     assert np.allclose(r, np.sqrt(2.0))
 
 
-def test_compatibility_lambda_independent(soliton):
-    sups = [compatibility_residual(soliton, lam).max()
-            for lam in (0.5, 1.0, 2.0)]
-    assert max(sups) < 1e-8
-    assert np.ptp(sups) < 1e-10  # the defect matrix is lambda-free
+def test_compatibility_residual_matches_commutator_form(soliton_grid):
+    # A_y - B_x - [A, B] = (sin(phi) - phi_xy) E12 at every lambda, so the
+    # closed form is the 3x3 commutator form's Frobenius norm
+    for f in (soliton_angle(0.8, soliton_grid), two_soliton(soliton_grid),
+              constant_angle(np.pi / 2, soliton_grid)):
+        r = compatibility_residual(f)
+        for lam in (0.5, 1.0, 2.0):
+            ref = ref_compatibility_residual(f, lam)
+            assert np.abs(r - ref).max() <= 1e-15, lam
 
 
 def test_maurer_cartan_coefficients(soliton):

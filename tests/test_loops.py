@@ -11,14 +11,14 @@ from psforge.sinegordon import GridSpec
 from psforge.loops import (LaurentLoop, SampledLoop, birkhoff_split,
                            check_reality, check_twist, load_loop_json,
                            loop_eval, save_loop_json)
-from util import (coeff_dev, loop_norm, multiply, random_twisted_algebra,
-                  random_twisted_factor, two_soliton)
+from util import (coeff_dev, identity_loop, loop_norm, multiply,
+                  random_twisted_algebra, random_twisted_factor, two_soliton)
 
 rng = np.random.default_rng(5)
 
 
 def test_loop_norm_values():
-    assert loop_norm(LaurentLoop.identity()) == 1.0
+    assert loop_norm(identity_loop()) == 1.0
     x = LaurentLoop.from_dict({1: E23, -1: E13})
     assert loop_norm(x) == 2.0
 
@@ -34,7 +34,7 @@ def test_loop_norm_submultiplicative():
 
 def test_multiply_values():
     x = LaurentLoop.from_dict({k: rng.normal(size=(3, 3)) for k in range(-2, 2)})
-    assert coeff_dev(multiply(x, LaurentLoop.identity()), x) == 0.0
+    assert coeff_dev(multiply(x, identity_loop()), x) == 0.0
     p = multiply(LaurentLoop.from_dict({1: E23}), LaurentLoop.from_dict({-1: E13}))
     assert np.array_equal(p.coeffs.get(0, 0.0), E23 @ E13)
     assert p.kmin == 0 and p.kmax == 0 or 0 in p.coeffs
@@ -50,10 +50,10 @@ def test_multiply_preserves_twist():
 
 def test_eval():
     lam = 0.3 + 1.1j
-    assert np.allclose(loop_eval(LaurentLoop.identity(), lam), np.eye(3))
+    assert np.allclose(loop_eval(identity_loop(), lam), np.eye(3))
     assert np.allclose(loop_eval(LaurentLoop.from_dict({1: E23}), 2.0), 2.0 * E23)
     with pytest.raises(ZeroSpectralParameter):
-        loop_eval(LaurentLoop.identity(), 0.0)
+        loop_eval(identity_loop(), 0.0)
 
 
 def test_eval_twist_identity():
@@ -83,9 +83,9 @@ def test_check_reality():
 
 
 def test_split_identity():
-    f1, f2 = birkhoff_split(LaurentLoop.identity(), "minus-first")
-    assert coeff_dev(f1, LaurentLoop.identity()) == 0.0
-    assert coeff_dev(f2, LaurentLoop.identity()) == 0.0
+    f1, f2 = birkhoff_split(identity_loop(), "minus-first")
+    assert coeff_dev(f1, identity_loop()) == 0.0
+    assert coeff_dev(f2, identity_loop()) == 0.0
 
 
 def test_split_recovers_synthetic_product():
@@ -218,13 +218,29 @@ def test_split_rejects_non_orthogonal():
     ({"tol": -1.0}, "tol must be positive and finite, not -1.0"),
     ({"tol": 0.0}, "tol must be positive and finite, not 0.0"),
     ({"tol": np.inf}, "tol must be positive and finite, not inf"),
+    ({"truncation": 257}, "truncation must be at most 256, not 257"),
+    ({"truncation": 700}, "truncation must be at most 256, not 700"),
 ])
 def test_split_rejects_bad_truncation_and_tol(kwargs, match):
-    # rejected before any truncation is tried, on either loop type
-    for loop in (LaurentLoop.identity(),
+    # rejected before any truncation is tried, on either loop type (the
+    # Toeplitz blocks of truncation t alone take 144 (t + 1)(t + 8) bytes)
+    for loop in (identity_loop(),
                  SampledLoop(np.tile(np.eye(3), (16, 1, 1)))):
         with pytest.raises(ValueError, match=match):
             birkhoff_split(loop, "minus-first", **kwargs)
+
+
+def test_split_truncation_doubles_up_to_cap():
+    # 200 doubles to 256, not to 400; no residual reaches tol = 1e-300
+    g = random_twisted_factor(-2, 2, np.random.default_rng(3))
+    with pytest.raises(TruncationTooSmall, match="at max truncation 256"):
+        birkhoff_split(g, "minus-first", truncation=200, tol=1e-300)
+
+
+def test_sampled_loop_flags_default_false():
+    # flags are stated by the loop's maker, never detected from samples
+    loop = SampledLoop(np.tile(np.eye(3), (16, 1, 1)))
+    assert loop.twisted is False and loop.real is False
 
 
 def test_sampled_loop_shape_validation():
@@ -241,6 +257,24 @@ def test_json_round_trip(tmp_path):
     assert back.twisted and back.real
     assert coeff_dev(back, g) == 0.0
     assert back.kmin == g.kmin and back.kmax == g.kmax
+
+
+@pytest.mark.parametrize("flags", ['"twisted": "false"', '"real": "no"',
+                                   '"twisted": 1', '"real": null'])
+def test_load_loop_json_flags_must_be_booleans(tmp_path, flags):
+    # bool() of a non-empty string is True: "false" must not read as True
+    path = tmp_path / "loop.json"
+    path.write_text('{"coeffs": {"0": [1, 0, 0, 0, 1, 0, 0, 0, 1]}, '
+                    + flags + "}")
+    with pytest.raises(ValueError, match=f"{path}: not a loop JSON file"):
+        load_loop_json(path)
+
+
+def test_load_loop_json_absent_flags(tmp_path):
+    path = tmp_path / "loop.json"
+    path.write_text('{"coeffs": {"0": [1, 0, 0, 0, 1, 0, 0, 0, 1]}}')
+    loop = load_loop_json(path)
+    assert loop.twisted is False and loop.real is True
 
 
 def test_split_rejects_non_finite_samples(capfd):

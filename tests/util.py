@@ -1,8 +1,10 @@
 """Shared test helpers: random twisted loop-group factors, an RK4 ODE
 oracle independent of psforge's march (`_rk4_pair`, one step of u' = u a
 and, given w, of its derivative w' = w a + u d), the Wiener loop norm,
-Cauchy product and constant angle field that only tests use (`loop_norm`,
-`multiply`, `constant_angle`), the per-substep march psforge used before
+Cauchy product, identity loop and constant angle field that only tests
+use (`loop_norm`, `multiply`, `identity_loop`, `constant_angle`), the
+3x3 commutator form of the compatibility residual
+(`ref_compatibility_residual`), the per-substep march psforge used before
 its propagator form (`ref_march`), the per-interval Lagrange weights of
 `numerics.refine` before they were shared per offset (`ref_refine`), the
 quadrant-by-quadrant Goursat sweep before the one-wavefront sweep
@@ -14,6 +16,7 @@ from scipy.linalg import expm
 
 from psforge.algebra import E12, E13, E23, wiener_matrix_norm
 from psforge.errors import NonconvergentCell
+from psforge.frames import _lax_A, _lax_B
 from psforge.loops import LaurentLoop
 from psforge.numerics import _STENCIL, polar_project
 from psforge.sinegordon import AngleField
@@ -211,6 +214,29 @@ def multiply(x, y):
         out[i:i + len(y.stack)] += c @ y.stack
     return LaurentLoop(out, x.kmin + y.kmin, twisted=x.twisted and y.twisted,
                        real=x.real and y.real)
+
+
+def identity_loop():
+    """The constant loop I, twisted and real."""
+    return LaurentLoop(np.eye(3)[None], 0, twisted=True, real=True)
+
+
+def ref_compatibility_residual(f, lam):
+    """Frobenius norm of A_y - B_x - [A, B] per node.
+
+    Vanishes exactly when phi solves the sine-Gordon equation; uses
+    analytic derivatives of phi when the field carries them.
+    """
+    phi = f.phi
+    phi_x = f.dphi_dx
+    phi_xy = f.phi_xy()
+    A = _lax_A(phi_x, lam)
+    B = _lax_B(phi, lam)
+    A_y = -phi_xy[..., None, None] * E12
+    B_x = (phi_x / lam)[..., None, None] * (-np.cos(phi)[..., None, None] * E13
+                                            + np.sin(phi)[..., None, None] * E23)
+    R = A_y - B_x - (A @ B - B @ A)
+    return np.linalg.norm(R, axis=(-2, -1))
 
 
 def constant_angle(c, grid):
