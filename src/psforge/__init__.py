@@ -13,8 +13,7 @@ from .errors import (BigCellViolation, IncompatibleCorner, NonconvergentCell,
 from .frames import (ExtendedFrame, MaurerCartanForm, check_conditions_K,
                      compatibility_residual, flatness_residual, gauge,
                      integrate_frame, lambda_forms, maurer_cartan, su2_frame)
-from .loops import (LaurentLoop, SampledLoop, birkhoff_split, check_reality,
-                    check_twist, loop_eval)
+from .loops import LaurentLoop, SampledLoop, birkhoff_split, loop_eval
 from .potentials import (cross_check_split, eta_2x2, eta_x, eta_y,
                          integrate_minus, integrate_plus)
 from .sinegordon import (AngleField, GridSpec, goursat_solve, sg_residual,

@@ -11,7 +11,7 @@ import numpy as np
 from .errors import NotSkew
 
 __all__ = [
-    "E12", "E13", "E23", "P_TWIST", "wiener_matrix_norm", "hat", "unhat",
+    "E12", "E13", "E23", "P_TWIST", "wiener_matrix_norm", "unhat",
     "gauge_rotation", "spinor_map", "spinor_adjoint", "so3_to_su2",
 ]
 
@@ -39,28 +39,14 @@ def wiener_matrix_norm(a):
     return np.abs(a).sum(axis=-1).max(axis=-1)
 
 
-def hat(v):
-    """3-vector -> skew matrix such that hat(v) @ u = v x u."""
-    v = np.asarray(v, dtype=float)
-    out = np.zeros(v.shape[:-1] + (3, 3))
-    out[..., 0, 1] = -v[..., 2]
-    out[..., 1, 0] = v[..., 2]
-    out[..., 0, 2] = v[..., 1]
-    out[..., 2, 0] = -v[..., 1]
-    out[..., 1, 2] = -v[..., 0]
-    out[..., 2, 1] = v[..., 0]
-    return out
-
-
-def unhat(s, tol=1e-9, check=True):
-    """Inverse of hat: reads (S32, S13, S21) off a skew matrix.
-
-    Raises NotSkew when ||S + S^T|| exceeds tol (set check=False to skip).
-    """
+def unhat(s, check=True):
+    """Inverse of the hat map v -> S, S u = v x u: reads (S32, S13, S21)
+    off a skew matrix. Raises NotSkew when ||S + S^T|| exceeds 1e-9 (set
+    check=False to skip)."""
     s = np.asarray(s)
     if check:
         dev = np.abs(s + np.swapaxes(s, -1, -2)).max()
-        if dev > tol:
+        if dev > 1e-9:
             raise NotSkew(f"matrix deviates from skew-symmetry by {dev:.3e}")
     return np.stack([s[..., 2, 1], s[..., 0, 2], s[..., 1, 0]], axis=-1)
 
@@ -131,7 +117,7 @@ def spinor_adjoint(p):
 _R_DIAG = np.array([-1.0, 1.0, -1.0])
 
 
-def so3_to_su2(s, tol=1e-9):
+def so3_to_su2(s):
     """spinor_map(R unhat(s)); raises NotSkew as unhat does."""
-    return spinor_map(_R_DIAG * unhat(s, tol))
+    return spinor_map(_R_DIAG * unhat(s))
 

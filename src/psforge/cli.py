@@ -55,6 +55,17 @@ def _finite(flag, value):
     return value
 
 
+def _convert(flag, typ, text):
+    """typ(text), unless text does not convert: then exit 2 naming the
+    flag (an option or a config key)."""
+    try:
+        return typ(text)
+    except ValueError:
+        kind = "an integer" if typ is int else "a number"
+        raise SystemExit(f"psforge: {flag} must be {kind}, "
+                         f"not {text!r}") from None
+
+
 def _load_config(path, args):
     """Fill argparse values that were left unset from key=value lines."""
     try:
@@ -73,8 +84,8 @@ def _load_config(path, args):
             name = key[4:]
             if name not in DEFAULT_TOLERANCES:
                 raise SystemExit(f"psforge: unknown tolerance {name!r}")
-            args.tolerance_overrides.setdefault(name,
-                                                _finite(key, float(value)))
+            args.tolerance_overrides.setdefault(
+                name, _finite(key, _convert(key, float, value)))
             continue
         attr = key.replace("-", "_")
         if attr not in _CONFIG_TYPES:
@@ -84,8 +95,8 @@ def _load_config(path, args):
             if typ is bool and value.lower() not in _BOOLS:
                 raise SystemExit(f"psforge: config key {key!r} is a boolean "
                                  f"(1/true/yes or 0/false/no), not {value!r}")
-            setattr(args, attr,
-                    _BOOLS[value.lower()] if typ is bool else typ(value))
+            setattr(args, attr, _BOOLS[value.lower()] if typ is bool
+                    else _convert(key, typ, value))
     return args
 
 
@@ -105,9 +116,8 @@ def _grid_from_args(args):
         raise SystemExit("psforge: --domain is required")
     if len(args.domain) != 4:
         raise SystemExit("psforge: domain needs four numbers")
-    x0, x1, y0, y1 = map(float, args.domain)
-    for v in (x0, x1, y0, y1):
-        _finite("--domain", v)
+    x0, x1, y0, y1 = (_finite("--domain", _convert("--domain", float, v))
+                      for v in args.domain)
     hx = args.hx if args.hx is not None else args.h
     hy = args.hy if args.hy is not None else args.h
     if hx is None or hy is None:
@@ -185,6 +195,13 @@ def cmd_solve(args):
 def cmd_surface(args):
     field = _load_field(args)
     lambdas = _parse_lambdas(args.lambdas or "1")
+    tags = {}  # each member's files are named by its tag
+    for lam in lambdas:
+        tag = f"{lam:g}"
+        if tag in tags:
+            raise SystemExit(f"psforge: lambdas {tags[tag]!r} and {lam!r} "
+                             f"share the file tag {tag}")
+        tags[tag] = lam
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     members, family_report = surfaces.associated_family(field, lambdas)
@@ -192,8 +209,8 @@ def cmd_surface(args):
     summary = {"lambdas": lambdas, "members": [],
                "M_deviation_sup": family_report["M_deviation_sup"],
                "angle_deviation_sup": family_report["angle_deviation_sup"]}
-    for (frame, geom, mask), lam in zip(_masked(field, members), lambdas):
-        tag = f"{lam:g}"
+    for (frame, geom, mask), (tag, lam) in zip(_masked(field, members),
+                                               tags.items()):
         if args.mesh is not False:
             surfaces.export_mesh(frame.psi,
                                  os.path.join(outdir, f"mesh_lam{tag}.obj"),
@@ -430,8 +447,9 @@ class _TolAction(argparse.Action):
             parser.error(f"unknown tolerance {name!r}")
         if getattr(namespace, "tolerance_overrides", None) is None:
             namespace.tolerance_overrides = {}
-        namespace.tolerance_overrides[name] = _finite(f"--tolerance {name}",
-                                                      float(v))
+        flag = f"--tolerance {name}"
+        namespace.tolerance_overrides[name] = _finite(
+            flag, _convert(flag, float, v))
 
 
 def build_parser():

@@ -134,7 +134,6 @@ class MaurerCartanForm:
 class FormField:
     """Scalar 1-form p dx + q dy sampled on a grid."""
 
-    label: str
     grid: object
     p: np.ndarray
     q: np.ndarray
@@ -450,11 +449,11 @@ def lambda_forms(f, lam):
     phi_x, phi_y = f.dphi_dx, f.phi_y()
     li = 1.0 / lam
     return {
-        "omega1": FormField("omega1", g, c * li, c * lam),
-        "omega2": FormField("omega2", g, s * li, -s * lam),
-        "omega12": FormField("omega12", g, phi_x / 2.0, -phi_y / 2.0),
-        "omega13": FormField("omega13", g, s * li, s * lam),
-        "omega23": FormField("omega23", g, -c * li, c * lam),
+        "omega1": FormField(g, c * li, c * lam),
+        "omega2": FormField(g, s * li, -s * lam),
+        "omega12": FormField(g, phi_x / 2.0, -phi_y / 2.0),
+        "omega13": FormField(g, s * li, s * lam),
+        "omega23": FormField(g, -c * li, c * lam),
     }
 
 

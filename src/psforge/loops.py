@@ -28,8 +28,7 @@ from .numerics import group_deviation
 
 __all__ = [
     "LaurentLoop", "SampledLoop", "loop_eval", "twist_deviation",
-    "check_twist", "check_reality", "birkhoff_split", "save_loop_json",
-    "load_loop_json",
+    "birkhoff_split", "save_loop_json", "load_loop_json",
 ]
 
 # P X P for the twist P = diag(1, 1, -1): a sign flip per entry. The
@@ -125,16 +124,6 @@ def _twist_violation(stack, kmin):
 def twist_deviation(x):
     """Largest entry that breaks X_k = (-1)^k P X_k P, over all powers k."""
     return float(np.abs(_twist_violation(x.stack, x.kmin)).max())
-
-
-def check_twist(x, tol=1e-11):
-    """True iff X_k = (-1)^k P X_k P for every coefficient."""
-    return twist_deviation(x) <= tol
-
-
-def check_reality(x, tol=1e-11):
-    """True iff every coefficient is real within tol."""
-    return float(np.abs(x.stack.imag).max()) <= tol
 
 
 def _circle_points(n):
@@ -307,7 +296,7 @@ def birkhoff_split(g, direction="minus-first", truncation=16, tol=1e-10):
 
 def save_loop_json(x, path):
     """Write a real loop as JSON, row-major coefficients at kmin .. kmax."""
-    if not check_reality(x, tol=1e-12):
+    if not np.abs(x.stack.imag).max() <= 1e-12:  # NaN compares False
         raise ValueError("loop JSON stores real loops only")
     payload = {
         "kmin": x.kmin,

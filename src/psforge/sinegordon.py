@@ -6,7 +6,7 @@ between the asymptotic directions. Weak regularity is tracked with a mask
 (0 < phi < pi) instead of aborting when phi leaves the interval.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -94,7 +94,6 @@ class AngleField:
     grid: GridSpec
     phi: np.ndarray
     dphi_dx: np.ndarray = None
-    regular_mask: np.ndarray = field(default=None)
     phi_fn: callable = None
     phix_fn: callable = None
     phiy_fn: callable = None
@@ -110,8 +109,10 @@ class AngleField:
             self.dphi_dx = deriv4(self.phi, self.grid.hx, axis=0)
         else:
             self.dphi_dx = np.asarray(self.dphi_dx, dtype=float)
-        if self.regular_mask is None:
-            self.regular_mask = (self.phi > 0.0) & (self.phi < np.pi)
+
+    @property
+    def regular_mask(self):
+        return (self.phi > 0.0) & (self.phi < np.pi)
 
     @property
     def analytic(self):

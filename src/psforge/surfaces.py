@@ -31,7 +31,7 @@ __all__ = [
 class SurfaceGeometry:
     """Per-node first/second fundamental forms and derived curvatures.
 
-    mask is True where the metric is non-degenerate; K, H, k1 and k2 are
+    mask is True where the metric is non-degenerate; L, M, N2 and K are
     NaN on masked-out nodes.
     """
 
@@ -43,9 +43,6 @@ class SurfaceGeometry:
     M: np.ndarray
     N2: np.ndarray
     K: np.ndarray
-    H: np.ndarray
-    k1: np.ndarray
-    k2: np.ndarray
     metricA: np.ndarray
     metricB: np.ndarray
     mask: np.ndarray
@@ -55,10 +52,8 @@ class SurfaceGeometry:
 class HarmonicityReport:
     """Pointwise decomposition of N_xy against the normal direction."""
 
-    q: np.ndarray
     tangential_residual: np.ndarray
     nx_norm: np.ndarray
-    ny_norm: np.ndarray
 
 
 def fundamental_forms(frame):
@@ -97,12 +92,8 @@ def fundamental_forms(frame):
 
     with np.errstate(invalid="ignore", divide="ignore"):
         K = np.where(mask, (L * N2 - M * M) / det, np.nan)
-        H = np.where(mask, (E * N2 - 2.0 * F * M + G * L) / (2.0 * det), np.nan)
-        disc = np.sqrt(np.maximum(H * H - K, 0.0))
-    k1 = H + disc
-    k2 = H - disc
-    return SurfaceGeometry(g, E, F, G, L, M, N2, K, H, k1, k2,
-                           np.sqrt(E), np.sqrt(G), mask)
+    return SurfaceGeometry(g, E, F, G, L, M, N2, K, np.sqrt(E), np.sqrt(G),
+                           mask)
 
 
 def principal_curvatures(phi):
@@ -124,10 +115,10 @@ def gauss_map(frame):
 def harmonicity_check(N, grid):
     """Lorentz-harmonicity diagnostics of a unit normal field on grid.
 
-    q is the normal component of N_xy; tangential_residual the norm of the
-    rest (zero for a harmonic Gauss map). nx_norm/ny_norm are |N_x|, |N_y|
-    for comparison with the metric factors A, B of the surface. N must
-    be (nx, ny, 3) on a grid of 5 or more nodes per axis (ValueError).
+    tangential_residual is the norm of N_xy less its normal component
+    (zero for a harmonic Gauss map); nx_norm is |N_x|, for comparison with
+    the metric factor A of the surface. N must be (nx, ny, 3) on a grid
+    of 5 or more nodes per axis (ValueError).
     """
     _check_nodes(grid)
     if N.shape != (grid.nx, grid.ny, 3):
@@ -135,12 +126,9 @@ def harmonicity_check(N, grid):
                          f"{grid.nx}x{grid.ny} grid")
     Nx = deriv4(N, grid.hx, axis=0)
     Nxy = deriv4(Nx, grid.hy, axis=1)
-    Ny = deriv4(N, grid.hy, axis=1)
-    q = (Nxy * N).sum(-1)
-    tang = Nxy - q[..., None] * N
-    return HarmonicityReport(q, np.linalg.norm(tang, axis=-1),
-                             np.linalg.norm(Nx, axis=-1),
-                             np.linalg.norm(Ny, axis=-1))
+    tang = Nxy - (Nxy * N).sum(-1)[..., None] * N
+    return HarmonicityReport(np.linalg.norm(tang, axis=-1),
+                             np.linalg.norm(Nx, axis=-1))
 
 
 def associated_family(f, lambdas):

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from psforge.algebra import (E12, E13, E23, P_TWIST, gauge_rotation, hat,
+from psforge.algebra import (E12, E13, E23, P_TWIST, gauge_rotation,
                              spinor_adjoint, spinor_map, so3_to_su2, unhat,
                              wiener_matrix_norm)
 from psforge.errors import NotSkew
+from util import hat
 
 rng = np.random.default_rng(11)
 

@@ -185,6 +185,29 @@ def test_surface_mesh_write_error_exit_2(solved, tmp_path, capsys):
     assert str(tmp_path / "mesh_lam1.obj") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lambdas, tags", [
+    ("0.5,1,2", ["0.5", "1", "2"]), ("1,1.0000001", None), ("2,2", None)])
+def test_surface_files_named_by_lambda(tmp_path, capsys, lambdas, tags):
+    # a member's files are named f"{lam:g}"; two lambdas with one name
+    # would write one mesh and one geometry file, so both are refused
+    assert main(["solve", "--soliton", "1", *_DOMAIN, "--h", "0.1",
+                 "--out", str(tmp_path)]) == 0
+    out = tmp_path / "out"
+    code = main(["surface", "--phi", str(tmp_path / "phi.csv"),
+                 "--lambdas", lambdas, "--out", str(out)])
+    if tags is None:
+        first, second = map(float, lambdas.split(","))
+        assert code == 2
+        assert (f"lambdas {first!r} and {second!r} share the file tag "
+                f"{second:g}") in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert code == 0
+        assert sorted(p.name for p in out.glob("*_lam*")) == sorted(
+            f"{kind}_lam{t}.{ext}" for t in tags
+            for kind, ext in (("mesh", "obj"), ("geometry", "csv")))
+
+
 def test_surface_missing_input_exit_2(tmp_path):
     code = main(["surface", "--phi", str(tmp_path / "nope.csv"),
                  "--out", str(tmp_path)])
@@ -385,6 +408,29 @@ def test_config_unknown_key(tmp_path, capsys):
     cfg.write_text("bogus = 1\n")
     code = main(["solve", "--config", str(cfg)])
     assert code == 2
+
+
+@pytest.mark.parametrize("command, line, flag, message", [
+    ("solve", "h = abc", None, "h must be a number, not 'abc'"),
+    ("solve", "domain = 0 1 zero 1", None,
+     "--domain must be a number, not 'zero'"),
+    ("split", "truncation = 2.5", None,
+     "truncation must be an integer, not '2.5'"),
+    ("verify", "tol_curvature = abc", None,
+     "tol_curvature must be a number, not 'abc'"),
+    ("verify", "", "curvature=abc",
+     "--tolerance curvature must be a number, not 'abc'"),
+], ids=["h", "domain", "truncation", "tol_curvature", "tolerance-flag"])
+def test_value_that_does_not_convert_exit_2(tmp_path, capsys, command, line,
+                                            flag, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    code = main(argv + (["--tolerance", flag] if flag else []))
+    assert code == 2
+    assert f"psforge: {message}\n" == capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_soliton_passes(solved, tmp_path):

@@ -73,6 +73,39 @@ def test_private_definitions_are_used(name):
     assert not unused, f"psforge.{name} defines unused names {unused}"
 
 
+# public names that nothing in psforge or the benchmark reads, kept on
+# purpose, each with its reason
+_KEEP = {
+    "principal_curvatures": "the paper's closed form tan(phi/2), -cot(phi/2)",
+    "integrate_plus": "the plus Birkhoff factor on the axes, the paper's "
+                      "construction of the potentials",
+    "integrate_minus": "the minus Birkhoff factor, as integrate_plus",
+    "su2_frame": "the 2x2 spinor frame of acceptance criterion 09",
+    "sample_frame_loop": "the frame loop at a node, as a SampledLoop",
+    "load_potential_csv": "reads the potential files psforge writes",
+    "read_obj": "reads the OBJ meshes psforge writes",
+}
+_BENCH = Path(psforge.__file__).parents[2] / "bench"
+
+
+def test_public_definitions_are_read():
+    # every module-level public function or class is read outside its
+    # own definition by psforge (re-exports in __init__ do not count) or
+    # by the benchmark, or kept on purpose in _KEEP
+    trees = [tree for name, tree in _TREES.items() if name != "__init__"]
+    trees += [ast.parse(p.read_text()) for p in sorted(_BENCH.glob("*.py"))]
+    reads = Counter(n for tree in trees for n in _reads(tree))
+    public = {node.name: node for name in _CHECKED
+              for node in _TREES[name].body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
+    unread = {name for name, node in public.items()
+              if reads[name] == Counter(_reads(node))[name]}
+    assert not unread - set(_KEEP), f"unread public names {unread - set(_KEEP)}"
+    # and every _KEEP entry is defined and still needs its place there
+    assert not set(_KEEP) - unread, f"_KEEP lists {set(_KEEP) - unread}"
+
+
 def _leading_text(node):
     """The constant text a message expression starts with, or ''."""
     while isinstance(node, ast.BinOp):

@@ -11,7 +11,7 @@ from psforge.frames import (check_conditions_K, compatibility_residual,
                             flatness_residual, gauge, integrate_frame,
                             lambda_forms, maurer_cartan, sample_frame_loop,
                             su2_frame)
-from psforge.loops import _circle_points, check_twist
+from psforge.loops import _circle_points, twist_deviation
 from psforge.numerics import deriv4, group_deviation, polar_project
 from psforge.potentials import eta_x, eta_y, integrate_minus, integrate_plus
 from psforge.sinegordon import (AngleField, GridSpec, load_angle_csv,
@@ -350,7 +350,7 @@ def test_frame_twist_at_negated_lambda(small_soliton):
 def test_sampled_frame_loop_is_twisted_real(small_soliton):
     loop = sample_frame_loop(small_soliton, 80, 70, n=32, substeps=2)
     laurent = loop.to_laurent()
-    assert check_twist(laurent, tol=1e-9)
+    assert twist_deviation(laurent) <= 1e-9
     assert max(np.abs(c.imag).max() for c in laurent.coeffs.values()) < 1e-9
 
 

@@ -9,8 +9,8 @@ from psforge.errors import (BigCellViolation, TruncationTooSmall,
 from psforge.frames import sample_frame_loop
 from psforge.sinegordon import GridSpec
 from psforge.loops import (LaurentLoop, SampledLoop, birkhoff_split,
-                           check_reality, check_twist, load_loop_json,
-                           loop_eval, save_loop_json)
+                           load_loop_json, loop_eval, save_loop_json,
+                           twist_deviation)
 from util import (coeff_dev, identity_loop, loop_norm, multiply,
                   random_twisted_algebra, random_twisted_factor, two_soliton)
 
@@ -44,8 +44,8 @@ def test_multiply_preserves_twist():
     for _ in range(20):
         x = LaurentLoop.from_dict(random_twisted_algebra(-3, 2, 1.0, rng))
         y = LaurentLoop.from_dict(random_twisted_algebra(-1, 4, 1.0, rng))
-        assert check_twist(x) and check_twist(y)
-        assert check_twist(multiply(x, y))
+        assert twist_deviation(x) <= 1e-11 and twist_deviation(y) <= 1e-11
+        assert twist_deviation(multiply(x, y)) <= 1e-11
 
 
 def test_eval():
@@ -65,8 +65,8 @@ def test_eval_twist_identity():
 
 
 def test_check_twist_examples():
-    assert check_twist(LaurentLoop.from_dict({0: E12}))
-    assert not check_twist(LaurentLoop.from_dict({0: E13}))
+    assert twist_deviation(LaurentLoop.from_dict({0: E12})) <= 1e-11
+    assert twist_deviation(LaurentLoop.from_dict({0: E13})) > 1e-11
     # extended Maurer-Cartan coefficients at a node: lam^-1, lam^0, lam^1
     phi, phi_x = 1.1, 0.4
     omega = LaurentLoop.from_dict({
@@ -74,12 +74,12 @@ def test_check_twist_examples():
         0: phi_x * E12,
         1: -E23,
     })
-    assert check_twist(omega)
+    assert twist_deviation(omega) <= 1e-11
 
 
 def test_check_reality():
-    assert check_reality(LaurentLoop.from_dict({0: E12}))
-    assert not check_reality(LaurentLoop.from_dict({0: 1j * E12}))
+    assert np.abs(LaurentLoop.from_dict({0: E12}).stack.imag).max() <= 1e-11
+    assert np.abs(LaurentLoop.from_dict({0: 1j * E12}).stack.imag).max() > 1e-11
 
 
 def test_split_identity():

@@ -1,9 +1,9 @@
 """Shared test helpers: random twisted loop-group factors, an RK4 ODE
 oracle independent of psforge's march (`_rk4_pair`, one step of u' = u a
 and, given w, of its derivative w' = w a + u d), the Wiener loop norm,
-Cauchy product, identity loop and constant angle field that only tests
-use (`loop_norm`, `multiply`, `identity_loop`, `constant_angle`), the
-3x3 commutator form of the compatibility residual
+Cauchy product, identity loop, hat map and constant angle field that
+only tests use (`loop_norm`, `multiply`, `identity_loop`, `hat`,
+`constant_angle`), the 3x3 commutator form of the compatibility residual
 (`ref_compatibility_residual`), the per-substep march psforge used before
 its propagator form (`ref_march`), the per-interval Lagrange weights of
 `numerics.refine` before they were shared per offset (`ref_refine`), the
@@ -20,6 +20,19 @@ from psforge.frames import _lax_A, _lax_B
 from psforge.loops import LaurentLoop
 from psforge.numerics import _STENCIL, polar_project
 from psforge.sinegordon import AngleField
+
+
+def hat(v):
+    """3-vector -> skew matrix such that hat(v) @ u = v x u."""
+    v = np.asarray(v, dtype=float)
+    out = np.zeros(v.shape[:-1] + (3, 3))
+    out[..., 0, 1] = -v[..., 2]
+    out[..., 1, 0] = v[..., 2]
+    out[..., 0, 2] = v[..., 1]
+    out[..., 2, 0] = -v[..., 1]
+    out[..., 1, 2] = -v[..., 0]
+    out[..., 2, 1] = v[..., 0]
+    return out
 
 
 def random_twisted_algebra(kmin, kmax, total_norm, rng):
