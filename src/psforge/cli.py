@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import frames, loops, potentials, surfaces
+from . import algebra, frames, loops, potentials, surfaces
 from .errors import BigCellViolation, IncompatibleCorner, PsforgeError
 from .sinegordon import (GridSpec, _write_rows, goursat_solve,
                          load_angle_csv, save_angle_csv, sg_residual,
@@ -377,9 +377,9 @@ class _Checks:
     def twist(self):
         # every root marched: a loop unfolded from the quarter circle
         # would be twisted and real by construction
-        values = frames._loop_legs(self.field, *self.probe,
-                                   loops._circle_points(32),
-                                   frames._SUBSTEPS)[1]
+        values = algebra.spinor_adjoint(frames._loop_legs(
+            self.field, *self.probe, loops._circle_points(32),
+            frames._SUBSTEPS)[1])
         loop = loops.SampledLoop(values, twisted=True, real=True).to_laurent()
         dev = max(loops.twist_deviation(loop),
                   float(np.abs(loop.stack.imag).max()))

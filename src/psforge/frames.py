@@ -21,8 +21,8 @@ nodes drifts off it by about n eps |u|^2). `_march` applies them node by
 node, for grid frames (one lambda or a batch), spinor frames and the
 potentials' Birkhoff-factor ODEs; `_march_end` multiplies a whole line's
 step matrices pairwise, for the legs of frame loops on the unit circle,
-whose end states alone are used; they march the spinor lift of U, in
-SL(2, C) (`_loop_legs`). A frame loop sampled at the n-th roots of unity
+whose end states alone are used; they march the spinor lift P of U, in
+SL(2, C) (`_loop_legs`). A spinor loop sampled at the n-th roots of unity
 is marched at the n/4 + 1 roots of a quarter circle only; its reality
 and twist give the other samples. Between grid nodes a sampled angle
 field is read from tables of the marched lines refined onto the RK4
@@ -36,7 +36,7 @@ import numpy as np
 from .algebra import (E12, E13, E23, _spinor, gauge_rotation, spinor_adjoint,
                       unhat)
 from .errors import StepFailure, ZeroSpectralParameter
-from .loops import _TWIST_SIGNS, SampledLoop, _circle_points
+from .loops import _SIGNS, SampledLoop, _circle_points
 from .numerics import _mm, deriv4, group_deviation, polar_project, refine
 
 __all__ = [
@@ -506,13 +506,13 @@ def su2_frame(f, lam, order="xy", substeps=1):
 
 
 def _loop_legs(f, i, j, lams, substeps):
-    """Frame values U at the lambdas lams (complex on a frame loop) at the
-    end of the x-leg, (x_i, y_origin), and at the end of the y-leg,
-    (x_i, y_j), of the path origin -> (x_i, y_origin) -> (x_i, y_j), every
-    lambda marched. The legs march the spinor lift P of U (`_SU2`, in
-    SL(2, C) at a complex lambda): 2x2 step matrices, and a generator of
-    half U's rate, so about 16 times less RK4 error at the same step.
-    Each leg's end is mapped once to U = `algebra.spinor_adjoint`(P)."""
+    """Spinor frames P, the lift of U = `algebra.spinor_adjoint`(P), at the
+    lambdas lams (complex on a frame loop) at the end of the x-leg,
+    (x_i, y_origin), and at the end of the y-leg, (x_i, y_j), of the path
+    origin -> (x_i, y_origin) -> (x_i, y_j), every lambda marched (`_SU2`,
+    in SL(2, C) at a complex lambda): 2x2 step matrices, and a generator
+    of half U's rate, so about 16 times less RK4 error than U's march at
+    the same step."""
     g = f.grid
     if not all(isinstance(k, (int, np.integer)) for k in (i, j)):
         raise ValueError(f"node ({i}, {j}) is not a pair of integers")
@@ -528,22 +528,23 @@ def _loop_legs(f, i, j, lams, substeps):
                    _lax_on_line(f, lams, 1, i, _SU2, substeps))
     _check_transport(p_axis, holomorphic)
     _check_transport(p, holomorphic)
-    return spinor_adjoint(p_axis), spinor_adjoint(p)
+    return p_axis, p
 
 
 def _frame_loop_legs(f, i, j, n, substeps):
     """`_loop_legs` at the n-th roots of unity lambda_s = exp(2 pi i s / n),
-    n a power of two >= 4. The Lax system is real, U(conj lambda) =
-    conj U(lambda), and twisted, U(-lambda) = P U(lambda) P, so only the
-    quarter circle s = 0 .. n/4 is marched: U_{n/2-s} = P conj(U_s) P and
-    U_{n-s} = conj(U_s) give the rest, exactly in floating point."""
+    n a power of two >= 4. The spinor Lax system is real, P(conj lambda) =
+    s2 conj(P(lambda)) s2, and twisted, P(-lambda) = s3 P(lambda) s3 (sk
+    the Pauli matrices), so only s = 0 .. n/4 is marched: P_{n/2-s} =
+    s1 conj(P_s) s1 and P_{n-s} = s2 conj(P_s) s2 give the rest, exactly."""
     if not isinstance(n, (int, np.integer)) or n < 4 or n & (n - 1):
         raise ValueError(f"n = {n} samples: not an integer power of two >= 4")
     legs = _loop_legs(f, i, j, _circle_points(n)[:n // 4 + 1], substeps)
     out = []
     for q in legs:
-        half = np.concatenate([q, _TWIST_SIGNS * q[-2::-1].conj()])
-        out.append(np.concatenate([half, half[-2:0:-1].conj()]))
+        half = np.concatenate([q, q[-2::-1, ::-1, ::-1].conj()])
+        out.append(np.concatenate(
+            [half, _SIGNS[2] * half[-2:0:-1, ::-1, ::-1].conj()]))
     return tuple(out)
 
 
@@ -551,9 +552,10 @@ def sample_frame_loop(f, i, j, n=_LOOP_SAMPLES, substeps=1):
     """Frame loop lambda -> U(x_i, y_j; lambda) at the n-th roots of unity:
     the spinor lift of the Lax system marched along the path origin ->
     (x_i, y_origin) -> (x_i, y_j) at the n/4 + 1 roots of a quarter circle
-    only, and unfolded by reality and twist (`_frame_loop_legs`), so the
-    loop is twisted with real Fourier coefficients. Raises ValueError
-    unless (i, j) is a grid node and n a power of two >= 4.
+    only, unfolded by reality and twist (`_frame_loop_legs`) and mapped
+    once by `algebra.spinor_adjoint`, so the loop is twisted with real
+    Fourier coefficients. Raises ValueError unless (i, j) is a grid node
+    and n a power of two >= 4.
     """
-    return SampledLoop(_frame_loop_legs(f, i, j, n, substeps)[1],
+    return SampledLoop(spinor_adjoint(_frame_loop_legs(f, i, j, n, substeps)[1]),
                        twisted=True, real=True)

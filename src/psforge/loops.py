@@ -2,10 +2,10 @@
 Birkhoff factorization.
 
 A loop is a finite Laurent series X(lambda) = sum_k X_k lambda^k with 3x3
-coefficients. The twist constraint X(-lambda) = P X(lambda) P^{-1}
-(P = diag(1,1,-1)) pins the parity of every entry: the (1,2)-block entries
-carry even powers only, the entries mixing index 3 odd powers only.
-Reality means real Fourier coefficients, i.e. conj(X(conj(lambda))) = X(lambda).
+or 2x2 (spinor) coefficients. The twist X(-lambda) = P X(lambda) P^{-1}
+(P = diag(1,1,-1), or sigma3 for 2x2) pins the parity of every entry: the
+entries P keeps carry even powers only, the others odd powers only.
+Reality means X_k = conj(X_k) (3x3) or sigma2 conj(X_k) sigma2 (2x2).
 
 The Birkhoff factorization g = g_minus * g_plus (normalized g_minus -> I
 at infinity) is computed from the samples of g at the n-th roots of unity
@@ -31,24 +31,24 @@ __all__ = [
     "birkhoff_split", "save_loop_json", "load_loop_json",
 ]
 
-# P X P for the twist P = diag(1, 1, -1): a sign flip per entry. The
-# entries it keeps ("block", not mixing the third index) live at even
-# powers, the others ("cross") at odd powers.
-_TWIST_SIGNS = np.outer(np.diag(P_TWIST), np.diag(P_TWIST))
-_BLOCK = _TWIST_SIGNS > 0
-_CROSS = ~_BLOCK
+# P X P for the twist P: a sign flip per entry. The entries it keeps
+# ("block") live at even powers, the others at odd powers. For 2x2,
+# sigma2 X sigma2 = _SIGNS[2] * X[::-1, ::-1] too.
+_SIGNS = {m: np.outer(d, d) for m, d in ((3, np.diag(P_TWIST)), (2, (1, -1)))}
+_BLOCK = {m: s > 0 for m, s in _SIGNS.items()}
+_SHAPES = ((3, 3), (2, 2))
 
 _MAX_TRUNCATION = 256   # largest Fourier truncation birkhoff_split tries
 _COND_THRESHOLD = 1e8   # split condition number beyond the big cell
 _CLEAN_TOL = 1e-7       # largest structure violation zeroed in a factor
 _TRIM = 1e-3            # factor tails trimmed up to _TRIM * the split tol
-_ORTHO_TOL = 1e-6       # largest |g^T g - I| of a loop on the circle
+_ORTHO_TOL = 1e-6       # largest |g^T g - I|, |det g - 1| of a loop on the circle
 
 
 @dataclass
 class LaurentLoop:
-    """Finite matrix Laurent series sum_k X_k lambda^k: the (K, 3, 3) stack
-    of its coefficients at the powers kmin .. kmin + K - 1, 0 among them."""
+    """Finite matrix Laurent series sum_k X_k lambda^k: the (K, m, m) stack
+    (m = 3 or 2) of its coefficients at the powers kmin .. kmin + K - 1."""
 
     stack: np.ndarray
     kmin: int
@@ -58,8 +58,9 @@ class LaurentLoop:
     def __post_init__(self):
         kind = complex if np.iscomplexobj(self.stack) else float
         self.stack, self.kmin = np.asarray(self.stack, kind), int(self.kmin)
-        if self.stack.shape[1:] != (3, 3) or not self.kmin <= 0 <= self.kmax:
-            raise ValueError("stack must be (K, 3, 3), kmin <= 0 <= kmax")
+        if self.stack.shape[1:] not in _SHAPES or not self.kmin <= 0 <= self.kmax:
+            raise ValueError("stack must be (K, m, m), m = 3 or 2, with 0 "
+                             "among the powers kmin .. kmax")
 
     @classmethod
     def from_dict(cls, coeffs, twisted=False, real=False):
@@ -78,7 +79,7 @@ class LaurentLoop:
 
     @property
     def coeffs(self):
-        """{power: 3x3} over kmin .. kmax, a new dict on every access."""
+        """{power: m x m} over kmin .. kmax, a new dict on every access."""
         return dict(zip(range(self.kmin, self.kmax + 1), self.stack))
 
 
@@ -94,8 +95,8 @@ class SampledLoop:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
         n = self.values.shape[0]
-        if self.values.shape != (n, 3, 3) or n < 4 or n & (n - 1):
-            raise ValueError("samples must have shape (n, 3, 3), n a power of two")
+        if self.values.shape[1:] not in _SHAPES or n < 4 or n & (n - 1):
+            raise ValueError("samples must be (n, m, m), m = 3 or 2, n = 2^k")
 
     def to_laurent(self):
         """Fourier coefficients of the samples as a LaurentLoop
@@ -105,7 +106,7 @@ class SampledLoop:
 
 
 def loop_eval(x, lam):
-    """Evaluate sum_k X_k lam^k; lam may be an array (appended axes 3x3)."""
+    """Evaluate sum_k X_k lam^k; lam may be an array (appended axes m x m)."""
     lam = np.asarray(lam, dtype=complex)
     if np.any(lam == 0):
         raise ZeroSpectralParameter("loop evaluation at lambda = 0")
@@ -117,7 +118,8 @@ def _twist_violation(stack, kmin):
     """The entries of the coefficient stack at powers kmin, kmin + 1, ..
     that break the twist X_k = (-1)^k P X_k P, with every other entry 0."""
     even = (np.arange(len(stack)) + kmin) % 2 == 0
-    forbidden = np.where(even[:, None, None], _CROSS, _BLOCK)
+    block = _BLOCK[stack.shape[-1]]
+    forbidden = np.where(even[:, None, None], ~block, block)
     return np.where(forbidden, stack, 0.0)
 
 
@@ -133,15 +135,16 @@ def _circle_points(n):
 
 def _fft_coeffs(samples):
     """Fourier coefficients of samples at the n-th roots of unity, an
-    (n, 3, 3) stack indexed by power mod n."""
+    (n, m, m) stack indexed by power mod n."""
     return np.fft.fft(samples, axis=0) / len(samples)
 
 
 def _clean_factor(c, ks, twisted, real, tol):
     """The factor with the coefficient stack c at the ascending powers ks
     (0 among them) as a LaurentLoop, enforcing inherited twist/reality
-    structure: violations up to _CLEAN_TOL = 1e-7 are zeroed, larger ones
-    are reported and the flag dropped. The outer powers, not 0, whose
+    structure: violations up to _CLEAN_TOL = 1e-7 are zeroed (reality by
+    averaging c with its mirror, conj(c) or sigma2 conj(c) sigma2), larger
+    ones are reported and the flag dropped. The outer powers, not 0, whose
     Wiener norms sum to at most _TRIM * tol at either end are trimmed."""
     if twisted:
         viol = _twist_violation(c, ks[0])
@@ -154,12 +157,14 @@ def _clean_factor(c, ks, twisted, real, tol):
         else:
             c = c - viol  # exactly zero where the twist forbids an entry
     if real:
-        viol = np.abs(c.imag).max()
+        m = c.shape[-1]
+        mirror = c.conj() if m == 3 else _SIGNS[2] * c[:, ::-1, ::-1].conj()
+        viol = np.abs(c - mirror).max() / 2
         if viol > _CLEAN_TOL:
             warnings.warn(f"reality violation {viol:.2e} in factor; flag dropped")
             real = False
         else:
-            c = c.real
+            c = c.real if m == 3 else (c + mirror) / 2
     w, cut = wiener_matrix_norm(c), _TRIM * tol
     inner = (np.cumsum(w) > cut) & (np.cumsum(w[::-1])[::-1] > cut)
     kept = np.flatnonzero(inner | (ks == 0))
@@ -171,27 +176,43 @@ def _solve_minus(g, trunc, real):
     Y_j lam^-j such that h*g has no Fourier modes in -1 .. -(trunc + 8), g
     sampled at the n-th roots of unity. Returns the coefficient stacks of
     g_minus = h^{-1} and g_plus = h g (indexed by power mod n) truncated to
-    the powers -trunc .. 0 and 0 .. n/2 - 1, and the condition number."""
-    n = len(g)
-    c = np.concatenate([_fft_coeffs(g), np.zeros((1, 3, 3))])
+    the powers -trunc .. 0 and 0 .. n/2 - 1, and the condition number.
+    A 2x2 g is twisted and real, so Y_j = [[a_j, b_j], [-conj b_j, conj
+    a_j]], a_j = 0 at odd j and b_j = 0 at even j: h's first row holds
+    one unknown u_j per power and its second row follows (the equations
+    of the second are the first's conjugates: the same condition)."""
+    n, size = len(g), g.shape[-1]
+    c = np.concatenate([_fft_coeffs(g), np.zeros((1, size, size))])
     # block (j, m) = g_{j-m}, j = 0 .. trunc, m = 1 .. trunc + 8; powers
     # outside -n/2 .. n/2 - 1 read the zero block c[n], so rows do not alias
-    p = np.arange(trunc + 1)[:, None] - np.arange(1, trunc + 9)
-    blocks = c[np.where((p >= -(n // 2)) & (p < n // 2), p % n, n)]
-    # sum_{j>0} Y_j g_{j-m} = -g_{-m}, transposed: rows (m, column of g),
-    # columns (j, row of g)
-    a = blocks.transpose(1, 3, 0, 2).reshape(3 * (trunc + 8), -1)
-    a = a.real if real else a  # a real loop's coefficients are real
-    sol, _, _, sv = np.linalg.lstsq(a[:, 3:], -a[:, :3], rcond=None)
+    j, m = np.arange(trunc + 1)[:, None], np.arange(1, trunc + 9)
+    p = j - m
+    blocks = np.where((p >= -(n // 2)) & (p < n // 2), p % n, n)
+    h = np.zeros((n, size, size), dtype=complex)
+    if size == 3:
+        # sum_{j>0} Y_j g_{j-m} = -g_{-m}, transposed: rows (m, column of
+        # g), columns (j, row of g)
+        a = c[blocks].transpose(1, 3, 0, 2).reshape(3 * (trunc + 8), -1)
+        a = a.real if real else a  # a real loop's coefficients are real
+        sol, _, _, sv = np.linalg.lstsq(a[:, 3:], -a[:, :3], rcond=None)
+        h[-np.arange(1, trunc + 1)] = sol.reshape(trunc, 3, 3).transpose(0, 2, 1)
+    else:
+        # sum_{j>0} u_j g_{j-m}[j mod 2, m mod 2] = -g_{-m}[0, m mod 2]
+        a = c[blocks, j % 2, m % 2].T
+        sol, _, _, sv = np.linalg.lstsq(a[:, 1:], -a[:, 0], rcond=None)
+        h[-np.arange(1, trunc + 1), 0, np.arange(1, trunc + 1) % 2] = sol
+        h += _SIGNS[2] * h[:, ::-1, ::-1].conj()  # row 2: sigma2 conj(h) sigma2
     cond = np.inf if sv[-1] == 0 else sv[0] / sv[-1]
-
-    h = np.zeros((n, 3, 3), dtype=complex)
-    h[0] = np.eye(3)
-    h[-np.arange(1, trunc + 1)] = sol.reshape(trunc, 3, 3).transpose(0, 2, 1)
+    h[0] = np.eye(size)
     h = n * np.fft.ifft(h, axis=0)
-    f1, f2 = _fft_coeffs(np.linalg.inv(h)), _fft_coeffs(h @ g)
+    if size == 3:
+        inv = np.linalg.inv(h)
+    else:  # adj(h) / det(h)
+        inv = _SIGNS[2] * h.transpose(0, 2, 1)[:, ::-1, ::-1]
+        inv /= (h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0])[:, None, None]
+    f1, f2 = _fft_coeffs(inv), _fft_coeffs(h @ g)
     f1[1:n - trunc] = 0.0
-    f1[0] = np.eye(3)
+    f1[0] = np.eye(size)
     f2[n // 2:] = 0.0
     return f1, f2, cond
 
@@ -217,7 +238,8 @@ def birkhoff_split(g, direction="minus-first", truncation=16, tol=1e-10):
     g is split through its samples at the n-th roots of unity: a
     SampledLoop's own, a LaurentLoop's at n = 2^ceil(log2 4 (truncation +
     spread + 1)), spread its largest |power|. It must be finite and
-    orthogonal-valued on the circle within _ORTHO_TOL = 1e-6 (else
+    on its group on the circle within _ORTHO_TOL = 1e-6, |g^T g - I| or
+    |det g - 1| (else ValueError), and a 2x2 loop twisted and real (else
     ValueError). The Fourier truncation doubles, capped at n/2 - 1 and
     _MAX_TRUNCATION = 256, until the residual (Wiener norm of
     g - factor1*factor2) drops below tol.
@@ -258,10 +280,13 @@ def birkhoff_split(g, direction="minus-first", truncation=16, tol=1e-10):
         n = len(samples)
         cap = n // 2 - 1
         trunc = min(trunc, cap)
-        samples = samples[sign * np.arange(n) % n]
-        dev = group_deviation(samples)
+        samples, size = samples[sign * np.arange(n) % n], samples.shape[-1]
+        if size == 2 and not (g.twisted and g.real):
+            raise ValueError("a 2x2 loop is split only when twisted and real")
+        dev = group_deviation(samples, holomorphic=True)
         if not dev <= _ORTHO_TOL:  # NaN compares False
-            what = "orthogonal-valued" if np.isfinite(dev) else "finite"
+            what = ("finite" if not np.isfinite(dev) else
+                    "orthogonal-valued" if size == 3 else "of determinant 1")
             raise ValueError(
                 f"loop is not {what} on the circle (dev {dev:.2e})")
 
@@ -295,9 +320,10 @@ def birkhoff_split(g, direction="minus-first", truncation=16, tol=1e-10):
 
 
 def save_loop_json(x, path):
-    """Write a real loop as JSON, row-major coefficients at kmin .. kmax."""
-    if not np.abs(x.stack.imag).max() <= 1e-12:  # NaN compares False
-        raise ValueError("loop JSON stores real loops only")
+    """Write a real 3x3 loop as JSON, row-major coefficients at kmin .. kmax."""
+    if (x.stack.shape[1:] != (3, 3)
+            or not np.abs(x.stack.imag).max() <= 1e-12):  # NaN compares False
+        raise ValueError("loop JSON stores real 3x3 loops only")
     payload = {
         "kmin": x.kmin,
         "kmax": x.kmax,

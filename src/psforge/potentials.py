@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import E13, E23, gauge_rotation, so3_to_su2
+from .algebra import E13, E23, gauge_rotation, so3_to_su2, spinor_adjoint
 from .frames import (_LOOP_SAMPLES, _SUBSTEPS, _check_transport,
                      _frame_loop_legs, _march, _spectral, _stage_table)
 from .loops import SampledLoop, birkhoff_split, loop_eval
@@ -156,21 +156,23 @@ def cross_check_split(f, i, j):
     """Compare potential-integrated Birkhoff factors with factors from
     numerically splitting the sampled frame loop at node (i, j).
 
-    Splits U(x_i, y_j, .) both ways (to residual _SPLIT_TOL = 1e-6),
-    evaluates the plus/minus factors at _LAM_EVAL = 1 against the ODE
+    Splits the spinor loop P(x_i, y_j, .) both ways (to residual
+    _SPLIT_TOL = 1e-6): Ad = `algebra.spinor_adjoint` is a homomorphism
+    that keeps the normalizations, so Ad(P_-) Ad(P_+) is the split of the
+    frame loop Ad(P), whose condition number is about P's squared. It
+    compares Ad of the plus/minus factors at _LAM_EVAL = 1 with the ODE
     solutions driven by eta_x / eta_y, and, when j is off the x axis,
-    re-splits on the axis to verify that the plus factor does not depend
-    on y. On the axis the constant complementary factor is checked against
-    the closed-form rotation V0. Returns a dict of sup deviations. Raises
-    ValueError unless (i, j) is a grid node.
+    re-splits on the axis to verify that the plus factor's coefficients
+    do not depend on y. On the axis the constant complementary factor is
+    checked against the closed-form rotation V0. Returns a dict of sup
+    deviations. Raises ValueError unless (i, j) is a grid node.
 
-    Only what the result needs is marched: the frame loop along
-    origin -> (x_i, y_0) -> (x_i, y_j), as its spinor lift (see
-    `frames._loop_legs`), whose x-leg ends in the on-axis loop at
-    (x_i, y_0), and the two axis ODEs from the origin to node i and to
-    node j. Each equals, bit for bit, the value read from
-    sample_frame_loop(f, i, j, 64, frames._SUBSTEPS) (not at its default
-    substeps=1), integrate_plus or integrate_minus.
+    Only what the result needs is marched: the spinor loop along
+    origin -> (x_i, y_0) -> (x_i, y_j) (`frames._frame_loop_legs`, 64
+    samples, frames._SUBSTEPS), whose x-leg ends in the on-axis loop at
+    (x_i, y_0), and the axis ODEs from the origin to nodes i and j, equal
+    to integrate_plus and integrate_minus bit for bit. The 2x2 factors are
+    not bit-equal to those of sample_frame_loop's 3x3 loop (Ad P).
     """
     return _cross_check(f, i, j)[-1]
 
@@ -190,10 +192,10 @@ def _cross_check(f, i, j, with_axis=False):
         u_minus, _ = birkhoff_split(loop, "minus-first", tol=_SPLIT_TOL)
         minus_ode = _integrate_axis(eta_minus, "y", _LAM_EVAL, node)
         return {
-            "plus_factor_dev": float(np.abs(
-                loop_eval(u_plus, _LAM_EVAL) - plus_ode).max()),
-            "minus_factor_dev": float(np.abs(
-                loop_eval(u_minus, _LAM_EVAL) - minus_ode).max()),
+            "plus_factor_dev": float(np.abs(spinor_adjoint(
+                loop_eval(u_plus, _LAM_EVAL)) - plus_ode).max()),
+            "minus_factor_dev": float(np.abs(spinor_adjoint(
+                loop_eval(u_minus, _LAM_EVAL)) - minus_ode).max()),
         }
 
     axis_loop = SampledLoop(axis_values, twisted=True, real=True)
@@ -203,8 +205,8 @@ def _cross_check(f, i, j, with_axis=False):
     if with_axis or j == j0:
         report = factor_devs(axis_loop, u_plus_axis, j0)
         # on the axis the complement of U+ is the constant rotation V0
-        report["v0_dev"] = float(np.abs(
-            loop_eval(v_minus_axis, _LAM_EVAL) - rotation_V0(f)[i]).max())
+        report["v0_dev"] = float(np.abs(spinor_adjoint(
+            loop_eval(v_minus_axis, _LAM_EVAL)) - rotation_V0(f)[i]).max())
         reports.append(report)
     if j != j0:
         loop = SampledLoop(values, twisted=True, real=True)

@@ -408,12 +408,14 @@ def test_march_block_size_independent(march_field, monkeypatch):
 
 def test_direct_frame_loop_is_twisted_real(march_field):
     # the symmetries the quarter-circle unfold relies on, on a march of
-    # every root: U(conj lambda) = conj U(lambda), U(-lambda) = P U(lambda) P
+    # every root: P(conj lambda) = sigma2 conj P(lambda) sigma2,
+    # P(-lambda) = sigma3 P(lambda) sigma3
     n = 64
     s = np.arange(n)
-    for u in frames._loop_legs(march_field, 80, 30, _circle_points(n), 2):
-        assert np.abs(u[-s % n] - u.conj()).max() <= 1e-12
-        assert np.abs(u[(s + n // 2) % n] - P_TWIST @ u @ P_TWIST).max() <= 1e-12
+    s2, s3 = np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])
+    for p in frames._loop_legs(march_field, 80, 30, _circle_points(n), 2):
+        assert np.abs(p[-s % n] - s2 @ p.conj() @ s2).max() <= 1e-12
+        assert np.abs(p[(s + n // 2) % n] - s3 @ p @ s3).max() <= 1e-12
 
 
 def test_frame_loop_unfold_matches_direct_march(march_field):
@@ -454,8 +456,7 @@ def _per_node_legs(f, i, j, lams, substeps, gens=frames._SU2,
                    march=_holomorphic_march):
     """The two legs of `_loop_legs` marched substep by substep under the
     generator pair gens by a reference RK4 march that shares no code with
-    psforge's: by default the spinor lift P, as `_loop_legs` marches it,
-    mapped to U = spinor_adjoint(P) at each leg's end."""
+    psforge's: by default the spinor lift P, as `_loop_legs` marches it."""
     g = f.grid
     i0, j0 = g.origin_index()
     m = 2 if gens is frames._SU2 else 3
@@ -467,7 +468,7 @@ def _per_node_legs(f, i, j, lams, substeps, gens=frames._SU2,
         for _, u in march(u, ts, start, stop, h, substeps,
                           lambda t: coeff(np.array([t]))[0]):
             pass
-        legs.append(spinor_adjoint(u) if m == 2 else u)
+        legs.append(u)
     return legs
 
 
@@ -504,7 +505,8 @@ def test_spinor_legs_beat_3x3_legs_at_equal_substeps(small_soliton):
     for f, node in ((small_soliton, (100, 0)), (_Y_FIELD, (40, 40))):
         ref = _per_node_legs(f, *node, lams, 16, frames._SO3, ref_march)
         old = _per_node_legs(f, *node, lams, 2, frames._SO3, ref_march)
-        new = frames._loop_legs(f, *node, lams, 2)
+        new = [spinor_adjoint(p)
+               for p in frames._loop_legs(f, *node, lams, 2)]
         for u_old, u_new, want in zip(old, new, ref, strict=True):
             assert (np.abs(u_old - want).max()
                     >= 4.0 * np.abs(u_new - want).max()), node
@@ -515,7 +517,7 @@ def test_zero_length_leg_returns_its_input(march_field):
     i0, j0 = g.origin_index()
     lams = _circle_points(64)[:17]
     u_axis, _ = frames._loop_legs(march_field, i0, j0 + 20, lams, 2)
-    assert np.array_equal(u_axis, np.broadcast_to(np.eye(3), u_axis.shape))
+    assert np.array_equal(u_axis, np.broadcast_to(np.eye(2), u_axis.shape))
     u_axis, u = frames._loop_legs(march_field, i0 + 20, j0, lams, 2)
     assert np.array_equal(u, u_axis)
     u0 = rng.normal(size=(17, 3, 3)) + 1j * rng.normal(size=(17, 3, 3))
@@ -626,11 +628,12 @@ def two_soliton_201():
 
 def test_frame_loop_legs_stay_on_group(two_soliton_201):
     # projected once per block of step matrices, a resolved march drifts
-    # off the group by about n * eps * |U|^2; |U| reaches 14 on these legs
+    # off the group, here |det P - 1|, by about n * eps * |P|^2; |U| =
+    # |Ad P| reaches 14 on these legs
     f = two_soliton_201
     for i, j in [(0, 0), (0, 200), (200, 0), (200, 200)]:
-        for u in frames._loop_legs(f, i, j, _circle_points(64), 2):
-            assert group_deviation(u) <= 1e-11, (i, j)
+        for p in frames._loop_legs(f, i, j, _circle_points(64), 2):
+            assert group_deviation(p, holomorphic=True) <= 1e-11, (i, j)
 
 
 def test_batched_grid_frame_stays_on_group(two_soliton_201):

@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 from psforge.algebra import E12, E13, E23, P_TWIST
 from psforge.errors import (BigCellViolation, TruncationTooSmall,
                             ZeroSpectralParameter)
+from psforge import frames
+from psforge.algebra import spinor_adjoint
 from psforge.frames import sample_frame_loop
 from psforge.sinegordon import GridSpec
-from psforge.loops import (LaurentLoop, SampledLoop, birkhoff_split,
-                           load_loop_json, loop_eval, save_loop_json,
-                           twist_deviation)
+from psforge.loops import (LaurentLoop, SampledLoop, _circle_points,
+                           birkhoff_split, load_loop_json, loop_eval,
+                           save_loop_json, twist_deviation)
 from util import (coeff_dev, identity_loop, loop_norm, multiply,
                   random_twisted_algebra, random_twisted_factor, two_soliton)
 
@@ -86,6 +88,9 @@ def test_split_identity():
     f1, f2 = birkhoff_split(identity_loop(), "minus-first")
     assert coeff_dev(f1, identity_loop()) == 0.0
     assert coeff_dev(f2, identity_loop()) == 0.0
+    spinor = LaurentLoop(np.eye(2)[None], 0, twisted=True, real=True)
+    for f in birkhoff_split(spinor, "plus-first"):
+        assert coeff_dev(f, spinor) == 0.0
 
 
 def test_split_recovers_synthetic_product():
@@ -208,6 +213,63 @@ def test_split_winding_loop_raises():
 def test_split_rejects_non_orthogonal():
     with pytest.raises(ValueError):
         birkhoff_split(LaurentLoop.from_dict({0: 2.0 * np.eye(3)}), "minus-first")
+    # a 2x2 loop's group check is |det g - 1| <= _ORTHO_TOL = 1e-6
+    for scale, ok in ((1.0 + 4e-7, True), (1.0 + 1e-6, False)):
+        loop = SampledLoop(np.tile(scale * np.eye(2), (16, 1, 1)), True, True)
+        if ok:
+            birkhoff_split(loop, "minus-first")
+        else:
+            with pytest.raises(ValueError, match="not of determinant 1"):
+                birkhoff_split(loop, "minus-first")
+
+
+@pytest.mark.parametrize("flags", [(False, False), (True, False), (False, True)])
+def test_spinor_split_needs_twist_and_reality(flags):
+    # the reduced 2x2 solve rests on both symmetries
+    for loop in (SampledLoop(np.tile(np.eye(2), (16, 1, 1)), *flags),
+                 LaurentLoop(np.eye(2)[None], 0, *flags)):
+        with pytest.raises(ValueError, match="only when twisted and real"):
+            birkhoff_split(loop, "minus-first")
+
+
+def test_spinor_split_beyond_the_big_cell_raises():
+    # exp(s lam i sigma1) exp(s / lam i sigma2) is twisted and real, and
+    # at s = 5.5 its splitting system is conditioned at about 3e8, beyond
+    # _COND_THRESHOLD = 1e8, while |det g - 1| stays near 1e-7
+    lam = _circle_points(64)[:, None, None]
+    s, i_s1, i_s2 = 5.5, np.array([[0, 1j], [1j, 0]]), np.array([[0, 1], [-1, 0]])
+    g = ((np.cos(s * lam) * np.eye(2) + np.sin(s * lam) * i_s1)
+         @ (np.cos(s / lam) * np.eye(2) + np.sin(s / lam) * i_s2))
+    for direction in ("minus-first", "plus-first"):
+        with pytest.raises(BigCellViolation, match="outside the big cell"):
+            birkhoff_split(SampledLoop(g, twisted=True, real=True), direction)
+
+
+@pytest.mark.parametrize("half_width, h, node", [(2, 0.05, (80, 80)),
+                                                 (2, 0.05, (43, 80)),
+                                                 (4, 0.1, (0, 80))])
+def test_spinor_split_matches_3x3_split(half_width, h, node):
+    # inside the 3x3 big cell (half-widths up to 4): the split of the
+    # spinor loop P maps by Ad onto the 3x3 split of g = Ad(P), the
+    # reference, at lambda = 1 to 3.2e-13 at most (measured), and
+    # Ad(P_-) Ad(P_+) reproduces g to 1.2e-13 |g| at most (measured)
+    n = int(round(2 * half_width / h)) + 1
+    f = two_soliton(GridSpec(-half_width, -half_width, n, n, h, h))
+    p = SampledLoop(frames._frame_loop_legs(f, *node, 64, 2)[1], True, True)
+    g = sample_frame_loop(f, *node, 64, 2)
+    assert np.array_equal(g.values, spinor_adjoint(p.values))
+    lams = _circle_points(64)
+    for direction in ("minus-first", "plus-first"):
+        a1, a2 = birkhoff_split(p, direction)
+        b1, b2 = birkhoff_split(g, direction)
+        assert all(x.stack.shape[1:] == (2, 2) and x.twisted and x.real
+                   for x in (a1, a2))
+        prod = (spinor_adjoint(loop_eval(a1, lams))
+                @ spinor_adjoint(loop_eval(a2, lams)))
+        assert np.abs(prod - g.values).max() <= 1e-12 * np.abs(g.values).max()
+        for a, b in ((a1, b1), (a2, b2)):
+            assert np.abs(spinor_adjoint(loop_eval(a, 1.0))
+                          - loop_eval(b, 1.0)).max() <= 1e-12, direction
 
 
 @pytest.mark.parametrize("kwargs, match", [
@@ -246,6 +308,8 @@ def test_sampled_loop_flags_default_false():
 def test_sampled_loop_shape_validation():
     with pytest.raises(ValueError):
         SampledLoop(np.zeros((13, 3, 3)))
+    with pytest.raises(ValueError):
+        SampledLoop(np.zeros((16, 4, 4)))
 
 
 def test_json_round_trip(tmp_path):
@@ -257,6 +321,15 @@ def test_json_round_trip(tmp_path):
     assert back.twisted and back.real
     assert coeff_dev(back, g) == 0.0
     assert back.kmin == g.kmin and back.kmax == g.kmax
+
+
+def test_loop_json_refuses_spinor_loops(tmp_path):
+    # the file holds 3x3 loops: 9 real 2x2 coefficients (36 numbers)
+    # would reshape into 4 scrambled 3x3 ones
+    for k in (1, 9):
+        with pytest.raises(ValueError, match="real 3x3 loops only"):
+            save_loop_json(LaurentLoop(np.tile(np.eye(2), (k, 1, 1)), 0),
+                           tmp_path / "loop.json")
 
 
 @pytest.mark.parametrize("flags", ['"twisted": "false"', '"real": "no"',

@@ -3,10 +3,13 @@ import pytest
 from scipy.interpolate import CubicSpline
 from scipy.linalg import expm
 
-from psforge import frames
-from psforge.algebra import E13, E23, gauge_rotation, so3_to_su2
+from psforge import frames, loops
+from psforge.algebra import (E13, E23, gauge_rotation, so3_to_su2,
+                             spinor_adjoint)
 from psforge.frames import _frame_loop_legs, maurer_cartan, sample_frame_loop
-from psforge.loops import birkhoff_split, loop_eval
+from psforge.loops import SampledLoop, birkhoff_split, loop_eval
+from psforge.cli import DEFAULT_TOLERANCES
+from psforge.errors import BigCellViolation
 from psforge.numerics import deriv4
 from psforge.potentials import (PotentialForm, _integrate_axis,
                                 cross_check_split, eta_2x2, eta_x, eta_y,
@@ -186,28 +189,37 @@ def test_cross_check_split_y_independence(soliton):
     assert rep["uplus_y_independence"] < 1e-4
 
 
+def _spinor_loop(f, i, j):
+    """The spinor loop at node (i, j) that cross_check_split splits."""
+    return SampledLoop(_frame_loop_legs(f, i, j, 64, frames._SUBSTEPS)[1],
+                       twisted=True, real=True)
+
+
 def _split_from_public_pieces(f, i, j):
     """cross_check_split(f, i, j) at its defaults, assembled from the
     public functions: whole-axis ODE solutions and separately sampled
-    loops."""
+    spinor loops, whose factors at lambda = 1 are mapped by Ad."""
     i0, j0 = f.grid.origin_index()
-    loop = sample_frame_loop(f, i, j, substeps=frames._SUBSTEPS)
+    loop = _spinor_loop(f, i, j)
     u_plus, v_minus = birkhoff_split(loop, "plus-first", tol=1e-6)
     u_minus, _ = birkhoff_split(loop, "minus-first", tol=1e-6)
     rep = {
-        "plus_factor_dev": float(np.abs(loop_eval(u_plus, 1.0)
-                                        - integrate_plus(eta_x(f), 1.0)[i]).max()),
-        "minus_factor_dev": float(np.abs(loop_eval(u_minus, 1.0)
-                                         - integrate_minus(eta_y(f), 1.0)[j]).max()),
+        "plus_factor_dev": float(np.abs(
+            spinor_adjoint(loop_eval(u_plus, 1.0))
+            - integrate_plus(eta_x(f), 1.0)[i]).max()),
+        "minus_factor_dev": float(np.abs(
+            spinor_adjoint(loop_eval(u_minus, 1.0))
+            - integrate_minus(eta_y(f), 1.0)[j]).max()),
     }
     if j != j0:
-        axis_loop = sample_frame_loop(f, i, j0, substeps=frames._SUBSTEPS)
+        axis_loop = _spinor_loop(f, i, j0)
         u_plus_axis, _ = birkhoff_split(axis_loop, "plus-first", tol=1e-6)
         rep["uplus_y_independence"] = coeff_dev(u_plus, u_plus_axis)
     else:
         xrow = f.phi[:, j0]
         v0 = gauge_rotation(xrow[i0] - xrow[i])
-        rep["v0_dev"] = float(np.abs(loop_eval(v_minus, 1.0) - v0).max())
+        rep["v0_dev"] = float(np.abs(spinor_adjoint(loop_eval(v_minus, 1.0))
+                                     - v0).max())
     return rep
 
 
@@ -231,7 +243,7 @@ def test_cross_check_split_equals_public_pieces(tmp_path, soliton_51, sampled):
         assert ("uplus_y_independence" in rep) == (j != j0)
         x_leg, _ = _frame_loop_legs(f, i, j, frames._LOOP_SAMPLES,
                                     frames._SUBSTEPS)
-        assert np.array_equal(x_leg, sample_frame_loop(
+        assert np.array_equal(spinor_adjoint(x_leg), sample_frame_loop(
             f, i, j0, substeps=frames._SUBSTEPS).values)
 
 
@@ -284,11 +296,33 @@ def test_probe_node_out_of_range(soliton_51, node):
 
 @pytest.mark.parametrize("node", [(0, 0), (320, 320)])
 def test_cross_check_split_far_corner_64_samples(node):
-    # the truncation doubles from 16 to the 31 Fourier blocks that 64
-    # samples support, which the frame loop at a corner of [-4,4]^2 needs
+    # the spinor loop at a corner of [-4,4]^2 splits at truncation 16; its
+    # 3x3 image needed the 31 Fourier blocks that 64 samples support
     f = two_soliton(GridSpec(-4.0, -4.0, 321, 321, 0.025, 0.025))
     report = cross_check_split(f, *node)
     assert max(report.values()) <= 1e-6
+
+
+@pytest.mark.parametrize("half_width, truncations", [(5, [16]), (6, [16, 31])])
+def test_cross_check_split_far_corner_in_big_cell(monkeypatch, half_width,
+                                                  truncations):
+    # the far corners of [-5,5]^2 and [-6,6]^2 lie outside the 3x3 split's
+    # numerical big cell (condition numbers 1.0e8 and 5.3e9 at truncation
+    # 31), not the spinor split's: its condition number grows like |P|^2,
+    # about |g|. At [-6,6]^2 every split doubles to the 31 Fourier blocks
+    # that 64 samples support (measured: 3.2e-8 and 1.1e-8)
+    n = 80 * half_width + 1
+    f = two_soliton(GridSpec(-half_width, -half_width, n, n, 0.025, 0.025))
+    with pytest.raises(BigCellViolation):
+        birkhoff_split(sample_frame_loop(f, n - 1, n - 1, substeps=2),
+                       "minus-first", tol=1e-6)
+    seen, solve = [], loops._solve_minus
+    monkeypatch.setattr(loops, "_solve_minus",
+                        lambda g, trunc, real: seen.append(trunc)
+                        or solve(g, trunc, real))
+    report = cross_check_split(f, n - 1, n - 1)
+    assert max(report.values()) <= DEFAULT_TOLERANCES["split_cross_check"]
+    assert seen == 3 * truncations  # per split, of three
 
 
 @pytest.mark.parametrize("line, message", [
