@@ -7,7 +7,7 @@ The extended frame U(x, y; lambda) solves the right-invariant system
     U^{-1} U_y = B = (1/lambda) (-sin(phi) E13 - cos(phi) E23)
 
 with U = I at the origin. The Sym position psi = lambda U_lambda U^{-1}
-(a vector through `algebra.hat`) has psi_x = -lambda U e1 and
+(a vector through `algebra.unhat`) has psi_x = -lambda U e1 and
 psi_y = -U unhat(B), so the surface's Euclidean frame F = [[U, psi], [0, 1]]
 solves F^{-1} dF = [[A, tau], [0, 0]], tau = -lambda e1 dx - unhat(B) dy:
 grid frames are marched as the 3x4 state [U | psi]. Every ODE of psforge
@@ -222,8 +222,7 @@ def _step_blocks(u, ts, start, stop, spacing, substeps, coeff):
                 step += eye
             P = step if P is None else mm(P, step)
         P = back(P)
-        P[..., :m, :m] = polar_project(P[..., :m, :m],
-                                       getattr(coeff, "holomorphic", None))
+        P[..., :m, :m] = polar_project(P[..., :m, :m])
         yield block, P
 
 
@@ -271,17 +270,16 @@ _SUBSTEPS = 2
 _LOOP_SAMPLES = 64
 
 
-def _check_transport(u, holomorphic=None):
+def _check_transport(u):
     """Raise StepFailure unless the square blocks u[..., :m] of the marched
-    states are finite and on their group (`numerics._adjoint`; holomorphic
-    at a complex lambda). A resolved march of n nodes
-    stays within about n eps |u|^2 of it; one Newton-Schulz step on each
-    node's step matrix does not pull back a march whose step is too
-    coarse for the Lax system (large h * max(lambda, 1/lambda))."""
+    states are finite and on their group (`numerics._adjoint`). A resolved
+    march of n nodes stays within about n eps |u|^2 of it; one Newton-Schulz
+    step on each node's step matrix does not pull back a march whose step
+    is too coarse for the Lax system (large h * max(lambda, 1/lambda))."""
     u = u[..., :u.shape[-2]]
     if not np.all(np.isfinite(u)):
         raise StepFailure("RK4 transport produced non-finite entries")
-    dev = group_deviation(u, holomorphic)
+    dev = group_deviation(u)
     if dev > _GROUP_TOL:
         raise StepFailure(f"RK4 transport left the group by {dev:.1e}: "
                           "the step does not resolve the Lax system; use "
@@ -319,9 +317,7 @@ def _lax_on_line(f, lam, axis, line, gens, substeps):
     lines' samples refined onto the stage points of a march of `substeps`
     RK4 steps per grid step (`_stage_table`). On y-lines it also carries
     coeff.scaled = (G, 1/lambda), G the generator at lambda = 1, from which
-    `_step_blocks` builds the step matrices without lambda; and on both,
-    coeff.holomorphic, whether lambda is complex, which names the group
-    `_step_blocks` projects onto (`numerics._adjoint`)."""
+    `_step_blocks` builds the step matrices without lambda."""
     g = f.grid
     lam = np.asarray(lam)
     lam_axes = (slice(None),) + (None,) * lam.ndim
@@ -339,7 +335,6 @@ def _lax_on_line(f, lam, axis, line, gens, substeps):
     def coeff(t):
         return gens[axis](angle(t)[lam_axes], lam)
 
-    coeff.holomorphic = np.iscomplexobj(lam)
     if axis == 1:
         # every generator of y is linear in 1/lambda: coeff = z gens[1](., 1)
         coeff.scaled = (lambda t: gens[1](angle(t)[lam_axes], 1.0), 1.0 / lam)
@@ -371,7 +366,7 @@ def _fill_grid(f, lam, order, u0, substeps, gens):
         for n, u in _march(V[..., :, ob, :, :].copy(), tb, ob, stop, hb,
                            substeps, coeff):
             V[..., :, n, :, :] = u
-    _check_transport(U, np.iscomplexobj(lam))
+    _check_transport(U)
     return U
 
 
@@ -520,14 +515,13 @@ def _loop_legs(f, i, j, lams, substeps):
         raise ValueError(f"node ({i}, {j}) is outside the {g.nx}x{g.ny} grid")
     lams = _spectral(lams, substeps)
     i0, j0 = g.origin_index()
-    holomorphic = np.iscomplexobj(lams)
     p = np.zeros(np.shape(lams) + (2, 2), complex) + np.eye(2)
     p_axis = _march_end(p, g.xs, i0, i, g.hx, substeps,
                         _lax_on_line(f, lams, 0, j0, _SU2, substeps))
     p = _march_end(p_axis, g.ys, j0, j, g.hy, substeps,
                    _lax_on_line(f, lams, 1, i, _SU2, substeps))
-    _check_transport(p_axis, holomorphic)
-    _check_transport(p, holomorphic)
+    _check_transport(p_axis)
+    _check_transport(p)
     return p_axis, p
 
 

@@ -283,7 +283,7 @@ def birkhoff_split(g, direction="minus-first", truncation=16, tol=1e-10):
         samples, size = samples[sign * np.arange(n) % n], samples.shape[-1]
         if size == 2 and not (g.twisted and g.real):
             raise ValueError("a 2x2 loop is split only when twisted and real")
-        dev = group_deviation(samples, holomorphic=True)
+        dev = group_deviation(samples)
         if not dev <= _ORTHO_TOL:  # NaN compares False
             what = ("finite" if not np.isfinite(dev) else
                     "orthogonal-valued" if size == 3 else "of determinant 1")
@@ -337,14 +337,16 @@ def save_loop_json(x, path):
 
 
 def load_loop_json(path):
-    """Read a loop JSON file; the powers it leaves out are zero, and absent
-    flags mean twisted false, real true. A payload that is not a loop, or
-    a flag that is not a JSON boolean, raises ValueError naming path."""
+    """Read a loop JSON file; omitted powers are zero, absent flags mean
+    twisted false, real true. ValueError, naming path, for a payload that is
+    not a loop, a power beyond +-_MAX_TRUNCATION or a non-boolean flag."""
     with open(path) as fh:
         try:
             payload = json.load(fh)
             coeffs = {int(k): np.asarray(v, dtype=float).reshape(3, 3)
                       for k, v in payload["coeffs"].items()}
+            if any(abs(k) > _MAX_TRUNCATION for k in coeffs):
+                raise ValueError(f"a power beyond +-{_MAX_TRUNCATION}")
             flags = payload.get("twisted", False), payload.get("real", True)
             if not all(isinstance(v, bool) for v in flags):
                 raise TypeError(f"flags {flags!r} are not JSON booleans")

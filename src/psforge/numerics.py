@@ -73,27 +73,21 @@ def _mm(a, b):
     return out
 
 
-def _adjoint(e, holomorphic=None):
-    """u* for the entries-first u = e, u* u = I on the group u lives in:
-    the plain transpose for real frames and for holomorphic complex 3x3
-    ones (complex orthogonal group, g^T g = I), the adjugate for
-    holomorphic 2x2 ones (SL(2, C), adj(g) g = det g), else the conjugate
-    transpose (unitary group). A frame is holomorphic when it comes from
-    a complex lambda; unless told, complex 3x3 frames are and 2x2 ones
-    (spinor frames at real lambda, SU(2)) are not."""
-    et = e.swapaxes(0, 1)
-    if not np.iscomplexobj(e):
-        return et
-    if not (len(e) == 3 if holomorphic is None else holomorphic):
-        return et.conj()
+def _adjoint(e):
+    """u* for the entries-first u = e: u* u = I on the group its size names,
+    the transpose for 3x3 (SO(3), or SO(3, C) at a complex lambda) and the
+    adjugate for 2x2 (SL(2, C), adj(g) g = det g). The adjugate serves SU(2)
+    too: on real quaternions [[a, b], [-conj b, conj a]], which the RK4 step
+    matrices of su(2) at a real lambda are exactly (`_mm` forms conjugate
+    entries from conjugate products), it is the conjugate transpose."""
     if len(e) != 2:
-        return et
+        return e.swapaxes(0, 1)
     adj = -e
     adj[0, 0], adj[1, 1] = e[1, 1], e[0, 0]
     return adj
 
 
-def polar_project(u, holomorphic=None):
+def polar_project(u):
     """One Newton-Schulz step u (3I - u* u) / 2 back onto the group, batched.
 
     u* is the adjoint of the group u lives in (`_adjoint`). The step
@@ -103,14 +97,14 @@ def polar_project(u, holomorphic=None):
     by about n eps |u|^2), and does not bring back a matrix far from it.
     Computed entries-first (`_mm`), returned as a (..., m, m) view."""
     e = np.ascontiguousarray(np.moveaxis(u, (-2, -1), (0, 1)))
-    g = -0.5 * _mm(_adjoint(e, holomorphic), e)
+    g = -0.5 * _mm(_adjoint(e), e)
     g[range(len(e)), range(len(e))] += 1.5
     return np.moveaxis(_mm(e, g), (0, 1), (-2, -1))
 
 
-def group_deviation(u, holomorphic=None):
+def group_deviation(u):
     """sup |u* u - I| over a batch, u* the group's adjoint (`_adjoint`)."""
     e = np.ascontiguousarray(np.moveaxis(u, (-2, -1), (0, 1)))
-    g = _mm(_adjoint(e, holomorphic), e)
+    g = _mm(_adjoint(e), e)
     g[range(len(e)), range(len(e))] -= 1.0
     return np.abs(g).max()

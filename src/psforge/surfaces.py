@@ -2,8 +2,8 @@
 Lorentz-harmonicity checks, the associated family and OBJ export.
 
 A member of the family is its `frames.ExtendedFrame`: the surface is the
-frame's Sym position psi = lam * dU/dlam * U^{-1} as points of R^3 (the
-hat map of the algebra module), taken without a lambda derivative from
+frame's Sym position psi = lam * dU/dlam * U^{-1} as points of R^3
+(`algebra.unhat`), taken without a lambda derivative from
 the Euclidean frame F = [[U, psi], [0, 1]] that `frames.integrate_frame`
 marches: F^{-1} dF = [[A, tau], [0, 0]], tau = -lam e1 dx - unhat(B) dy.
 All derivative estimates on the grid are 4th-order centered differences;

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -299,6 +300,25 @@ def test_split_malformed_loop_json_exit_2(tmp_path, capsys, payload):
     code = main(["split", "--loop", str(path), "--out", str(tmp_path)])
     assert code == 2
     assert f"{path}: not a loop JSON file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("power, code", [(2000, 2), (-257, 2), (256, 0),
+                                         (-256, 0)])
+def test_split_loop_json_powers_bounded(tmp_path, capsys, power, code):
+    # a power beyond the truncation cap 256 is refused before the loop is
+    # sampled: the samples grow with the power and their Vandermonde matrix
+    # with its square, seconds and 300 MB at power 2000
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"coeffs": {"0": np.eye(3).ravel().tolist(),
+                                           str(power): [0.0] * 9}}))
+    start = time.perf_counter()
+    got = main(["split", "--loop", str(path), "--out", str(tmp_path / "out")])
+    assert got == code
+    if code == 2:
+        assert time.perf_counter() - start < 1.0
+        assert (f"{path}: not a loop JSON file: ValueError('a power beyond "
+                "+-256')") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("args, message", [

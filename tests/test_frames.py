@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from psforge import frames, potentials
+from psforge import frames, numerics, potentials
 from psforge.algebra import E12, E23, P_TWIST, spinor_adjoint, spinor_map
 from psforge.errors import StepFailure, ZeroSpectralParameter
 from psforge.frames import (check_conditions_K, compatibility_residual,
@@ -12,7 +12,7 @@ from psforge.frames import (check_conditions_K, compatibility_residual,
                             lambda_forms, maurer_cartan, sample_frame_loop,
                             su2_frame)
 from psforge.loops import _circle_points, twist_deviation
-from psforge.numerics import deriv4, group_deviation, polar_project
+from psforge.numerics import deriv4, group_deviation
 from psforge.potentials import eta_x, eta_y, integrate_minus, integrate_plus
 from psforge.sinegordon import (AngleField, GridSpec, load_angle_csv,
                                 save_angle_csv, soliton_angle)
@@ -433,30 +433,11 @@ def test_frame_loop_unfold_matches_direct_march(march_field):
             frames._frame_loop_legs(march_field, 80, 30, bad, 2)
 
 
-def _holomorphic_march(u, ts, start, stop, spacing, substeps, coeff):
-    """`util.ref_march` with the projection of SL(2, C), the group of the
-    spinor lift at a complex lambda, in place of its unitary one."""
-    direction = 1 if stop >= start else -1
-    h_node = direction * spacing
-    h = h_node / substeps
-    for n in range(start, stop, direction):
-        for k in range(substeps):
-            t0 = ts[n] + h_node * k / substeps
-            a1, a2, a3 = coeff(t0), coeff(t0 + 0.5 * h), coeff(t0 + h)
-            k1 = u @ a1
-            k2 = (u + 0.5 * h * k1) @ a2
-            k3 = (u + 0.5 * h * k2) @ a2
-            k4 = (u + h * k3) @ a3
-            u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        u = polar_project(u, holomorphic=True)
-        yield n + direction, u
-
-
-def _per_node_legs(f, i, j, lams, substeps, gens=frames._SU2,
-                   march=_holomorphic_march):
+def _per_node_legs(f, i, j, lams, substeps, gens=frames._SU2):
     """The two legs of `_loop_legs` marched substep by substep under the
-    generator pair gens by a reference RK4 march that shares no code with
-    psforge's: by default the spinor lift P, as `_loop_legs` marches it."""
+    generator pair gens by `util.ref_march`, a reference RK4 march that
+    shares no code with psforge's: by default the spinor lift P, as
+    `_loop_legs` marches it."""
     g = f.grid
     i0, j0 = g.origin_index()
     m = 2 if gens is frames._SU2 else 3
@@ -465,8 +446,8 @@ def _per_node_legs(f, i, j, lams, substeps, gens=frames._SU2,
     for ts, start, stop, h, axis, line in ((g.xs, i0, i, g.hx, 0, j0),
                                            (g.ys, j0, j, g.hy, 1, i)):
         coeff = frames._lax_on_line(f, lams, axis, line, gens, substeps)
-        for _, u in march(u, ts, start, stop, h, substeps,
-                          lambda t: coeff(np.array([t]))[0]):
+        for _, u in ref_march(u, ts, start, stop, h, substeps,
+                              lambda t: coeff(np.array([t]))[0]):
             pass
         legs.append(u)
     return legs
@@ -488,10 +469,29 @@ def test_real_lambda_legs_match_ref_march(march_field, node):
     # at a real lambda the spinor lift lies in SU(2), whose projection is
     # the one `util.ref_march` makes
     lams = np.array([0.5, 1.0, 2.0])
-    want = _per_node_legs(march_field, *node, lams, 2, march=ref_march)
+    want = _per_node_legs(march_field, *node, lams, 2)
     for leg, u in zip(frames._loop_legs(march_field, *node, lams, 2), want,
                       strict=True):
         assert np.abs(leg - u).max() <= 1e-13 * np.abs(u).max(), node
+
+
+def test_su2_march_projects_onto_su2_bit_for_bit(march_field, monkeypatch):
+    # at real lambda the step matrices are real quaternions in floating
+    # point, on which the adjugate of SL(2, C) is the conjugate transpose
+    # of SU(2): the projection by either is the same, bit for bit
+    lams = np.array([0.5, 1.0, 2.0])
+
+    def marches():
+        return (su2_frame(march_field, lams, substeps=2),
+                *frames._loop_legs(march_field, 80, 30, lams, 2))
+
+    got = marches()
+    monkeypatch.setattr(numerics, "_adjoint",
+                        lambda e: e.swapaxes(0, 1).conj())
+    for p, want in zip(got, marches(), strict=True):
+        assert np.array_equal(p, want)
+    p = got[0]
+    assert np.abs(np.swapaxes(p, -1, -2).conj() @ p - np.eye(2)).max() <= 1e-13
 
 
 _Y_FIELD = two_soliton(GridSpec(-1.0, -1.0, 41, 41, 0.05, 0.05))
@@ -503,8 +503,8 @@ def test_spinor_legs_beat_3x3_legs_at_equal_substeps(small_soliton):
     # than the 3x3 RK4 march of U at substeps 2
     lams = _circle_points(64)[:17]
     for f, node in ((small_soliton, (100, 0)), (_Y_FIELD, (40, 40))):
-        ref = _per_node_legs(f, *node, lams, 16, frames._SO3, ref_march)
-        old = _per_node_legs(f, *node, lams, 2, frames._SO3, ref_march)
+        ref = _per_node_legs(f, *node, lams, 16, frames._SO3)
+        old = _per_node_legs(f, *node, lams, 2, frames._SO3)
         new = [spinor_adjoint(p)
                for p in frames._loop_legs(f, *node, lams, 2)]
         for u_old, u_new, want in zip(old, new, ref, strict=True):
@@ -628,12 +628,12 @@ def two_soliton_201():
 
 def test_frame_loop_legs_stay_on_group(two_soliton_201):
     # projected once per block of step matrices, a resolved march drifts
-    # off the group, here |det P - 1|, by about n * eps * |P|^2; |U| =
-    # |Ad P| reaches 14 on these legs
+    # off the group (SL(2, C) for a 2x2 P: |det P - 1|) by about
+    # n * eps * |P|^2; |U| = |Ad P| reaches 14 on these legs
     f = two_soliton_201
     for i, j in [(0, 0), (0, 200), (200, 0), (200, 200)]:
         for p in frames._loop_legs(f, i, j, _circle_points(64), 2):
-            assert group_deviation(p, holomorphic=True) <= 1e-11, (i, j)
+            assert group_deviation(p) <= 1e-11, (i, j)
 
 
 def test_batched_grid_frame_stays_on_group(two_soliton_201):

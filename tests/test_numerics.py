@@ -97,12 +97,18 @@ def test_polar_project_so3():
 
 
 def test_polar_project_su2():
+    # 2x2 matrices are projected onto SL(2, C): a general perturbation of
+    # SU(2) comes back to det 1, not onto SU(2)
     rng = np.random.default_rng(3)
     a = rng.normal(size=(50, 2, 2)) + 1j * rng.normal(size=(50, 2, 2))
     h = a - np.swapaxes(a, -1, -2).conj()
     h -= np.trace(h, axis1=-2, axis2=-1)[:, None, None] / 2 * np.eye(2)
     g = np.stack([expm(m) for m in h])
     u = polar_project(_perturb(g, rng))
+    assert np.abs(np.linalg.det(u) - 1.0).max() < 1e-14
+    # a real quaternion off SU(2) by its scale alone, as the march's step
+    # matrices at real lambda are, comes back onto SU(2)
+    u = polar_project((1.0 + 1e-8) * g)
     assert _group_dev(u, conj=True) < 1e-14
 
 
@@ -147,12 +153,14 @@ def test_mm_matches_matmul(seed, dims, batch, complex_):
 
 
 # polar_project and group_deviation as stacked matmul formulas, with the
-# group adjoint: the plain transpose for complex 3x3 matrices, the
-# conjugate transpose otherwise
+# group adjoint of the matrix size: the transpose for 3x3 matrices, the
+# adjugate for 2x2 ones
 
 def _matmul_adjoint(u):
-    ut = np.swapaxes(u, -1, -2)
-    return ut.conj() if np.iscomplexobj(u) and u.shape[-1] != 3 else ut
+    if u.shape[-1] == 3:
+        return np.swapaxes(u, -1, -2)
+    return np.stack([np.stack([u[..., 1, 1], -u[..., 0, 1]], -1),
+                     np.stack([-u[..., 1, 0], u[..., 0, 0]], -1)], -2)
 
 
 def _matmul_polar_project(u):
@@ -164,9 +172,9 @@ def _matmul_group_deviation(u):
 
 
 def _group_stacks(rng):
-    """Perturbed stacks near SO(3), SU(2) and the complex orthogonal 3x3
-    group, with two batch axes; each also as the square block of a wider
-    stack, a strided view like the march's [U | psi] states."""
+    """Perturbed stacks near SO(3), SU(2), the complex orthogonal 3x3
+    group and SL(2, C), with two batch axes; each also as the square block
+    of a wider stack, a strided view like the march's [U | psi] states."""
     a = rng.normal(size=(4, 6, 3, 3))
     so3 = expm(a - np.swapaxes(a, -1, -2))
     h = rng.normal(size=(4, 6, 2, 2)) + 1j * rng.normal(size=(4, 6, 2, 2))
@@ -176,8 +184,12 @@ def _group_stacks(rng):
     c = 0.25 * (rng.normal(size=(4, 6, 3, 3))
                 + 1j * rng.normal(size=(4, 6, 3, 3)))
     co3 = expm(c - np.swapaxes(c, -1, -2))
+    s = 0.25 * (rng.normal(size=(4, 6, 2, 2))
+                + 1j * rng.normal(size=(4, 6, 2, 2)))
+    sl2 = expm(s - np.trace(s, axis1=-2, axis2=-1)[..., None, None] / 2
+               * np.eye(2))
     out = {}
-    for name, g in (("so3", so3), ("su2", su2), ("co3", co3)):
+    for name, g in (("so3", so3), ("su2", su2), ("co3", co3), ("sl2", sl2)):
         g = _perturb(g, rng)
         wide = np.concatenate([g, rng.normal(size=g.shape[:-1] + (1,))], -1)
         out[name], out[name + " view"] = g, wide[..., :-1]
