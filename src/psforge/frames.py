@@ -14,8 +14,9 @@ grid frames are marched as the 3x4 state [U | psi]. Every ODE of psforge
 is integrated by one RK4 step-matrix builder, `_step_blocks`: classical
 RK4 along a grid line in propagator form, the step matrices of a block of
 nodes built at once from the coefficients at every stage point
-(entries-first when complex; on y-lines, which are linear in 1/lambda,
-from lambda-free products) and projected onto the group by one batched
+(entries-first when complex; on y-lines, where it is
+(1/lambda)(sin(phi) X + cos(phi) Y), as sums of words in X and Y,
+`_word_steps`) and projected onto the group by one batched
 Newton-Schulz step (NS(u P) = u NS(P) for u on it; a resolved march of n
 nodes drifts off it by about n eps |u|^2). `_march` applies them node by
 node, for grid frames (one lambda or a batch), spinor frames and the
@@ -59,12 +60,19 @@ def _lax_A(phi_x, lam, m=3):
     return out
 
 
-def _lax_B(phi, lam, m=3):
+def _y_lax(entries):
+    """The y generator (phi, lam) -> entries(sin(phi) / lam, cos(phi) / lam)
+    of a map linear in both; its .basis, entries at (1, 0) and (0, 1), is
+    the X, Y of `_word_table`, exact where cos(pi/2) = 6e-17 is not."""
+    def gen(phi, lam):
+        return entries(np.sin(phi) / lam, np.cos(phi) / lam)
+    gen.basis = entries(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    return gen
+
+
+def _b_entries(s, c, m=3):
     # B in the leading block of an m x m zero matrix
-    phi = np.asarray(phi)
-    s, c = np.sin(phi) / lam, np.cos(phi) / lam
-    dtype = complex if np.iscomplexobj(np.asarray(lam)) else float
-    out = np.zeros(np.broadcast_shapes(phi.shape, np.shape(lam)) + (m, m), dtype)
+    out = np.zeros(np.shape(s) + (m, m), np.result_type(s, c))
     out[..., 0, 2] = -s
     out[..., 2, 0] = s
     out[..., 1, 2] = -c
@@ -79,30 +87,34 @@ def _se3_A(phi_x, lam):
     return out
 
 
-def _se3_B(phi, lam):
+def _se3_b_entries(s, c):
     # F^{-1} F_y = [[B, -unhat(B)], [0, 0]]
-    out = _lax_B(phi, lam, 4)
+    out = _b_entries(s, c, 4)
     out[..., :3, 3] = -unhat(out[..., :3, :3], check=False)
     return out
 
 
-def _spinor_lax(axis):
-    # the image of the _SO3 generator under the double-cover differential
-    # spinor_map o unhat, its three skew entries read straight into the
-    # 2x2; _SO3 is looked up at call time
-    def gen(a, lam):
-        g = _SO3[axis](a, lam)
-        return _spinor(g[..., 2, 1], g[..., 0, 2], g[..., 1, 0])
-    return gen
+def _su2_A(phi_x, lam):
+    # the image of _SO3's A under the double-cover differential spinor_map
+    # o unhat, from its skew entries; _SO3 is looked up at call time
+    g = _SO3[0](phi_x, lam)
+    return _spinor(g[..., 2, 1], g[..., 0, 2], g[..., 1, 0])
 
+
+def _su2_b_entries(s, c):
+    # the same image of B, whose skew entries are (c, -s, 0)
+    return _spinor(c, -s, np.zeros_like(s))
+
+
+_lax_B = _y_lax(_b_entries)
 
 # generator pairs (x, y) of the frame equations: the Euclidean frame
 # [U | psi], the rotation frame U alone and its spinor lift. Each y
-# generator is linear in 1/lambda, gens[1](a, lam) = gens[1](a, 1) / lam,
-# which the lambda-free y-steps of `_lax_on_line` rely on
-_SE3 = (_se3_A, _se3_B)
+# generator is z (sin(phi) X + cos(phi) Y), z = 1/lambda, X and Y its
+# .basis: the y-lines' RK4 steps are sums of words in X and Y
+_SE3 = (_se3_A, _y_lax(_se3_b_entries))
 _SO3 = (_lax_A, _lax_B)
-_SU2 = (_spinor_lax(0), _spinor_lax(1))
+_SU2 = (_su2_A, _y_lax(_su2_b_entries))
 
 
 @dataclass
@@ -151,9 +163,70 @@ def _stage_table(values, t0, h, substeps):
 
 # the bytes of the step matrices of a block of `_step_blocks`, in units
 # of one complex 3x3 step matrix (144 B): the step matrices of a block
-# are built at once, and the bound keeps their coefficients and products
-# a few hundred kB whatever the batch and the matrix size
-_BLOCK_STATES = 512
+# are built at once, and the bound keeps them (295 kB) and their
+# coefficients and products a few MB whatever the batch and the
+# matrix size
+_BLOCK_STATES = 2048
+
+# RK4's weights of the y-line words of length 1 .. 4; columns per product
+_RK = (1 / 6, 1 / 6, 1 / 12, 1 / 24)
+_PANEL = 64
+
+
+def _word_table(basis, zh):
+    """The word table of a y-line march, zh.shape + (rows, 30): per step
+    scale zh = h / lambda, the columns RK_L (zh)^L X_w of the 30 words w of
+    length L = 1 .. 4 in the basis (X, Y), lexicographic, their entries
+    the rows (real parts, then imaginary ones when complex)."""
+    w = basis.shape[-1]
+    words, cols, power = basis, [], 1.0
+    for weight in _RK:
+        power = power * zh
+        cols.append(np.multiply.outer(weight * power,
+                                      words.reshape(-1, w * w).T))
+        words = (words[:, None] @ basis).reshape(-1, w, w)
+    table = np.concatenate(cols, axis=-1)
+    if np.iscomplexobj(table):
+        table = np.concatenate([table.real, table.imag], axis=-2)
+    return np.ascontiguousarray(table)
+
+
+def _word_steps(table, phi, w):
+    """The RK4 steps, entries-first (w, w, lambda..., node, line...), of
+    the y-line nodes whose stage angles are phi (stage, node, line...). A
+    substep is I + sum_w c_w RK_L (zh)^L X_w, c_w the coefficient of the
+    word w in M1 = G1 + 4 G2 + G3, M2 = G1 G2 + G2^2 + G2 G3,
+    M3 = G1 G2^2 + G2^2 G3 and M4 = G1 G2^2 G3, G_k = sin(phi_k) X +
+    cos(phi_k) Y. The monomials c_w fill fixed panels of _PANEL columns,
+    each multiplied by each lambda's table (`_word_table`): small products
+    on the calling thread, whose bits depend on neither block nor batch."""
+    v = np.stack([np.sin(phi), np.cos(phi)])
+    v1, v2, v3 = v[:, :-1:2], v[:, 1::2], v[:, 2::2]  # (2, substep, ...)
+    shape = v1.shape[1:]
+    v1, v2, v3 = (x.reshape(2, -1) for x in (v1, v2, v3))
+    n = v1.shape[1]
+    mono = np.zeros((30, -(-n // _PANEL) * _PANEL))
+    q = v2[:, None] * v2
+    t = v1[:, None, None] * q
+    mono[:2, :n] = v1 + 4.0 * v2 + v3
+    mono[2:6, :n] = ((v1 + v2)[:, None] * v2 + v2[:, None] * v3).reshape(4, n)
+    mono[6:14, :n] = (t + q[:, :, None] * v3).reshape(8, n)
+    mono[14:, :n] = (t[..., None, :] * v3).reshape(16, n)
+    panels = mono.reshape(30, -1, _PANEL).swapaxes(0, 1)
+    rows, lams = table.shape[-2], table.shape[:-2]
+    # (row, lambda..., panel, col): the products land rows-first
+    e = np.empty((rows,) + lams + panels.shape[::2])
+    np.matmul(table[..., None, :, :], panels, out=np.moveaxis(e, 0, -2))
+    e = e.reshape((rows,) + lams + (-1,))[..., :n]
+    e[:w * w:w + 1] += 1.0
+    if rows > w * w:
+        re, e = e, np.empty((w * w,) + e.shape[1:], complex)
+        e.real, e.imag = re[:w * w], re[w * w:]
+    e = e.reshape((w, w) + lams + (shape[0], -1))
+    P = e[..., 0, :]
+    for k in range(1, shape[0]):
+        P = _mm(P, e[..., k, :])
+    return P.reshape((w, w) + lams + shape[1:])
 
 
 def _step_blocks(u, ts, start, stop, spacing, substeps, coeff):
@@ -166,60 +239,55 @@ def _step_blocks(u, ts, start, stop, spacing, substeps, coeff):
     On a linear equation an RK4 step is exactly u <- u P with
     c2 = a2 + (h/2) a1 a2, c3 = a2 + (h/2) c2 a2, c4 = a3 + h c3 a3 and
     P = I + (h/6)(a1 + 2 c2 + 2 c3 + c4), a1, a2, a3 the coefficients at
-    the start, middle and end of the step. When coeff(t) = z G(t) with a
-    scale z per batch member (coeff.scaled = (G, z): the y-lines of the
-    frame equations, z = 1/lambda), the same step is
-    P = I + sum_k (zh)^k M_k, M1 = (G1 + 4 G2 + G3)/6,
-    M2 = (G1 G2 + G2^2 + G2 G3)/6, M3 = (G1 G2^2 + G2^2 G3)/12 and
-    M4 = G1 G2^2 G3/24: six products of z-free matrices, then a Horner
-    sum over the batch. The step matrices of a node's substeps are
-    composed, and those of a block of nodes (in bytes, node steps x
-    batched states x one step matrix, at most _BLOCK_STATES complex 3x3
-    step matrices) are built at once from one call on a 1-D array of
-    stage times, every half substep; one Newton-Schulz step per
-    block projects their square blocks P[..., :m, :m] (psi columns aside)
-    onto the group. Complex blocks are built entries-first, (stage, row,
-    col, node, batch...), by `numerics._mm`: numpy's stacked matmul, which
-    real ones keep, is several times slower on small complex matrices."""
+    the start, middle and end of the step. On the y-lines of the frame
+    equations (coeff.words, see `_lax_on_line`) the same step is built as
+    a sum over words in the generator's basis X, Y from a table made once
+    per march (`_word_table`, `_word_steps`); elsewhere complex
+    coefficients are multiplied entries-first, (stage, row, col, node,
+    batch...), by `numerics._mm` (numpy's stacked matmul, which real ones
+    keep, is several times slower on small complex matrices). The step
+    matrices of a node's substeps are composed, and those of a block of
+    nodes (in bytes, node steps x batched states x one step matrix, at
+    most _BLOCK_STATES complex 3x3 step matrices) are built at once from
+    one call on a 1-D array of stage times, every half substep; one
+    Newton-Schulz step per block projects their square blocks
+    P[..., :m, :m] (psi columns aside) onto the group."""
     direction = 1 if stop >= start else -1
     h = direction * spacing / substeps
     m, w = u.shape[-2:]
     nodes = np.arange(start, stop, direction)
     step_bytes = max(1, u[..., 0, 0].size) * w * w * u.itemsize
     per_block = max(1, _BLOCK_STATES * 144 // step_bytes)
-    gen, z = getattr(coeff, "scaled", (coeff, None))
+    words = getattr(coeff, "words", None)
+    if words is not None:
+        angle, basis, z = words
+        table = _word_table(basis, h * z)
     for b in range(0, len(nodes), per_block):
         block = nodes[b:b + per_block]
         t = ts[block] + (0.5 * h) * np.arange(2 * substeps + 1)[:, None]
-        a = gen(t.ravel())
+        if words is not None:
+            phi = angle(t.ravel())
+            P = _word_steps(table, phi.reshape(t.shape + phi.shape[1:]), w)
+            # projected lambda-first, as the products land
+            P = np.moveaxis(P, (0, 1), (-2, -1))
+            P[..., :m, :m] = polar_project(P[..., :m, :m])
+            yield block, np.moveaxis(P, np.ndim(z), 0)
+            continue
+        a = coeff(t.ravel())
         a = a.reshape(t.shape + a.shape[1:])  # (stage, node, batch..., w, w)
-        if np.iscomplexobj(a) or np.iscomplexobj(z):
+        if np.iscomplexobj(a):
             a = np.ascontiguousarray(np.moveaxis(a, (-2, -1), (1, 2)))
             mm, back = _mm, lambda x: np.moveaxis(x, (0, 1), (-2, -1))
             eye = np.eye(w).reshape((w, w) + (1,) * (a.ndim - 3))
-            zh = None if z is None else h * z
         else:
             mm, back, eye = np.matmul, (lambda x: x), np.eye(w)
-            zh = None if z is None else h * z[..., None, None]
         P = None
         for k in range(0, 2 * substeps, 2):
             a1, a2, a3 = a[k], a[k + 1], a[k + 2]
-            if z is None:
-                c2 = a2 + (0.5 * h) * mm(a1, a2)
-                c3 = a2 + (0.5 * h) * mm(c2, a2)
-                c4 = a3 + h * mm(c3, a3)
-                step = eye + (h / 6.0) * (a1 + 2.0 * c2 + 2.0 * c3 + c4)
-            else:
-                a12, a23 = mm(a1, a2), mm(a2, a3)
-                M = ((a1 + 4.0 * a2 + a3) / 6.0,
-                     (a12 + mm(a2, a2) + a23) / 6.0,
-                     (mm(a12, a2) + mm(a2, a23)) / 12.0,
-                     mm(a12, a23) / 24.0)
-                step = zh * M[3]
-                for Mk in M[2::-1]:
-                    step += Mk
-                    step *= zh
-                step += eye
+            c2 = a2 + (0.5 * h) * mm(a1, a2)
+            c3 = a2 + (0.5 * h) * mm(c2, a2)
+            c4 = a3 + h * mm(c3, a3)
+            step = eye + (h / 6.0) * (a1 + 2.0 * c2 + 2.0 * c3 + c4)
             P = step if P is None else mm(P, step)
         P = back(P)
         P[..., :m, :m] = polar_project(P[..., :m, :m])
@@ -272,15 +340,17 @@ _LOOP_SAMPLES = 64
 
 def _check_transport(u):
     """Raise StepFailure unless the square blocks u[..., :m] of the marched
-    states are finite and on their group (`numerics._adjoint`). A resolved
+    states are finite and on their group (`numerics._adjoint`; a nan
+    deviation, of states too large to square, fails too). A resolved
     march of n nodes stays within about n eps |u|^2 of it; one Newton-Schulz
     step on each node's step matrix does not pull back a march whose step
-    is too coarse for the Lax system (large h * max(lambda, 1/lambda))."""
+    is too coarse for the Lax system (large h * max(lambda, 1/lambda)).
+    It is the one report of a march that overflows (run under errstate)."""
     u = u[..., :u.shape[-2]]
     if not np.all(np.isfinite(u)):
         raise StepFailure("RK4 transport produced non-finite entries")
     dev = group_deviation(u)
-    if dev > _GROUP_TOL:
+    if not dev <= _GROUP_TOL:  # nan when |u|^2 overflows
         raise StepFailure(f"RK4 transport left the group by {dev:.1e}: "
                           "the step does not resolve the Lax system; use "
                           "more substeps or a finer grid")
@@ -290,7 +360,8 @@ def _spectral(lam, substeps, batch=True):
     """The one rule by which every march takes lambda and substeps: an
     integer >= 1; lambda finite, positive or complex (0j raises
     ZeroSpectralParameter), one number or, where the march batches, a 1-D
-    array. Returns lambda as floats or complex numbers; else ValueError."""
+    array, not empty. Returns lambda as floats or complex numbers; else
+    ValueError."""
     if not isinstance(substeps, (int, np.integer)) or substeps < 1:
         raise ValueError(f"substeps must be an integer >= 1, not {substeps!r}")
     if not np.all(np.isfinite(lam)):
@@ -301,6 +372,9 @@ def _spectral(lam, substeps, batch=True):
     if a.ndim > batch:
         raise ValueError("lambda must be positive or complex, and a number"
                          + (" or a 1-D array" if batch else ""))
+    if not a.size:
+        raise ValueError("lambda must be a number or a non-empty array, "
+                         "not an empty one")
     if np.any(a == 0):
         raise ZeroSpectralParameter("the frame equations are singular at "
                                     "lambda = 0")
@@ -316,10 +390,11 @@ def _lax_on_line(f, lam, axis, line, gens, substeps):
     when the field is analytic, otherwise read from a table of the marched
     lines' samples refined onto the stage points of a march of `substeps`
     RK4 steps per grid step (`_stage_table`). On y-lines it also carries
-    coeff.scaled = (G, 1/lambda), G the generator at lambda = 1, from which
-    `_step_blocks` builds the step matrices without lambda."""
+    coeff.words = (angle, (X, Y), 1/lambda), the generator being
+    (1/lambda)(sin(angle) X + cos(angle) Y), from which `_step_blocks`
+    builds the step matrices as sums of words in X and Y."""
     g = f.grid
-    lam = np.asarray(lam)
+    lam = lam0 = np.asarray(lam)
     lam_axes = (slice(None),) + (None,) * lam.ndim
     lam = lam.reshape(lam.shape + (1,) * np.ndim(line))
     on_line = (1,) * np.ndim(line)
@@ -336,8 +411,7 @@ def _lax_on_line(f, lam, axis, line, gens, substeps):
         return gens[axis](angle(t)[lam_axes], lam)
 
     if axis == 1:
-        # every generator of y is linear in 1/lambda: coeff = z gens[1](., 1)
-        coeff.scaled = (lambda t: gens[1](angle(t)[lam_axes], 1.0), 1.0 / lam)
+        coeff.words = (angle, gens[1].basis, 1.0 / lam0)
     return coeff
 
 
@@ -356,17 +430,19 @@ def _fill_grid(f, lam, order, u0, substeps, gens):
     (ta, ha, na), (tb, hb, nb) = lines[a], lines[b]
     oa, ob = origin[a], origin[b]
     V[..., oa, ob, :, :] = u0
-    coeff = _lax_on_line(f, lam, a, ob, gens, substeps)
-    for stop in (na - 1, 0):
-        for n, u in _march(V[..., oa, ob, :, :].copy(), ta, oa, stop, ha,
-                           substeps, coeff):
-            V[..., n, ob, :, :] = u
-    coeff = _lax_on_line(f, lam, b, np.arange(na), gens, substeps)
-    for stop in (nb - 1, 0):
-        for n, u in _march(V[..., :, ob, :, :].copy(), tb, ob, stop, hb,
-                           substeps, coeff):
-            V[..., :, n, :, :] = u
-    _check_transport(U)
+    # an unresolved march may overflow: _check_transport reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeff = _lax_on_line(f, lam, a, ob, gens, substeps)
+        for stop in (na - 1, 0):
+            for n, u in _march(V[..., oa, ob, :, :].copy(), ta, oa, stop, ha,
+                               substeps, coeff):
+                V[..., n, ob, :, :] = u
+        coeff = _lax_on_line(f, lam, b, np.arange(na), gens, substeps)
+        for stop in (nb - 1, 0):
+            for n, u in _march(V[..., :, ob, :, :].copy(), tb, ob, stop, hb,
+                               substeps, coeff):
+                V[..., :, n, :, :] = u
+        _check_transport(U)
     return U
 
 
@@ -516,12 +592,13 @@ def _loop_legs(f, i, j, lams, substeps):
     lams = _spectral(lams, substeps)
     i0, j0 = g.origin_index()
     p = np.zeros(np.shape(lams) + (2, 2), complex) + np.eye(2)
-    p_axis = _march_end(p, g.xs, i0, i, g.hx, substeps,
-                        _lax_on_line(f, lams, 0, j0, _SU2, substeps))
-    p = _march_end(p_axis, g.ys, j0, j, g.hy, substeps,
-                   _lax_on_line(f, lams, 1, i, _SU2, substeps))
-    _check_transport(p_axis)
-    _check_transport(p)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _fill_grid
+        p_axis = _march_end(p, g.xs, i0, i, g.hx, substeps,
+                            _lax_on_line(f, lams, 0, j0, _SU2, substeps))
+        p = _march_end(p_axis, g.ys, j0, j, g.hy, substeps,
+                       _lax_on_line(f, lams, 1, i, _SU2, substeps))
+        _check_transport(p_axis)
+        _check_transport(p)
     return p_axis, p
 
 

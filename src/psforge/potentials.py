@@ -132,10 +132,13 @@ def _integrate_axis(pot, axis, lam, node=None):
                          _AXIS_SUBSTEPS)
     out = np.zeros((hi - lo + 1,) + u0.shape, u0.dtype)
     out[origin - lo] = u0
-    for stop in (hi, lo):
-        for k, u in _march(u0, coords, origin, stop, h, _AXIS_SUBSTEPS, coeff):
-            out[k - lo] = u
-    _check_transport(out)
+    # an unresolved march may overflow: _check_transport reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for stop in (hi, lo):
+            for k, u in _march(u0, coords, origin, stop, h, _AXIS_SUBSTEPS,
+                               coeff):
+                out[k - lo] = u
+        _check_transport(out)
     return out if node is None else out[node - lo]
 
 

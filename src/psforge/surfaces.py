@@ -11,7 +11,7 @@ nodes where the induced metric degenerates (sin(phi) -> 0, the cuspidal
 edges) are masked, not fatal.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -56,39 +56,51 @@ class HarmonicityReport:
     nx_norm: np.ndarray
 
 
+def _dot(a, b):
+    # the dot product of components-first 3-vectors, component by component
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
 def fundamental_forms(frame):
     """First/second fundamental forms and curvatures of the Sym surface
     frame.psi, by 4th-order differences on frame.grid (at least 5x5, with
-    psi (nx, ny, 3), one member on that grid: ValueError otherwise).
+    psi of shape np.shape(frame.lam) + (nx, ny, 3): one member, or a batch
+    of members along a leading lambda axis, which every field of the
+    geometry then carries; ValueError otherwise).
 
     Nodes with E*G - F^2 <= 1e-4 are masked: the cross-product normal and
     every quantity that depends on it are NaN there, the first-form
-    coefficients are kept.
+    coefficients are kept. Dot, cross and norm are written out over the
+    three components, so a member's forms are the same, bit for bit,
+    whether it is taken alone or in a batch.
     """
     g, p = frame.grid, frame.psi
     _check_nodes(g)
-    if p.shape != (g.nx, g.ny, 3):
+    if p.shape != np.shape(frame.lam) + (g.nx, g.ny, 3):
         raise ValueError(f"Sym positions of shape {p.shape} on the "
                          f"{g.nx}x{g.ny} grid")
-    px = deriv4(p, g.hx, axis=0)
-    py = deriv4(p, g.hy, axis=1)
-    E = (px * px).sum(-1)
-    F = (px * py).sum(-1)
-    G = (py * py).sum(-1)
+    p = np.ascontiguousarray(np.moveaxis(p, -1, 0))  # (3, lambda..., nx, ny)
+    px = deriv4(p, g.hx, axis=-2)
+    py = deriv4(p, g.hy, axis=-1)
+    E = _dot(px, px)
+    F = _dot(px, py)
+    G = _dot(py, py)
     det = E * G - F * F
     mask = det > 1e-4
 
-    cross = np.cross(px, py)
-    cn = np.linalg.norm(cross, axis=-1)
+    cross = np.stack([px[1] * py[2] - px[2] * py[1],
+                      px[2] * py[0] - px[0] * py[2],
+                      px[0] * py[1] - px[1] * py[0]])
+    cn = np.sqrt(_dot(cross, cross))
     safe = np.where(cn > 0, cn, 1.0)
-    normal = np.where(mask[..., None], cross / safe[..., None], np.nan)
+    normal = np.where(mask, cross / safe, np.nan)
 
-    pxx = deriv4(px, g.hx, axis=0)
-    pxy = deriv4(px, g.hy, axis=1)
-    pyy = deriv4(py, g.hy, axis=1)
-    L = (pxx * normal).sum(-1)
-    M = (pxy * normal).sum(-1)
-    N2 = (pyy * normal).sum(-1)
+    pxx = deriv4(px, g.hx, axis=-2)
+    pxy = deriv4(px, g.hy, axis=-1)
+    pyy = deriv4(py, g.hy, axis=-1)
+    L = _dot(pxx, normal)
+    M = _dot(pxy, normal)
+    N2 = _dot(pyy, normal)
 
     with np.errstate(invalid="ignore", divide="ignore"):
         K = np.where(mask, (L * N2 - M * M) / det, np.nan)
@@ -135,29 +147,30 @@ def associated_family(f, lambdas):
     """(frame, geometry) of each lambda's member, plus invariance report.
 
     All members' frames are integrated together, lambda as a batch axis,
-    in `frames._SUBSTEPS` substeps per grid step.
+    in `frames._SUBSTEPS` substeps per grid step, and their forms taken in
+    one `fundamental_forms` call; each member's frame and geometry are
+    views of the batch.
     The report holds the sup deviation across members of the mixed
     second-form coefficient M and of the recovered asymptotic angle from
     phi, both on the non-degenerate mask intersection.
     """
     lambdas = [float(l) for l in lambdas]
     batch = integrate_frame(f, np.array(lambdas), substeps=_SUBSTEPS)
-    members = []
-    for k, lam in enumerate(lambdas):
-        frame = ExtendedFrame(f.grid, lam, batch.U[k], batch.psi[k])
-        members.append((frame, fundamental_forms(frame)))
+    geom = fundamental_forms(batch)
+    arrays = [getattr(geom, k.name) for k in fields(geom)[1:]]
+    members = [(ExtendedFrame(f.grid, lam, batch.U[k], batch.psi[k]),
+                SurfaceGeometry(f.grid, *(a[k] for a in arrays)))
+               for k, lam in enumerate(lambdas)]
 
-    mask = np.logical_and.reduce([geom.mask for _, geom in members])
-    Ms = np.stack([geom.M for _, geom in members])
-    m_dev = float(np.ptp(Ms[:, mask], axis=0).max()) if mask.any() else np.nan
+    mask = geom.mask.all(axis=0)
+    m_dev = (float(np.ptp(geom.M[:, mask], axis=0).max()) if mask.any()
+             else np.nan)
     # the unsigned angle between unit tangents recovers phi folded into
     # [0, pi]; compare against the same folding of the field
     phi_fold = np.arccos(np.clip(np.cos(f.phi[mask]), -1.0, 1.0))
-    angle_dev = 0.0
-    for _, geom in members:
-        cosang = geom.F / (geom.metricA * geom.metricB)
-        ang = np.arccos(np.clip(cosang[mask], -1.0, 1.0))
-        angle_dev = max(angle_dev, float(np.abs(ang - phi_fold).max()))
+    cosang = geom.F[:, mask] / (geom.metricA[:, mask] * geom.metricB[:, mask])
+    angle_dev = float(np.abs(np.arccos(np.clip(cosang, -1.0, 1.0))
+                             - phi_fold).max())
     return members, {"M_deviation_sup": m_dev,
                      "angle_deviation_sup": angle_dev}
 

@@ -492,6 +492,23 @@ def test_surface_step_failure_exit_3(soliton_101, tmp_path, capsys):
     assert "StepFailure" in capsys.readouterr().err
 
 
+def test_surface_overflowing_march_reports_step_failure_alone(tmp_path):
+    # h / lambda = 100: the march overflows, and stderr holds the
+    # StepFailure line alone, without numpy's overflow warning before it
+    phi = tmp_path / "phi.csv"
+    save_angle_csv(soliton_angle(0.8, GridSpec(-1.0, -1.0, 21, 21, 0.1,
+                                               0.1)), phi)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run([sys.executable, "-m", "psforge", "surface",
+                          "--phi", str(phi), "--lambdas", "0.001",
+                          "--out", str(tmp_path)],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 3
+    (line,) = run.stderr.splitlines()
+    assert line.startswith("psforge: StepFailure: RK4 transport")
+
+
 def test_verify_family_failure(soliton_101, tmp_path):
     # the associated family cannot be built at lambda = 0.01: every check
     # that reads it fails with the family's error, the others still run

@@ -331,6 +331,50 @@ def test_frame_unresolved_lambda_raises(small_soliton, lam):
     assert np.abs(np.swapaxes(fr.U, -1, -2) @ fr.U - np.eye(3)).max() < 1e-13
 
 
+def test_overflowing_march_raises_step_failure():
+    # h / lambda = 100 (or h lambda): the marches overflow. Under the
+    # suite's error::RuntimeWarning filter, StepFailure must be the only
+    # report, also where the states stay finite but too large to square
+    # (the spinor marches here), whose nan group deviation used to pass
+    f = soliton_angle(0.8, GridSpec(-1.0, -1.0, 21, 21, 0.1, 0.1))
+    calls = [lambda: integrate_frame(f, 0.001, substeps=2),
+             lambda: su2_frame(f, 0.001, substeps=2),
+             lambda: frames._loop_legs(f, 20, 20, np.array([1e-4 + 0j]), 1),
+             lambda: frames._loop_legs(f, 20, 20, np.array([1e4 + 0j]), 1),
+             lambda: integrate_plus(eta_x(f), 1e4),
+             lambda: integrate_minus(eta_y(f), 1e-4)]
+    for call in calls:
+        with pytest.raises(StepFailure):
+            call()
+
+
+@pytest.mark.parametrize("kind", ["se3", "so3", "su2"])
+@pytest.mark.parametrize("zh", [0.3, np.array([0.05, -0.2]),
+                                0.1 * np.exp(0.7j)], ids=["real", "batch",
+                                                          "complex"])
+def test_word_table_is_products_of_the_y_basis(kind, zh):
+    # X and Y are the y generator at sin(phi), cos(phi) = (1, 0) and (0, 1):
+    # each column of the table is RK_L (zh)^L times a word of length L in
+    # them, the words in lexicographic order
+    gen = {"se3": frames._SE3, "so3": frames._SO3, "su2": frames._SU2}[kind][1]
+    X, Y = gen(np.pi / 2, 1.0), gen(0.0, 1.0)
+    w = X.shape[-1]
+    table = frames._word_table(gen.basis, zh)
+    if table.shape[-2] == 2 * w * w:
+        table = table[..., :w * w, :] + 1j * table[..., w * w:, :]
+    assert table.shape == np.shape(zh) + (w * w, 30)
+    col = 0
+    for L, weight in enumerate(frames._RK, start=1):
+        for word in np.ndindex((2,) * L):
+            product = np.linalg.multi_dot([np.eye(w)] + [(X, Y)[k]
+                                                         for k in word])
+            want = np.multiply.outer(weight * np.asarray(zh) ** L, product)
+            got = table[..., col].reshape(np.shape(zh) + (w, w))
+            assert np.abs(got - want).max() <= 1e-15, (L, word)
+            col += 1
+    assert col == 30
+
+
 def test_frame_reality_at_conjugate_lambda(small_soliton):
     for theta in (np.pi / 6, np.pi / 3):
         lam = np.exp(1j * theta)
@@ -619,6 +663,12 @@ def test_every_march_takes_lambda_by_one_rule(small_soliton):
         for march in marches[3:]:
             with pytest.raises(ValueError, match="lambda must be"):
                 march(lam)
+    # an empty batch used to pass the rule (np.all of nothing is True) and
+    # end in numpy's "zero-size array to reduction operation maximum"
+    empty = marches + [lambda lam: associated_family(f, lam)]
+    for march in empty:
+        with pytest.raises(ValueError, match="lambda must be"):
+            march(np.array([]))
 
 
 @pytest.fixture(scope="module")

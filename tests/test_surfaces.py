@@ -10,6 +10,7 @@ from psforge.surfaces import (associated_family, export_mesh,
                               fundamental_forms, gauss_map,
                               harmonicity_check, principal_curvatures,
                               read_obj)
+from util import two_soliton
 
 rng = np.random.default_rng(31)
 
@@ -169,6 +170,29 @@ def test_associated_family(soliton):
     for frame, geom in members:
         assert abs(np.nanmean(geom.metricA[mask]) - frame.lam) < 1e-3
         assert abs(np.nanmean(geom.metricB[mask]) - 1.0 / frame.lam) < 1e-3
+
+
+def test_batched_forms_equal_per_member_forms_bit_for_bit():
+    # the family's forms are taken in one call over the lambda axis; each
+    # member's, masked NaNs included, is the one of that member alone
+    f = two_soliton(GridSpec(-1.0, -1.0, 41, 41, 0.05, 0.05))
+    lams = [0.5, 1.0, 2.0]
+    batch = integrate_frame(f, np.array(lams), substeps=2)
+    geom = fundamental_forms(batch)
+    assert geom.K.shape == (3, 41, 41) and not geom.mask.all()
+    members, _ = associated_family(f, lams)
+    for k, (lam, (frame, member)) in enumerate(zip(lams, members,
+                                                  strict=True)):
+        alone = fundamental_forms(ExtendedFrame(f.grid, lam, batch.U[k],
+                                                batch.psi[k]))
+        for name in ("E", "F", "G", "L", "M", "N2", "K", "metricA",
+                     "metricB", "mask"):
+            want = getattr(alone, name)
+            assert np.array_equal(getattr(geom, name)[k], want,
+                                  equal_nan=True), (lam, name)
+            assert np.array_equal(getattr(member, name), want,
+                                  equal_nan=True), (lam, name)
+        assert np.array_equal(frame.psi, batch.psi[k])
 
 
 @pytest.mark.parametrize("n, lam", [(21, 0.5), (11, np.array([0.5, 1.0]))],
