@@ -30,6 +30,7 @@ field is read from tables of the marched lines refined onto the RK4
 stage points (6-point Lagrange interpolation, `numerics.refine`).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,16 +243,17 @@ def _step_blocks(u, ts, start, stop, spacing, substeps, coeff):
     the start, middle and end of the step. On the y-lines of the frame
     equations (coeff.words, see `_lax_on_line`) the same step is built as
     a sum over words in the generator's basis X, Y from a table made once
-    per march (`_word_table`, `_word_steps`); elsewhere complex
-    coefficients are multiplied entries-first, (stage, row, col, node,
-    batch...), by `numerics._mm` (numpy's stacked matmul, which real ones
-    keep, is several times slower on small complex matrices). The step
-    matrices of a node's substeps are composed, and those of a block of
-    nodes (in bytes, node steps x batched states x one step matrix, at
-    most _BLOCK_STATES complex 3x3 step matrices) are built at once from
-    one call on a 1-D array of stage times, every half substep; one
-    Newton-Schulz step per block projects their square blocks
-    P[..., :m, :m] (psi columns aside) onto the group."""
+    per march (`_word_table`, `_word_steps`); elsewhere the steps of all
+    of a node's substeps are built at once, the substep a batch axis, and
+    composed in order, complex coefficients multiplied entries-first,
+    (row, col, stage, node, batch...), by `numerics._mm` (numpy's stacked
+    matmul, which real ones keep, is several times slower on small
+    complex matrices). The step matrices of a block of nodes (in bytes,
+    node steps x batched states x one step matrix, at most _BLOCK_STATES
+    complex 3x3 step matrices) are built at once from one call on a 1-D
+    array of stage times, every half substep; one Newton-Schulz step per
+    block projects their square blocks P[..., :m, :m] (psi columns aside)
+    onto the group."""
     direction = 1 if stop >= start else -1
     h = direction * spacing / substeps
     m, w = u.shape[-2:]
@@ -275,21 +277,20 @@ def _step_blocks(u, ts, start, stop, spacing, substeps, coeff):
             continue
         a = coeff(t.ravel())
         a = a.reshape(t.shape + a.shape[1:])  # (stage, node, batch..., w, w)
-        if np.iscomplexobj(a):
-            a = np.ascontiguousarray(np.moveaxis(a, (-2, -1), (1, 2)))
+        if np.iscomplexobj(a):  # (w, w, stage, node, batch...)
+            a = np.ascontiguousarray(np.moveaxis(a, (-2, -1), (0, 1)))
             mm, back = _mm, lambda x: np.moveaxis(x, (0, 1), (-2, -1))
-            eye = np.eye(w).reshape((w, w) + (1,) * (a.ndim - 3))
+            eye = np.eye(w).reshape((w, w) + (1,) * (a.ndim - 2))
+            a1, a2, a3 = a[:, :, 0:-1:2], a[:, :, 1::2], a[:, :, 2::2]
         else:
             mm, back, eye = np.matmul, (lambda x: x), np.eye(w)
-        P = None
-        for k in range(0, 2 * substeps, 2):
-            a1, a2, a3 = a[k], a[k + 1], a[k + 2]
-            c2 = a2 + (0.5 * h) * mm(a1, a2)
-            c3 = a2 + (0.5 * h) * mm(c2, a2)
-            c4 = a3 + h * mm(c3, a3)
-            step = eye + (h / 6.0) * (a1 + 2.0 * c2 + 2.0 * c3 + c4)
-            P = step if P is None else mm(P, step)
-        P = back(P)
+            a1, a2, a3 = a[0:-1:2], a[1::2], a[2::2]
+        c2 = a2 + (0.5 * h) * mm(a1, a2)
+        c3 = a2 + (0.5 * h) * mm(c2, a2)
+        c4 = a3 + h * mm(c3, a3)
+        steps = eye + (h / 6.0) * (a1 + 2.0 * c2 + 2.0 * c3 + c4)
+        steps = steps if mm is np.matmul else np.moveaxis(steps, 2, 0)
+        P = back(functools.reduce(mm, steps))  # ((S1 S2) S3) ...
         P[..., :m, :m] = polar_project(P[..., :m, :m])
         yield block, P
 
@@ -340,7 +341,7 @@ _LOOP_SAMPLES = 64
 
 def _check_transport(u):
     """Raise StepFailure unless the square blocks u[..., :m] of the marched
-    states are finite and on their group (`numerics._adjoint`; a nan
+    states are finite and on their group (`numerics.group_deviation`; a nan
     deviation, of states too large to square, fails too). A resolved
     march of n nodes stays within about n eps |u|^2 of it; one Newton-Schulz
     step on each node's step matrix does not pull back a march whose step

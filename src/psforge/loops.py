@@ -16,6 +16,7 @@ n/2 - 1 Fourier blocks in either direction. The factorization exists only
 on the big cell; failure is reported through BigCellViolation.
 """
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ import numpy as np
 
 from .algebra import P_TWIST, wiener_matrix_norm
 from .errors import BigCellViolation, TruncationTooSmall, ZeroSpectralParameter
-from .numerics import group_deviation
+from .numerics import _det, group_deviation
 
 __all__ = [
     "LaurentLoop", "SampledLoop", "loop_eval", "twist_deviation",
@@ -171,23 +172,32 @@ def _clean_factor(c, ks, twisted, real, tol):
     return LaurentLoop(c[kept[0]:kept[-1] + 1], ks[kept[0]], twisted, real)
 
 
+@functools.cache
+def _toeplitz(n, trunc):
+    """`_solve_minus`'s read-only index tables: block (j, m) = g_{j-m},
+    j = 0 .. trunc, m = 1 .. trunc + 8, as j - m mod n, n (the zero block)
+    outside -n/2 .. n/2 - 1 so rows do not alias; j mod 2, m mod 2."""
+    j, m = np.arange(trunc + 1)[:, None], np.arange(1, trunc + 9)
+    p = j - m
+    tables = np.where((p >= -(n // 2)) & (p < n // 2), p % n, n), j % 2, m % 2
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
 def _solve_minus(g, trunc, real):
     """Least-squares solve for h = g_minus^{-1} = I + sum_{j=1..trunc}
     Y_j lam^-j such that h*g has no Fourier modes in -1 .. -(trunc + 8), g
-    sampled at the n-th roots of unity. Returns the coefficient stacks of
-    g_minus = h^{-1} and g_plus = h g (indexed by power mod n) truncated to
-    the powers -trunc .. 0 and 0 .. n/2 - 1, and the condition number.
+    sampled at the n-th roots of unity. Returns the coefficients of
+    g_minus = h^{-1} and g_plus = h g in one stack (by power mod n), cut
+    to the powers -trunc .. 0 and 0 .. n/2 - 1, and the condition number.
     A 2x2 g is twisted and real, so Y_j = [[a_j, b_j], [-conj b_j, conj
     a_j]], a_j = 0 at odd j and b_j = 0 at even j: h's first row holds
     one unknown u_j per power and its second row follows (the equations
     of the second are the first's conjugates: the same condition)."""
     n, size = len(g), g.shape[-1]
     c = np.concatenate([_fft_coeffs(g), np.zeros((1, size, size))])
-    # block (j, m) = g_{j-m}, j = 0 .. trunc, m = 1 .. trunc + 8; powers
-    # outside -n/2 .. n/2 - 1 read the zero block c[n], so rows do not alias
-    j, m = np.arange(trunc + 1)[:, None], np.arange(1, trunc + 9)
-    p = j - m
-    blocks = np.where((p >= -(n // 2)) & (p < n // 2), p % n, n)
+    blocks, j, m = _toeplitz(n, trunc)
     h = np.zeros((n, size, size), dtype=complex)
     if size == 3:
         # sum_{j>0} Y_j g_{j-m} = -g_{-m}, transposed: rows (m, column of
@@ -198,9 +208,9 @@ def _solve_minus(g, trunc, real):
         h[-np.arange(1, trunc + 1)] = sol.reshape(trunc, 3, 3).transpose(0, 2, 1)
     else:
         # sum_{j>0} u_j g_{j-m}[j mod 2, m mod 2] = -g_{-m}[0, m mod 2]
-        a = c[blocks, j % 2, m % 2].T
+        a = c[blocks, j, m].T
         sol, _, _, sv = np.linalg.lstsq(a[:, 1:], -a[:, 0], rcond=None)
-        h[-np.arange(1, trunc + 1), 0, np.arange(1, trunc + 1) % 2] = sol
+        h[-np.arange(1, trunc + 1), 0, j[1:, 0]] = sol
         h += _SIGNS[2] * h[:, ::-1, ::-1].conj()  # row 2: sigma2 conj(h) sigma2
     cond = np.inf if sv[-1] == 0 else sv[0] / sv[-1]
     h[0] = np.eye(size)
@@ -209,12 +219,12 @@ def _solve_minus(g, trunc, real):
         inv = np.linalg.inv(h)
     else:  # adj(h) / det(h)
         inv = _SIGNS[2] * h.transpose(0, 2, 1)[:, ::-1, ::-1]
-        inv /= (h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0])[:, None, None]
-    f1, f2 = _fft_coeffs(inv), _fft_coeffs(h @ g)
-    f1[1:n - trunc] = 0.0
-    f1[0] = np.eye(size)
-    f2[n // 2:] = 0.0
-    return f1, f2, cond
+        inv /= _det(h)[:, None, None]
+    f = np.fft.fft(np.stack([inv, h @ g]), axis=1) / n  # both factors
+    f[0, 1:n - trunc] = 0.0
+    f[0, 0] = np.eye(size)
+    f[1, n // 2:] = 0.0
+    return f, cond
 
 
 def _residual_norm(g, f1, f2):
@@ -280,7 +290,8 @@ def birkhoff_split(g, direction="minus-first", truncation=16, tol=1e-10):
         n = len(samples)
         cap = n // 2 - 1
         trunc = min(trunc, cap)
-        samples, size = samples[sign * np.arange(n) % n], samples.shape[-1]
+        samples = samples if sign > 0 else samples[-np.arange(n) % n]
+        size = samples.shape[-1]
         if size == 2 and not (g.twisted and g.real):
             raise ValueError("a 2x2 loop is split only when twisted and real")
         dev = group_deviation(samples)
@@ -290,13 +301,12 @@ def birkhoff_split(g, direction="minus-first", truncation=16, tol=1e-10):
             raise ValueError(
                 f"loop is not {what} on the circle (dev {dev:.2e})")
 
-        f1, f2, cond = _solve_minus(samples, trunc, g.real)
+        f, cond = _solve_minus(samples, trunc, g.real)
         if not np.isfinite(cond) or cond > _COND_THRESHOLD:
             raise BigCellViolation(
                 f"splitting system condition number {cond:.2e} exceeds "
                 f"{_COND_THRESHOLD:.1e}; loop outside the big cell")
-        res = _residual_norm(samples, *(n * np.fft.ifft(f, axis=0)
-                                        for f in (f1, f2)))
+        res = _residual_norm(samples, *n * np.fft.ifft(f, axis=1))
         if res <= tol:
             break
         if trunc >= _MAX_TRUNCATION:
@@ -315,8 +325,8 @@ def birkhoff_split(g, direction="minus-first", truncation=16, tol=1e-10):
     # each factor's powers, ascending; coefficient k sits at sign * k mod n
     p1 = sign * np.arange(-trunc, 1)[::sign]
     p2 = sign * np.arange(n // 2)[::sign]
-    return (_clean_factor(f1[sign * p1 % n], p1, g.twisted, g.real, tol),
-            _clean_factor(f2[sign * p2 % n], p2, g.twisted, g.real, tol))
+    return (_clean_factor(f[0, sign * p1 % n], p1, g.twisted, g.real, tol),
+            _clean_factor(f[1, sign * p2 % n], p2, g.twisted, g.real, tol))
 
 
 def save_loop_json(x, path):

@@ -1,5 +1,8 @@
-"""Shared numerical helpers: finite differences, grid refinement, the
-projection back onto the group and entries-first matrix products."""
+"""Shared numerical helpers: finite differences, grid refinement,
+entries-first matrix products and the projection back onto the group the
+matrix size names (2x2 by the determinant, 3x3 by the transpose)."""
+
+import functools
 
 import numpy as np
 
@@ -45,14 +48,23 @@ def refine(values, r):
     width = min(_STENCIL, n)
     m = np.arange(n - 1)
     start = np.clip(m - 2, 0, n - width)  # nodes m-2 .. m+3 around interval m
-    # Lagrange weights prod_{l != k} (t - l) / (k - l) per offset m - start
+    weights = _lagrange(width, r)[m - start]
+    fine = np.einsum("mqk,mk...->mq...", weights,
+                     v[start[:, None] + np.arange(width)])
+    return np.concatenate([fine.reshape((-1,) + v.shape[1:]), v[-1:]])
+
+
+@functools.cache
+def _lagrange(width, r):
+    """refine()'s Lagrange weights prod_{l != k} (t - l) / (k - l), read-only
+    (offset, r, width): at the r points t of each interval of width nodes."""
     t = np.arange(width - 1)[:, None] + np.arange(r) / r
     k = np.arange(width)
     same = np.eye(width, dtype=bool)
     weights = np.where(same, 1.0, (t[..., None, None] - k)
-                       / (k[:, None] - k + same)).prod(-1)[m - start]
-    fine = np.einsum("mqk,mk...->mq...", weights, v[start[:, None] + k])
-    return np.concatenate([fine.reshape((-1,) + v.shape[1:]), v[-1:]])
+                       / (k[:, None] - k + same)).prod(-1)
+    weights.flags.writeable = False
+    return weights
 
 
 def refine_span(n, lo, hi):
@@ -73,38 +85,35 @@ def _mm(a, b):
     return out
 
 
-def _adjoint(e):
-    """u* for the entries-first u = e: u* u = I on the group its size names,
-    the transpose for 3x3 (SO(3), or SO(3, C) at a complex lambda) and the
-    adjugate for 2x2 (SL(2, C), adj(g) g = det g). The adjugate serves SU(2)
-    too: on real quaternions [[a, b], [-conj b, conj a]], which the RK4 step
-    matrices of su(2) at a real lambda are exactly (`_mm` forms conjugate
-    entries from conjugate products), it is the conjugate transpose."""
-    if len(e) != 2:
-        return e.swapaxes(0, 1)
-    adj = -e
-    adj[0, 0], adj[1, 1] = e[1, 1], e[0, 0]
-    return adj
+def _det(u):
+    """det u of a stack of 2x2 matrices (..., 2, 2)."""
+    return u[..., 0, 0] * u[..., 1, 1] - u[..., 0, 1] * u[..., 1, 0]
 
 
 def polar_project(u):
     """One Newton-Schulz step u (3I - u* u) / 2 back onto the group, batched.
 
-    u* is the adjoint of the group u lives in (`_adjoint`). The step
-    squares the distance to the group: it suits matrices near it, such as
-    the RK4 step matrices of a resolved march, which `frames._step_blocks`
-    projects once per block (a march of n nodes then drifts off the group
-    by about n eps |u|^2), and does not bring back a matrix far from it.
-    Computed entries-first (`_mm`), returned as a (..., m, m) view."""
+    u* is the adjoint of the group the size names: for 3x3, SO(3) or
+    SO(3, C), the transpose (entries-first by `_mm`, returned as a view);
+    for 2x2, SL(2, C), the adjugate, u* u = det(u) I, so the step is
+    u (3 - det u) / 2 (on SU(2)'s real quaternions, as the su(2) steps at a
+    real lambda are, the conjugate transpose). The step squares the
+    distance to the group: it suits matrices near it, such as the RK4 step
+    matrices `frames._step_blocks` projects once per block (a march of n
+    nodes then drifts off the group by about n eps |u|^2), not far ones."""
+    if u.shape[-1] == 2:
+        return u * (0.5 * (3.0 - _det(u)))[..., None, None]
     e = np.ascontiguousarray(np.moveaxis(u, (-2, -1), (0, 1)))
-    g = -0.5 * _mm(_adjoint(e), e)
-    g[range(len(e)), range(len(e))] += 1.5
+    g = -0.5 * _mm(e.swapaxes(0, 1), e)
+    g[range(3), range(3)] += 1.5
     return np.moveaxis(_mm(e, g), (0, 1), (-2, -1))
 
 
 def group_deviation(u):
-    """sup |u* u - I| over a batch, u* the group's adjoint (`_adjoint`)."""
+    """sup |u* u - I| over a batch, u* as in `polar_project`: |det u - 1|
+    for 2x2, the 6 distinct entries of the symmetric u^T u - I for 3x3."""
+    if u.shape[-1] == 2:
+        return np.abs(_det(u) - 1.0).max()
     e = np.ascontiguousarray(np.moveaxis(u, (-2, -1), (0, 1)))
-    g = _mm(_adjoint(e), e)
-    g[range(len(e)), range(len(e))] -= 1.0
-    return np.abs(g).max()
+    diag = np.abs((e * e).sum(0) - 1.0).max()  # (i, i), then (i, i + 1 mod 3)
+    return np.maximum(diag, np.abs((e * e[:, [1, 2, 0]]).sum(0)).max())

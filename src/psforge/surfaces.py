@@ -152,7 +152,7 @@ def associated_family(f, lambdas):
     views of the batch.
     The report holds the sup deviation across members of the mixed
     second-form coefficient M and of the recovered asymptotic angle from
-    phi, both on the non-degenerate mask intersection.
+    phi, both on the non-degenerate mask intersection (NaN if it is empty).
     """
     lambdas = [float(l) for l in lambdas]
     batch = integrate_frame(f, np.array(lambdas), substeps=_SUBSTEPS)
@@ -163,14 +163,13 @@ def associated_family(f, lambdas):
                for k, lam in enumerate(lambdas)]
 
     mask = geom.mask.all(axis=0)
-    m_dev = (float(np.ptp(geom.M[:, mask], axis=0).max()) if mask.any()
-             else np.nan)
     # the unsigned angle between unit tangents recovers phi folded into
     # [0, pi]; compare against the same folding of the field
     phi_fold = np.arccos(np.clip(np.cos(f.phi[mask]), -1.0, 1.0))
     cosang = geom.F[:, mask] / (geom.metricA[:, mask] * geom.metricB[:, mask])
-    angle_dev = float(np.abs(np.arccos(np.clip(cosang, -1.0, 1.0))
-                             - phi_fold).max())
+    devs = (np.ptp(geom.M[:, mask], axis=0),
+            np.abs(np.arccos(np.clip(cosang, -1.0, 1.0)) - phi_fold))
+    m_dev, angle_dev = (float(d.max()) if mask.any() else np.nan for d in devs)
     return members, {"M_deviation_sup": m_dev,
                      "angle_deviation_sup": angle_dev}
 

@@ -18,7 +18,7 @@ from psforge.potentials import (PotentialForm, cross_check_split, eta_2x2,
                                 load_potential_csv, save_potential2_csv)
 from psforge.sinegordon import (GridSpec, load_angle_csv, save_angle_csv,
                                 soliton_angle)
-from psforge.surfaces import read_obj
+from psforge.surfaces import associated_family, read_obj
 from util import (constant_angle, identity_loop, multiply,
                   random_twisted_factor)
 
@@ -524,6 +524,23 @@ def test_verify_family_failure(soliton_101, tmp_path):
                  "split_cross_check"):
         assert "reason" not in checks[name]
         assert checks[name]["pass"] is True
+
+
+def test_family_without_shared_regular_node(tmp_path):
+    # phi = 0 is degenerate at every node: the family still returns, with
+    # NaN sups, surface writes them, and verify fails II_invariance on them
+    f = constant_angle(0.0, GridSpec(-0.2, -0.2, 21, 21, 0.02, 0.02))
+    _, report = associated_family(f, [0.5, 1.0])
+    assert np.isnan(report["M_deviation_sup"])
+    assert np.isnan(report["angle_deviation_sup"])
+    save_angle_csv(f, tmp_path / "phi.csv")
+    args = ["--phi", str(tmp_path / "phi.csv"), "--lambdas", "0.5,1"]
+    assert main(["surface", *args, "--no-mesh",
+                 "--out", str(tmp_path / "s")]) == 0
+    assert main(["verify", *args, "--out", str(tmp_path / "v")]) == 1
+    report = json.loads((tmp_path / "v" / "report.json").read_text())
+    assert "II_invariance" in report["failures"]
+    assert not np.isfinite(report["checks"]["II_invariance"]["sup"])
 
 
 def test_verify_determinism(solved, tmp_path):

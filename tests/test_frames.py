@@ -439,6 +439,61 @@ def test_march_propagator_matches_per_substep_rk4(march_field, monkeypatch):
         assert np.abs(new[key] - want).max() <= 1e-13 * np.abs(want).max(), key
 
 
+def _per_substep_steps(u, ts, nodes, h, substeps, coeff):
+    # `frames._step_blocks`' step matrices of the nodes, one substep of
+    # length h at a time: the recurrence before its substeps were batched
+    m, w = u.shape[-2:]
+    t = ts[nodes] + (0.5 * h) * np.arange(2 * substeps + 1)[:, None]
+    a = coeff(t.ravel())
+    a = a.reshape(t.shape + a.shape[1:])
+    if np.iscomplexobj(a):
+        a = np.ascontiguousarray(np.moveaxis(a, (-2, -1), (1, 2)))
+        mm, back = numerics._mm, lambda x: np.moveaxis(x, (0, 1), (-2, -1))
+        eye = np.eye(w).reshape((w, w) + (1,) * (a.ndim - 3))
+    else:
+        mm, back, eye = np.matmul, (lambda x: x), np.eye(w)
+    P = None
+    for k in range(0, 2 * substeps, 2):
+        a1, a2, a3 = a[k], a[k + 1], a[k + 2]
+        c2 = a2 + (0.5 * h) * mm(a1, a2)
+        c3 = a2 + (0.5 * h) * mm(c2, a2)
+        c4 = a3 + h * mm(c3, a3)
+        step = eye + (h / 6.0) * (a1 + 2.0 * c2 + 2.0 * c3 + c4)
+        P = step if P is None else mm(P, step)
+    P = back(P)
+    P[..., :m, :m] = numerics.polar_project(P[..., :m, :m])
+    return P
+
+
+@pytest.mark.parametrize("substeps", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["se3", "so3-complex", "su2", "axis"])
+def test_batched_substeps_equal_per_substep_loop(march_field, kind, substeps):
+    # every substep of a block built at once, then composed in order, is
+    # the per-substep recurrence bit for bit: x-lines with real (se3) and
+    # complex coefficients, and an axis ODE's tabled coefficient
+    f, g = march_field, march_field.grid
+    i0, j0 = g.origin_index()
+    if kind == "axis":
+        pot = eta_x(f)
+        coeff = frames._stage_table(-1.3 * pot.samples, pot.coords[0], g.hx,
+                                    substeps)
+        u = np.zeros((3, 3))
+    else:
+        lam, gens, shape = {
+            "se3": (np.array([0.5, 1.0, 2.0]), frames._SE3, (3, 4)),
+            "so3-complex": (_circle_points(16)[:5], frames._SO3, (3, 3)),
+            "su2": (np.array([0.5, 2.0]), frames._SU2, (2, 2))}[kind]
+        coeff = frames._lax_on_line(f, lam, 0, j0, gens, substeps)
+        u = np.zeros(lam.shape + shape, complex if kind == "su2" else lam.dtype)
+    for stop, h in ((g.nx - 1, g.hx / substeps), (0, -g.hx / substeps)):
+        blocks = list(frames._step_blocks(u, g.xs, i0, stop, g.hx, substeps,
+                                          coeff))
+        assert blocks
+        for nodes, P in blocks:
+            want = _per_substep_steps(u, g.xs, nodes, h, substeps, coeff)
+            assert np.array_equal(P, want), (stop, nodes[0])
+
+
 def test_march_block_size_independent(march_field, monkeypatch):
     # the step matrices of a node do not depend on the block they are
     # built in, so neither do the marched states, bit for bit
@@ -519,10 +574,20 @@ def test_real_lambda_legs_match_ref_march(march_field, node):
         assert np.abs(leg - u).max() <= 1e-13 * np.abs(u).max(), node
 
 
+def _su2_newton_schulz(u):
+    # the conjugate-transpose Newton-Schulz step (3I - u u*) u / 2 on real
+    # quaternions u = [[a, b], [-conj b, conj a]], where u u* is
+    # (a conj a + b conj b) I
+    assert np.array_equal(u[..., 1, 1], u[..., 0, 0].conj())
+    assert np.array_equal(u[..., 1, 0], -u[..., 0, 1].conj())
+    a, b = u[..., 0, 0], u[..., 0, 1]
+    return u * (0.5 * (3.0 - (a * a.conj() + b * b.conj())))[..., None, None]
+
+
 def test_su2_march_projects_onto_su2_bit_for_bit(march_field, monkeypatch):
     # at real lambda the step matrices are real quaternions in floating
-    # point, on which the adjugate of SL(2, C) is the conjugate transpose
-    # of SU(2): the projection by either is the same, bit for bit
+    # point, on which the projection of SL(2, C) by the determinant is the
+    # conjugate-transpose Newton-Schulz step of SU(2), bit for bit
     lams = np.array([0.5, 1.0, 2.0])
 
     def marches():
@@ -530,8 +595,7 @@ def test_su2_march_projects_onto_su2_bit_for_bit(march_field, monkeypatch):
                 *frames._loop_legs(march_field, 80, 30, lams, 2))
 
     got = marches()
-    monkeypatch.setattr(numerics, "_adjoint",
-                        lambda e: e.swapaxes(0, 1).conj())
+    monkeypatch.setattr(frames, "polar_project", _su2_newton_schulz)
     for p, want in zip(got, marches(), strict=True):
         assert np.array_equal(p, want)
     p = got[0]
@@ -576,8 +640,9 @@ def test_zero_length_leg_returns_its_input(march_field):
        substeps=st.integers(1, 3), stop=st.sampled_from([0, 40]))
 def test_lambda_free_y_steps_match_recurrence(kind, tabled, seed, substeps,
                                               stop):
-    # every y generator is z G(t), z = 1/lambda: the Horner sum in z h over
-    # z-free products is the RK4 recurrence's step matrix up to rounding
+    # every y generator is z G(t), z = 1/lambda: the word sum over words
+    # in G's basis X, Y (`frames._word_steps`), scaled by powers of z h, is
+    # the RK4 recurrence's step matrix up to rounding
     rng = np.random.default_rng(seed)
     f = _Y_FIELD
     if tabled:

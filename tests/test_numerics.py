@@ -4,6 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from psforge import frames, loops, numerics
+from psforge.errors import StepFailure
+from psforge.loops import SampledLoop, birkhoff_split
 from psforge.numerics import (_mm, group_deviation, polar_project, refine,
                               refine_span)
 from util import ref_refine
@@ -203,3 +206,41 @@ def test_polar_project_and_group_deviation_match_matmul_formulas():
         assert dev <= 1e-15 * np.abs(want).max(), name
         dev = abs(group_deviation(u) - _matmul_group_deviation(u))
         assert dev <= 1e-15, name
+
+
+@pytest.mark.parametrize("size", [2, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_group_deviation_propagates_non_finite(size, bad):
+    # one NaN or inf entry anywhere in a stack on the group makes the
+    # deviation non-finite (a Python max over per-entry maxima would drop
+    # a NaN), so the march's transport check and the split's loop check
+    # fail on it; the marches run under the same errstate
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, j in np.ndindex(size, size):
+            u = np.broadcast_to(np.eye(size, dtype=complex), (64, size, size))
+            u = u.copy()
+            u[37, i, j] = bad
+            dev = group_deviation(u)
+            assert np.isnan(dev) if np.isnan(bad) else not np.isfinite(dev)
+            assert not np.isfinite(group_deviation(u.real)), (i, j)
+            with pytest.raises(StepFailure):
+                frames._check_transport(u)
+            with pytest.raises(ValueError, match="loop is not finite"):
+                birkhoff_split(SampledLoop(u, twisted=True, real=True))
+        # finite entries whose products overflow: u* u is not finite either
+        u = np.full((4, size, size), 1e200)
+        assert not np.isfinite(group_deviation(u))
+        with pytest.raises(StepFailure, match="left the group"):
+            frames._check_transport(u)
+
+
+def test_cached_tables_are_read_only():
+    # refine()'s Lagrange weights and the split's Toeplitz index tables are
+    # built once per shape and shared: a write would corrupt later calls
+    tables = [numerics._lagrange(6, 4), numerics._lagrange(3, 2),
+              *loops._toeplitz(64, 16), *loops._toeplitz(8, 3)]
+    assert numerics._lagrange(6, 4) is tables[0]
+    assert loops._toeplitz(64, 16)[0] is tables[2]
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = 0
