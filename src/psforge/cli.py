@@ -162,14 +162,27 @@ def _stats(a, mask=None):
     return float(vals.max()), float(vals.mean())
 
 
+def _load_data(path):
+    """The numbers of a characteristic-data file, one column or one row
+    ('#' starts a comment, blank lines are skipped), as a 1-D array; a
+    token that is not a number raises ValueError naming path:line."""
+    rows = []
+    with open(path) as fh:
+        for n, line in enumerate(fh, 1):
+            try:
+                rows.append([float(t) for t in line.split("#")[0].split()])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{n}: {exc}") from None
+    return np.array([r for r in rows if r]).squeeze()
+
+
 def cmd_solve(args):
     grid = _grid_from_args(args)
     if args.soliton is not None:
         field = soliton_angle(_finite("--soliton", args.soliton), grid)
     elif args.x_data and args.y_data:
-        x_data = np.loadtxt(args.x_data, ndmin=1)
-        y_data = np.loadtxt(args.y_data, ndmin=1)
-        field = goursat_solve(x_data, y_data, grid)
+        field = goursat_solve(_load_data(args.x_data),
+                              _load_data(args.y_data), grid)
     else:
         raise SystemExit("psforge: need --soliton or both --x-data/--y-data")
 
@@ -309,7 +322,9 @@ def _sup_mean(pairs):
 class _Checks:
     """The checks of run_verification: one method per DEFAULT_TOLERANCES
     key, returning (sup, mean) or (sup, mean, extra report entries). The
-    associated family is built once; every march takes frames._SUBSTEPS."""
+    associated family is built once; every march takes frames._SUBSTEPS.
+    flatness and conditions_K take every lambda in one call and report the
+    largest sup and the largest mean of their (lambda, equation) grids."""
 
     def __init__(self, field, lambdas, tol):
         self.field, self.lambdas, self.tol = field, lambdas, tol
@@ -331,14 +346,12 @@ class _Checks:
         return _stats(frames.compatibility_residual(self.field))
 
     def flatness(self):
-        form = frames.maurer_cartan(self.field)
-        return _sup_mean((frames.flatness_residual(form, lam), None)
-                         for lam in self.lambdas)
+        return _sup_mean((r, None) for r in
+                         frames.flatness_residual(self.field, self.lambdas))
 
     def conditions_K(self):
-        return _sup_mean((r, None) for lam in self.lambdas for r in
-                         frames.check_conditions_K(frames.lambda_forms(
-                             self.field, lam)).values())
+        return _sup_mean((r, None) for res in frames.check_conditions_K(
+            self.field, self.lambdas).values() for r in res)
 
     def curvature(self):
         _, geom, mask = self.members()[self.at_one]

@@ -1,5 +1,8 @@
 """Extended-frame integration of the Lax pair, Maurer-Cartan assembly and
-the flatness / compatibility / conditions-(K) residuals.
+the flatness / compatibility / conditions-(K) residuals. lambda enters the
+Maurer-Cartan form and Toda's lambda-forms as a scalar factor, so the
+flatness and conditions-(K) residuals take every derivative once, for one
+lambda or a batch.
 
 The extended frame U(x, y; lambda) solves the right-invariant system
 
@@ -42,10 +45,9 @@ from .loops import _SIGNS, SampledLoop, _circle_points
 from .numerics import _mm, deriv4, group_deviation, polar_project, refine
 
 __all__ = [
-    "ExtendedFrame", "MaurerCartanForm", "FormField", "integrate_frame",
+    "ExtendedFrame", "MaurerCartanForm", "integrate_frame",
     "compatibility_residual", "maurer_cartan", "flatness_residual",
-    "lambda_forms", "check_conditions_K", "gauge", "su2_frame",
-    "sample_frame_loop",
+    "check_conditions_K", "gauge", "su2_frame", "sample_frame_loop",
 ]
 
 
@@ -141,15 +143,6 @@ class MaurerCartanForm:
     alpha_m1: np.ndarray
     alpha0_prime: np.ndarray
     alpha1: np.ndarray
-
-
-@dataclass
-class FormField:
-    """Scalar 1-form p dx + q dy sampled on a grid."""
-
-    grid: object
-    p: np.ndarray
-    q: np.ndarray
 
 
 def _stage_table(values, t0, h, substeps):
@@ -341,18 +334,17 @@ _LOOP_SAMPLES = 64
 
 def _check_transport(u):
     """Raise StepFailure unless the square blocks u[..., :m] of the marched
-    states are finite and on their group (`numerics.group_deviation`; a nan
-    deviation, of states too large to square, fails too). A resolved
-    march of n nodes stays within about n eps |u|^2 of it; one Newton-Schulz
-    step on each node's step matrix does not pull back a march whose step
-    is too coarse for the Lax system (large h * max(lambda, 1/lambda)).
-    It is the one report of a march that overflows (run under errstate)."""
-    u = u[..., :u.shape[-2]]
-    if not np.all(np.isfinite(u)):
-        raise StepFailure("RK4 transport produced non-finite entries")
-    dev = group_deviation(u)
-    if not dev <= _GROUP_TOL:  # nan when |u|^2 overflows
-        raise StepFailure(f"RK4 transport left the group by {dev:.1e}: "
+    states are on their group (`numerics.group_deviation`, which a
+    non-finite state, or one too large to square, makes inf or nan). A
+    resolved march of n nodes stays within about n eps |u|^2 of it; one
+    Newton-Schulz step on each node's step matrix does not pull back a
+    march whose step is too coarse for the Lax system (large
+    h * max(lambda, 1/lambda)). It is the one report of a march that
+    overflows (run under errstate)."""
+    dev = group_deviation(u[..., :u.shape[-2]])
+    if not dev <= _GROUP_TOL:
+        why = "" if np.isfinite(dev) else ", its states non-finite or too large"
+        raise StepFailure(f"RK4 transport left the group by {dev:.1e}{why}: "
                           "the step does not resolve the Lax system; use "
                           "more substeps or a finer grid")
 
@@ -490,68 +482,57 @@ def maurer_cartan(f):
     return MaurerCartanForm(f.grid, a_m1, a0p, a1)
 
 
-def flatness_residual(form, lam):
-    """Zero-curvature residual of the assembled form at one lambda.
-
-    With omega = p dx + q dy built from the coefficient fields, returns the
-    per-node Frobenius norm of (q_x - p_y) - (p q - q p), the discrete
-    residual of the frame equations' integrability; its (1,2) entry is the
-    sine-Gordon defect sin(phi) - phi_xy up to discretization.
-    """
-    g = form.grid
-    p = form.alpha0_prime + lam * form.alpha1
-    q = form.alpha_m1 / lam
-    dpq = deriv4(q, g.hx, axis=0) - deriv4(p, g.hy, axis=1)
-    R = dpq - (p @ q - q @ p)
+def flatness_residual(f, lam):
+    """Zero-curvature residual of the extended Maurer-Cartan form per node:
+    with p = alpha0' + lambda alpha1 and q = alpha_m1 / lambda
+    (`maurer_cartan`), the Frobenius norm of (q_x - p_y) - [p, q] =
+    X / lambda + Y, X = (alpha_m1)_x - [alpha0', alpha_m1] and
+    Y = -(alpha0')_y - [alpha1, alpha_m1], taken once for every lambda. Its
+    (1,2) entry is the sine-Gordon defect sin(phi) - phi_xy up to
+    discretization. lam is taken by the rule of every march (`_spectral`);
+    a 1-D array gives a leading lambda axis."""
+    lam = _spectral(lam, 1)
+    g, form = f.grid, maurer_cartan(f)
+    a_m1, a0p, a1 = form.alpha_m1, form.alpha0_prime, form.alpha1
+    X = deriv4(a_m1, g.hx, axis=0) - (a0p @ a_m1 - a_m1 @ a0p)
+    Y = -deriv4(a0p, g.hy, axis=1) - (a1 @ a_m1 - a_m1 @ a1)
+    R = X / np.reshape(lam, np.shape(lam) + (1,) * 4) + Y
     return np.linalg.norm(R, axis=(-2, -1))
 
 
-def lambda_forms(f, lam):
-    """The five lambda-transformed scalar forms on the grid.
-
-    omega1 = cos(phi/2)(dx/lam + lam dy), omega2 = sin(phi/2)(dx/lam - lam dy),
-    omega12 = (phi_x dx - phi_y dy)/2, omega13 = sin(phi/2)(dx/lam + lam dy),
-    omega23 = -cos(phi/2)(dx/lam - lam dy). lam must be a positive real
-    number (ValueError otherwise).
-    """
-    if np.ndim(lam) or np.iscomplexobj(lam) or not 0 < lam < np.inf:
-        raise ValueError(f"lambda must be a positive real number, not {lam!r}")
-    g = f.grid
+def check_conditions_K(f, lam):
+    """Residual grids of the seven structure equations of a pseudospherical
+    frame, keys 'a'..'g' ('c' carries the sine-Gordon equation, 'f' and 'g'
+    are identities of the construction), for Toda's lambda-forms
+    omega12 = (phi_x dx - phi_y dy)/2 and omega = a dx/lambda + b lambda dy,
+    (a, b) = (C, C), (S, -S), (S, S), (-C, C) for omega1, omega2, omega13,
+    omega23, C, S = cos, sin(phi/2). lambda is a scalar factor, so each
+    derivative is taken once: d omega = lambda b_x - a_y / lambda,
+    omega ^ omega' = a b' - b a', omega12 ^ omega = lambda p12 b -
+    q12 a / lambda. lam is taken by the rule of every march (`_spectral`);
+    a 1-D array gives every grid a leading lambda axis."""
+    lam = _spectral(lam, 1)
+    lam, g = np.reshape(lam, np.shape(lam) + (1, 1)), f.grid
     c, s = np.cos(f.phi / 2.0), np.sin(f.phi / 2.0)
-    phi_x, phi_y = f.dphi_dx, f.phi_y()
-    li = 1.0 / lam
+    p12, q12 = f.dphi_dx / 2.0, -f.phi_y() / 2.0
+    cx, sx = deriv4(c, g.hx, axis=0), deriv4(s, g.hx, axis=0)
+    cy, sy = deriv4(c, g.hy, axis=1), deriv4(s, g.hy, axis=1)
+    # (a, b, a_y, b_x) of omega1, omega2, omega13, omega23
+    w1, w2, w13, w23 = ((c, c, cy, cx), (s, -s, sy, -sx), (s, s, sy, sx),
+                        (-c, c, -cy, cx))
+    d = lambda w: lam * w[3] - w[2] / lam
+    wedge = lambda u, v: u[0] * v[1] - u[1] * v[0]
+    w12_wedge = lambda w: lam * (p12 * w[1]) - (q12 * w[0]) / lam
+    zero = np.zeros(lam.shape)  # the lambda axes of the lambda-free ones
     return {
-        "omega1": FormField(g, c * li, c * lam),
-        "omega2": FormField(g, s * li, -s * lam),
-        "omega12": FormField(g, phi_x / 2.0, -phi_y / 2.0),
-        "omega13": FormField(g, s * li, s * lam),
-        "omega23": FormField(g, -c * li, c * lam),
-    }
-
-
-def _d(form):
-    g = form.grid
-    return deriv4(form.q, g.hx, axis=0) - deriv4(form.p, g.hy, axis=1)
-
-
-def _wedge(a, b):
-    return a.p * b.q - a.q * b.p
-
-
-def check_conditions_K(forms):
-    """Residual grids of the seven structure equations for a pseudospherical
-    frame; keys 'a'..'g'. 'c' carries the sine-Gordon equation, 'f' and 'g'
-    are algebraic identities of the lambda-form construction."""
-    w1, w2 = forms["omega1"], forms["omega2"]
-    w12, w13, w23 = forms["omega12"], forms["omega13"], forms["omega23"]
-    return {
-        "a": _d(w1) - _wedge(w12, w2),
-        "b": _d(w2) - _wedge(w1, w12),
-        "c": _d(w12) + _wedge(w13, w23),
-        "d": _d(w13) - _wedge(w12, w23),
-        "e": _d(w23) - _wedge(w13, w12),
-        "f": _wedge(w1, w13) + _wedge(w2, w23),
-        "g": _wedge(w1, w2) + _wedge(w13, w23),
+        "a": d(w1) - w12_wedge(w2),
+        "b": d(w2) + w12_wedge(w1),
+        "c": zero + (deriv4(q12, g.hx, axis=0) - deriv4(p12, g.hy, axis=1))
+             + wedge(w13, w23),
+        "d": d(w13) - w12_wedge(w23),
+        "e": d(w23) + w12_wedge(w13),
+        "f": zero + wedge(w1, w13) + wedge(w2, w23),
+        "g": zero + wedge(w1, w2) + wedge(w13, w23),
     }
 
 

@@ -107,12 +107,14 @@ class SampledLoop:
 
 
 def loop_eval(x, lam):
-    """Evaluate sum_k X_k lam^k; lam may be an array (appended axes m x m)."""
+    """Evaluate sum_k X_k lam^k; lam may be an array (appended axes m x m).
+    Non-finite coefficients give non-finite values without a warning."""
     lam = np.asarray(lam, dtype=complex)
     if np.any(lam == 0):
         raise ZeroSpectralParameter("loop evaluation at lambda = 0")
     powers = np.arange(x.kmin, x.kmax + 1)
-    return np.tensordot(lam[..., None] ** powers, x.stack, axes=1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.tensordot(lam[..., None] ** powers, x.stack, axes=1)
 
 
 def _twist_violation(stack, kmin):

@@ -13,7 +13,7 @@ from psforge.algebra import spinor_adjoint
 from psforge.errors import BigCellViolation
 from psforge.frames import (check_conditions_K, compatibility_residual,
                             flatness_residual, gauge, integrate_frame,
-                            lambda_forms, maurer_cartan, su2_frame)
+                            su2_frame)
 from psforge.loops import SampledLoop, birkhoff_split
 from psforge.potentials import cross_check_split, eta_2x2, eta_x, eta_y
 from psforge.sinegordon import (AngleField, GridSpec, goursat_solve,
@@ -73,12 +73,11 @@ def test_criterion_02_frame_integrity(soliton):
 
 
 def test_criterion_03_flatness_and_conditions(soliton):
-    form = maurer_cartan(soliton)
-    flat = max(np.nanmax(flatness_residual(form, lam))
+    flat = max(np.nanmax(flatness_residual(soliton, lam))
                for lam in (0.5, 1.0, 2.0))
     cond = 0.0
     for lam in (0.5, 1.0, 2.0):
-        res = check_conditions_K(lambda_forms(soliton, lam))
+        res = check_conditions_K(soliton, lam)
         cond = max(cond, max(np.nanmax(np.abs(r)) for r in res.values()))
     # f and g are construction identities, solution or not
     rough = AngleField(GridSpec(0.0, 0.0, 16, 16, 0.1, 0.1),
@@ -86,7 +85,7 @@ def test_criterion_03_flatness_and_conditions(soliton):
     ident = 0.0
     for field in (rough, constant_angle(np.pi / 2, rough.grid)):
         for lam in (0.5, 1.0, 2.0):
-            res = check_conditions_K(lambda_forms(field, lam))
+            res = check_conditions_K(field, lam)
             ident = max(ident, np.abs(res["f"]).max(), np.abs(res["g"]).max())
     ok = flat < 1e-3 and cond < 1e-3 and ident < 1e-10
     _report(3, ok, f"flatness {flat:.2e}, conditions {cond:.2e}, "

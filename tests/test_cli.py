@@ -278,16 +278,19 @@ def test_split_plus_first_swaps_shapes(tmp_path):
 
 
 def test_split_non_finite_loop_exit_2(tmp_path, capfd):
-    stack = np.eye(3)[None].copy()
-    stack[0, 1, 2] = np.nan
-    save_loop_json(LaurentLoop(stack, 0), tmp_path / "nan.json")
-    assert "NaN" in (tmp_path / "nan.json").read_text()
-    code = main(["split", "--loop", str(tmp_path / "nan.json"),
-                 "--out", str(tmp_path)])
-    assert code == 2
-    captured = capfd.readouterr()
-    assert "loop is not finite" in captured.err
-    assert "illegal value" not in captured.out + captured.err
+    # stderr holds psforge's line alone: no LAPACK or numpy warning
+    for bad, token in ((np.nan, "NaN"), (np.inf, "Infinity")):
+        stack = np.eye(3)[None].copy()
+        stack[0, 1, 2] = bad
+        save_loop_json(LaurentLoop(stack, 0), tmp_path / "bad.json")
+        assert token in (tmp_path / "bad.json").read_text()
+        code = main(["split", "--loop", str(tmp_path / "bad.json"),
+                     "--out", str(tmp_path)])
+        assert code == 2
+        captured = capfd.readouterr()
+        assert "loop is not finite" in captured.err
+        assert captured.err.count("\n") == 1, captured.err
+        assert "illegal value" not in captured.out + captured.err
 
 
 @pytest.mark.parametrize("payload", [
@@ -640,6 +643,20 @@ def test_solve_rejects_non_finite_data_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 2
     assert "non-finite x characteristic data at node 7" in capsys.readouterr().err
+    # an empty file and a malformed token: psforge's line alone, naming
+    # path:line for the token
+    (tmp_path / "empty.txt").write_text("")
+    (tmp_path / "bad.txt").write_text("0\n# a comment\n\nabc\n")
+    for name, message in (("empty.txt", "lengths must match the grid"),
+                          ("bad.txt", "bad.txt:4: could not convert "
+                                      "string to float: 'abc'")):
+        code = main(["solve", "--x-data", str(tmp_path / name),
+                     "--y-data", str(tmp_path / "yd.txt"),
+                     "--domain", "0", "2", "0", "2", "--h", "0.05",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1, err
 
 
 def test_verify_rejects_malformed_csv_line_exit_2(tmp_path, capsys):

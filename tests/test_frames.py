@@ -9,16 +9,16 @@ from psforge.algebra import E12, E23, P_TWIST, spinor_adjoint, spinor_map
 from psforge.errors import StepFailure, ZeroSpectralParameter
 from psforge.frames import (check_conditions_K, compatibility_residual,
                             flatness_residual, gauge, integrate_frame,
-                            lambda_forms, maurer_cartan, sample_frame_loop,
-                            su2_frame)
+                            maurer_cartan, sample_frame_loop, su2_frame)
 from psforge.loops import _circle_points, twist_deviation
 from psforge.numerics import deriv4, group_deviation
 from psforge.potentials import eta_x, eta_y, integrate_minus, integrate_plus
 from psforge.sinegordon import (AngleField, GridSpec, load_angle_csv,
                                 save_angle_csv, soliton_angle)
 from psforge.surfaces import associated_family
-from util import (constant_angle, ref_compatibility_residual, ref_march,
-                  two_soliton)
+from util import (constant_angle, ref_check_conditions_K,
+                  ref_compatibility_residual, ref_flatness_residual,
+                  ref_lambda_forms, ref_march, two_soliton)
 
 rng = np.random.default_rng(23)
 
@@ -136,11 +136,10 @@ def test_maurer_cartan_matches_frame_derivative(small_soliton):
 
 
 def test_flatness_residual(soliton):
-    form = maurer_cartan(soliton)
-    assert np.nanmax(flatness_residual(form, 1.0)) < 1e-4
+    assert np.nanmax(flatness_residual(soliton, 1.0)) < 1e-4
     # lambda and 1/lambda give the same residual up to the difference floor
-    s2 = np.nanmax(flatness_residual(form, 2.0))
-    s05 = np.nanmax(flatness_residual(form, 0.5))
+    s2 = np.nanmax(flatness_residual(soliton, 2.0))
+    s05 = np.nanmax(flatness_residual(soliton, 0.5))
     assert s2 < 1e-4 and s05 < 1e-4
     assert abs(s2 - s05) < 2e-5
 
@@ -154,37 +153,41 @@ def test_flatness_isolates_sine_gordon():
     q = form.alpha_m1 / lam
     r = (deriv4(q, g.hx, axis=0) - deriv4(p, g.hy, axis=1)) - (p @ q - q @ p)
     assert np.allclose(r[..., 0, 1], 1.0)  # sin(pi/2) - 0
-    assert np.allclose(flatness_residual(form, lam), np.sqrt(2.0))
+    assert np.allclose(flatness_residual(f, lam), np.sqrt(2.0))
 
 
 def test_lambda_forms_values(soliton):
     g = soliton.grid
     f = constant_angle(np.pi / 2, g)
-    forms = lambda_forms(f, 1.0)
+    forms = ref_lambda_forms(f, 1.0)
     w1 = forms["omega1"]
     assert np.allclose(w1.p, np.sqrt(2.0) / 2.0)
     assert np.allclose(w1.q, np.sqrt(2.0) / 2.0)
     # omega12 does not depend on lambda
-    a = lambda_forms(soliton, 0.5)["omega12"]
-    b = lambda_forms(soliton, 2.0)["omega12"]
+    a = ref_lambda_forms(soliton, 0.5)["omega12"]
+    b = ref_lambda_forms(soliton, 2.0)["omega12"]
     assert np.array_equal(a.p, b.p) and np.array_equal(a.q, b.q)
 
 
-@pytest.mark.parametrize("lam", [0.0, -1.0, 1.0 + 0.5j, [0.5, 1.0]],
-                         ids=["zero", "negative", "complex", "array"])
-def test_lambda_forms_rejects_lambda(lam):
+@pytest.mark.parametrize("lam, error", [
+    (0j, ZeroSpectralParameter), (-1.0, ValueError), (np.nan, ValueError),
+    ([[0.5, 1.0]], ValueError), ([], ValueError)],
+    ids=["zero", "negative", "nan", "2d", "empty"])
+def test_integrability_checks_take_lambda_by_spectral(lam, error):
+    # flatness and conditions (K) take lambda by the rule of every march
     f = constant_angle(np.pi / 2, GridSpec(0.0, 0.0, 5, 5, 0.1, 0.1))
-    with pytest.raises(ValueError, match="positive real number"):
-        lambda_forms(f, lam)
+    for check in (flatness_residual, check_conditions_K):
+        with pytest.raises(error, match="lambda"):
+            check(f, lam)
 
 
 def test_lambda_forms_two_parametrizations():
     # the lambda-forms are the stated linear combinations of the lambda=1 forms
     g = GridSpec(0.0, 0.0, 12, 12, 0.1, 0.1)
     f = AngleField(g, rng.uniform(0.3, 2.7, (12, 12)))
-    base = lambda_forms(f, 1.0)
+    base = ref_lambda_forms(f, 1.0)
     for lam in (0.5, 1.7):
-        lf = lambda_forms(f, lam)
+        lf = ref_lambda_forms(f, lam)
         cp, cm = (lam + 1.0 / lam) / 2.0, (lam - 1.0 / lam) / 2.0
         for comp in ("p", "q"):
             w1, w2 = getattr(base["omega1"], comp), getattr(base["omega2"], comp)
@@ -195,9 +198,48 @@ def test_lambda_forms_two_parametrizations():
             assert np.allclose(getattr(lf["omega23"], comp), cp * w23 + cm * w1)
 
 
+def _integrability_fields(soliton):
+    # the soliton, the two-soliton, a rough field and an anisotropic grid
+    rough = GridSpec(0.0, 0.0, 12, 12, 0.1, 0.1)
+    return [soliton, two_soliton(soliton.grid),
+            AngleField(rough, rng.uniform(0.2, 2.9, (12, 12))),
+            two_soliton(GridSpec(-1.0, -1.5, 41, 61, 0.05, 0.03))]
+
+
+def test_integrability_checks_match_per_lambda_reference(soliton):
+    # each derivative taken once for every lambda: bit for bit where
+    # lambda and 1/lambda scale exactly, within rounding elsewhere
+    for f in _integrability_fields(soliton):
+        form = maurer_cartan(f)
+        for lam in (0.5, 1.0, 2.0, 0.7, 1.7, 3.0):
+            flat = flatness_residual(f, lam)
+            assert np.abs(flat - ref_flatness_residual(form, lam)).max() <= 1e-12
+            res = check_conditions_K(f, lam)
+            ref = ref_check_conditions_K(ref_lambda_forms(f, lam))
+            assert set(res) == set(ref)
+            for key in ref:
+                if lam in (0.5, 1.0, 2.0):
+                    assert np.array_equal(res[key], ref[key]), (lam, key)
+                else:
+                    assert np.abs(res[key] - ref[key]).max() <= 1e-12, (lam, key)
+
+
+def test_integrability_checks_lambda_batch_bit_for_bit(soliton):
+    lams = [0.5, 0.7, 1.0, 1.7, 2.0, 3.0]
+    for f in _integrability_fields(soliton):
+        flat = flatness_residual(f, lams)
+        res = check_conditions_K(f, lams)
+        assert flat.shape == (len(lams),) + f.phi.shape
+        for k, lam in enumerate(lams):
+            assert np.array_equal(flat[k], flatness_residual(f, lam))
+            for key, r in check_conditions_K(f, lam).items():
+                assert res[key].shape == flat.shape
+                assert np.array_equal(res[key][k], r), (lam, key)
+
+
 def test_conditions_K_soliton(soliton):
     for lam in (0.5, 1.0, 2.0):
-        res = check_conditions_K(lambda_forms(soliton, lam))
+        res = check_conditions_K(soliton, lam)
         assert set(res) == set("abcdefg")
         for key, r in res.items():
             assert np.nanmax(np.abs(r)) < 1e-3, key
@@ -206,7 +248,7 @@ def test_conditions_K_soliton(soliton):
 def test_conditions_K_detects_non_solution():
     g = GridSpec(0.0, 0.0, 21, 21, 0.05, 0.05)
     f = constant_angle(np.pi / 2, g)
-    res = check_conditions_K(lambda_forms(f, 1.0))
+    res = check_conditions_K(f, 1.0)
     assert np.abs(res["c"]).max() > 0.9
 
 
@@ -216,7 +258,7 @@ def test_conditions_fg_identities_any_field():
     g = GridSpec(0.0, 0.0, 12, 12, 0.1, 0.1)
     f = AngleField(g, rng.uniform(0.2, 2.9, (12, 12)))
     for lam in (0.5, 1.0, 1.7):
-        res = check_conditions_K(lambda_forms(f, lam))
+        res = check_conditions_K(f, lam)
         assert np.abs(res["f"]).max() < 1e-10
         assert np.abs(res["g"]).max() < 1e-10
 
@@ -226,7 +268,7 @@ def test_lemma_lambda_family_implies_all():
     exact = soliton_angle(1.0, GridSpec(0.0, 0.0, 51, 51, 0.04, 0.04))
     sups = {}
     for lam in (0.5, 1.0, 2.0):
-        res = check_conditions_K(lambda_forms(exact, lam))
+        res = check_conditions_K(exact, lam)
         for k, r in res.items():
             sups[k] = max(sups.get(k, 0.0), np.nanmax(np.abs(r)))
     assert max(sups[k] for k in "cde") < 1e-3

@@ -223,7 +223,7 @@ def test_group_deviation_propagates_non_finite(size, bad):
             dev = group_deviation(u)
             assert np.isnan(dev) if np.isnan(bad) else not np.isfinite(dev)
             assert not np.isfinite(group_deviation(u.real)), (i, j)
-            with pytest.raises(StepFailure):
+            with pytest.raises(StepFailure, match="states non-finite"):
                 frames._check_transport(u)
             with pytest.raises(ValueError, match="loop is not finite"):
                 birkhoff_split(SampledLoop(u, twisted=True, real=True))

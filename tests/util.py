@@ -4,12 +4,17 @@ and, given w, of its derivative w' = w a + u d), the Wiener loop norm,
 Cauchy product, identity loop, hat map and constant angle field that
 only tests use (`loop_norm`, `multiply`, `identity_loop`, `hat`,
 `constant_angle`), the 3x3 commutator form of the compatibility residual
-(`ref_compatibility_residual`), the per-substep march psforge used before
-its propagator form (`ref_march`), the per-interval Lagrange weights of
-`numerics.refine` before they were shared per offset (`ref_refine`), the
+(`ref_compatibility_residual`), the per-lambda flatness and conditions-(K)
+residuals that rebuilt and differentiated every form at every lambda
+(`ref_flatness_residual`, `ref_lambda_forms`, `ref_check_conditions_K`),
+the per-substep march psforge used before its propagator form
+(`ref_march`), the per-interval Lagrange weights of `numerics.refine`
+before they were shared per offset (`ref_refine`), the
 quadrant-by-quadrant Goursat sweep before the one-wavefront sweep
 (`ref_goursat_raw`), a closed-form two-soliton field and per-node
 reference writers."""
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -18,7 +23,7 @@ from psforge.algebra import E12, E13, E23, wiener_matrix_norm
 from psforge.errors import NonconvergentCell
 from psforge.frames import _lax_A, _lax_B
 from psforge.loops import LaurentLoop
-from psforge.numerics import _STENCIL, polar_project
+from psforge.numerics import _STENCIL, deriv4, polar_project
 from psforge.sinegordon import AngleField
 
 
@@ -250,6 +255,80 @@ def ref_compatibility_residual(f, lam):
                                             + np.sin(phi)[..., None, None] * E23)
     R = A_y - B_x - (A @ B - B @ A)
     return np.linalg.norm(R, axis=(-2, -1))
+
+
+def ref_flatness_residual(form, lam):
+    """Zero-curvature residual of the assembled form at one lambda.
+
+    With omega = p dx + q dy built from the coefficient fields, returns the
+    per-node Frobenius norm of (q_x - p_y) - (p q - q p), the discrete
+    residual of the frame equations' integrability; its (1,2) entry is the
+    sine-Gordon defect sin(phi) - phi_xy up to discretization.
+    """
+    g = form.grid
+    p = form.alpha0_prime + lam * form.alpha1
+    q = form.alpha_m1 / lam
+    dpq = deriv4(q, g.hx, axis=0) - deriv4(p, g.hy, axis=1)
+    R = dpq - (p @ q - q @ p)
+    return np.linalg.norm(R, axis=(-2, -1))
+
+
+@dataclass
+class ref_FormField:
+    """Scalar 1-form p dx + q dy sampled on a grid."""
+
+    grid: object
+    p: np.ndarray
+    q: np.ndarray
+
+
+def ref_lambda_forms(f, lam):
+    """The five lambda-transformed scalar forms on the grid.
+
+    omega1 = cos(phi/2)(dx/lam + lam dy), omega2 = sin(phi/2)(dx/lam - lam dy),
+    omega12 = (phi_x dx - phi_y dy)/2, omega13 = sin(phi/2)(dx/lam + lam dy),
+    omega23 = -cos(phi/2)(dx/lam - lam dy). lam must be a positive real
+    number (ValueError otherwise).
+    """
+    if np.ndim(lam) or np.iscomplexobj(lam) or not 0 < lam < np.inf:
+        raise ValueError(f"lambda must be a positive real number, not {lam!r}")
+    g = f.grid
+    c, s = np.cos(f.phi / 2.0), np.sin(f.phi / 2.0)
+    phi_x, phi_y = f.dphi_dx, f.phi_y()
+    li = 1.0 / lam
+    return {
+        "omega1": ref_FormField(g, c * li, c * lam),
+        "omega2": ref_FormField(g, s * li, -s * lam),
+        "omega12": ref_FormField(g, phi_x / 2.0, -phi_y / 2.0),
+        "omega13": ref_FormField(g, s * li, s * lam),
+        "omega23": ref_FormField(g, -c * li, c * lam),
+    }
+
+
+def ref_d(form):
+    g = form.grid
+    return deriv4(form.q, g.hx, axis=0) - deriv4(form.p, g.hy, axis=1)
+
+
+def ref_wedge(a, b):
+    return a.p * b.q - a.q * b.p
+
+
+def ref_check_conditions_K(forms):
+    """Residual grids of the seven structure equations for a pseudospherical
+    frame; keys 'a'..'g'. 'c' carries the sine-Gordon equation, 'f' and 'g'
+    are algebraic identities of the lambda-form construction."""
+    w1, w2 = forms["omega1"], forms["omega2"]
+    w12, w13, w23 = forms["omega12"], forms["omega13"], forms["omega23"]
+    return {
+        "a": ref_d(w1) - ref_wedge(w12, w2),
+        "b": ref_d(w2) - ref_wedge(w1, w12),
+        "c": ref_d(w12) + ref_wedge(w13, w23),
+        "d": ref_d(w13) - ref_wedge(w12, w23),
+        "e": ref_d(w23) - ref_wedge(w13, w12),
+        "f": ref_wedge(w1, w13) + ref_wedge(w2, w23),
+        "g": ref_wedge(w1, w2) + ref_wedge(w13, w23),
+    }
 
 
 def constant_angle(c, grid):
