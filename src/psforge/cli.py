@@ -165,15 +165,19 @@ def _stats(a, mask=None):
 def _load_data(path):
     """The numbers of a characteristic-data file, one column or one row
     ('#' starts a comment, blank lines are skipped), as a 1-D array; a
-    token that is not a number raises ValueError naming path:line."""
+    bad token or a ragged line raises ValueError naming path:line."""
     rows = []
     with open(path) as fh:
         for n, line in enumerate(fh, 1):
             try:
-                rows.append([float(t) for t in line.split("#")[0].split()])
+                row = [float(t) for t in line.split("#")[0].split()]
+                if row and rows and len(row) != len(rows[0]):
+                    raise ValueError(f"expected {len(rows[0])} numbers as "
+                                     f"on the first line, not {len(row)}")
             except ValueError as exc:
                 raise ValueError(f"{path}:{n}: {exc}") from None
-    return np.array([r for r in rows if r]).squeeze()
+            rows += [row] if row else []
+    return np.array(rows).squeeze()
 
 
 def cmd_solve(args):

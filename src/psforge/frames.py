@@ -457,7 +457,7 @@ def integrate_frame(f, lam, order="xy", substeps=1):
     lam = _spectral(lam, substeps)
     u0 = np.eye(3, 4, dtype=complex if np.iscomplexobj(lam) else float)
     F = _fill_grid(f, lam, order, u0, substeps, _SE3)
-    return ExtendedFrame(f.grid, lam, F[..., :3].copy(), F[..., 3].copy())
+    return ExtendedFrame(f.grid, lam, F[..., :3], F[..., 3])
 
 
 def compatibility_residual(f):
@@ -474,30 +474,28 @@ def maurer_cartan(f):
     alpha0' = phi_x E12 (dx), alpha_m1 = sin(phi) E13 + cos(phi) E23 (dy),
     alpha1 = -E23 (dx, constant over the grid).
     """
-    phi = f.phi
-    shape = phi.shape
-    a_m1 = np.sin(phi)[..., None, None] * E13 + np.cos(phi)[..., None, None] * E23
-    a0p = f.dphi_dx[..., None, None] * E12
-    a1 = np.broadcast_to(-E23, shape + (3, 3)).copy()
-    return MaurerCartanForm(f.grid, a_m1, a0p, a1)
+    s, c = np.sin(f.phi)[..., None, None], np.cos(f.phi)[..., None, None]
+    a1 = np.broadcast_to(-E23, f.phi.shape + (3, 3)).copy()
+    return MaurerCartanForm(f.grid, s * E13 + c * E23,
+                            f.dphi_dx[..., None, None] * E12, a1)
 
 
 def flatness_residual(f, lam):
     """Zero-curvature residual of the extended Maurer-Cartan form per node:
     with p = alpha0' + lambda alpha1 and q = alpha_m1 / lambda
     (`maurer_cartan`), the Frobenius norm of (q_x - p_y) - [p, q] =
-    X / lambda + Y, X = (alpha_m1)_x - [alpha0', alpha_m1] and
-    Y = -(alpha0')_y - [alpha1, alpha_m1], taken once for every lambda. Its
-    (1,2) entry is the sine-Gordon defect sin(phi) - phi_xy up to
-    discretization. lam is taken by the rule of every march (`_spectral`);
-    a 1-D array gives a leading lambda axis."""
-    lam = _spectral(lam, 1)
-    g, form = f.grid, maurer_cartan(f)
-    a_m1, a0p, a1 = form.alpha_m1, form.alpha0_prime, form.alpha1
-    X = deriv4(a_m1, g.hx, axis=0) - (a0p @ a_m1 - a_m1 @ a0p)
-    Y = -deriv4(a0p, g.hy, axis=1) - (a1 @ a_m1 - a_m1 @ a1)
-    R = X / np.reshape(lam, np.shape(lam) + (1,) * 4) + Y
-    return np.linalg.norm(R, axis=(-2, -1))
+    X / lambda + Y, X = (s_x - phi_x c) E13 + (c_x + phi_x s) E23 and
+    Y = (s - phi_xy) E12 (s, c = sin, cos(phi); Y is the sine-Gordon
+    defect up to discretization), from these three components taken once
+    for every lambda, their moduli summed as numpy sums a 3x3 matrix's
+    (bit for bit its norm at a real lambda). lam is taken by the rule of
+    every march (`_spectral`); a 1-D array gives a leading lambda axis."""
+    lam = np.expand_dims(_spectral(lam, 1), (-2, -1))
+    g, phi_x, s, c = f.grid, f.dphi_dx, np.sin(f.phi), np.cos(f.phi)
+    r12 = (s - deriv4(phi_x, g.hy, axis=1)) ** 2
+    r13 = np.abs((deriv4(s, g.hx, axis=0) - phi_x * c) / lam) ** 2
+    r23 = np.abs((deriv4(c, g.hx, axis=0) + phi_x * s) / lam) ** 2
+    return np.sqrt((r12 + (r13 + r12)) + (r23 + (r13 + r23)))
 
 
 def check_conditions_K(f, lam):

@@ -282,22 +282,24 @@ _d = np.indices((10,) * 4, np.uint8).reshape(4, -1)   # the digits of 0..9999
 _DIGITS4 = np.ascontiguousarray(_d.T + 48).view(np.uint32)[:, 0]
 _TZ4 = (_d[3] == 0) * (1 + (_d[2] == 0) * (
     1 + (_d[1] == 0) * (1 + (_d[0] == 0))))
+# _GROUP4[form * 10000 + g]: group g's text "0007" below a nonzero group
+# (form 0), else with NULs for leading zeros (1, last group; 2, 0 blank)
+_nd = np.searchsorted([1, 10, 100, 1000], np.arange(10000), "right")
+_tail = (0xFF * (np.arange(4) >= 4 - np.arange(5)[:, None])
+         ).astype(np.uint8).view(np.uint32)[:, 0]
+_GROUP4 = np.concatenate([_DIGITS4, _DIGITS4 & _tail[np.maximum(_nd, 1)],
+                          _DIGITS4 & _tail[_nd]])
 # _SHOWN[keep]: over the 20 bytes of 5 groups (d0 padded to "000d"),
 # 0xFF for the 3 padding bytes and the first `keep` digits
 _SHOWN = (0xFF * (np.arange(20) < np.arange(3, 21)[:, None])
           ).astype(np.uint8).view(np.uint32)
-# _TAIL[n]: 0xFF for the last n of the 20 bytes, the digits %d shows of
-# a number with n digits, n = searchsorted(_TEN_INT, |v|, "right") + 1
-_TAIL = (0xFF * (np.arange(20) >= 20 - np.arange(21)[:, None])
-         ).astype(np.uint8).view(np.uint32)
-_TEN_INT = _U(10) ** np.arange(1, 20, dtype=_U)
 # the layout key of a value: 0 for ±0, e + 12 (1..28) in the numpy
 # range, 29 for '%.17g' % v; _LAST[key] is the index of the last digit
 # before the '.' (-1 for 0.000ddd, 0 for d.ddde-XX)
 _e = np.arange(-12, 18)
 _LAST = np.where((_e >= 0) & (_e <= 16), _e, np.where(_e >= -4, -1, 0))
 _G17 = 24                           # "-2.2250738585072014e-308"
-del _d
+del _d, _nd, _tail
 
 
 def _scaled(M, q, e):
@@ -330,11 +332,12 @@ def _frexp53(x):
     return (m * 2.0 ** 53).astype(_U), q
 
 
-# _TEN[k] is the least double >= 10**(k - 11), k < 27, by the exact test
-# floor(x 10**(16 - e)) >= 10**16, so that x has e = floor(log10 x) =
-# searchsorted(_TEN, x, "right") - 12; _TEN[0] and 1e16 bound the range
-_TEN = 10.0 ** _e[1:28]
-_TEN = np.where(_scaled(*_frexp53(_TEN), _e[1:28])[0] < _E16,
+# _TEN[k] is the least double >= 10**(k - 11), k < 28, by the exact test
+# floor(x 10**(16 - e)) >= 10**16, so that x = M 2**(q - 53) has e =
+# floor(log10 x) = e0 + (x >= _TEN[e0 + 12]), e0 = ((q - 1) 78913) >> 18 =
+# floor((q - 1) log10 2); _TEN[0] and 1e16 bound the range
+_TEN = 10.0 ** _e[1:29]
+_TEN = np.where(_scaled(*_frexp53(_TEN), _e[1:29])[0] < _E16,
                 np.nextafter(_TEN, np.inf), _TEN)
 del _e
 
@@ -348,38 +351,39 @@ def _text_cells(texts, width):
 def _g17_cells(v):
     """(v.shape) + (_G17 + 1,) cells of '%.17g' % v, the last byte left
     for the separator. Finite |v| in [1e-11, 1e16) and ±0 are formatted
-    in numpy, exactly: e = floor(log10 |v|) from _TEN, the 17 digits of
-    |v| 10**(16 - e) rounded half to even (`_scaled`), trailing zeros
-    dropped, and the cells laid out by slices per layout key, sorted by
-    it. nan, ±inf, subnormals and the rest of the range keep
-    '%.17g' % v."""
-    shape, v = v.shape, v.ravel()
-    n = len(v)
+    in numpy, exactly: e = floor(log10 |v|) from frexp's exponent and
+    _TEN, the 17 digits of |v| 10**(16 - e) rounded half to even
+    (`_scaled`) in 4-digit groups, trailing zeros dropped, and the cells
+    laid out by slices per layout key, sorted by it. nan, ±inf,
+    subnormals and the rest of the range keep '%.17g' % v."""
+    shape, v, n = v.shape, v.ravel(), v.size
     a = np.abs(v)
     fast = (a >= _TEN[0]) & (a < 1e16)
-    zero = a == 0
     x = np.where(fast, a, 1.0)
-    e = _TEN.searchsorted(x, "right") - 12
-    floor, up = _scaled(*_frexp53(x), e)
+    M, q = _frexp53(x)
+    e = (q - 1) * 78913 >> 18
+    e += x >= _TEN.take(e + 12)
+    floor, up = _scaled(M, q, e)
     D = floor + up
     carry = D == _E17
     D[carry] = _E16
     e += carry
-    key = np.where(fast, e + 12, np.where(zero, 0, 29)).astype(np.int8)
+    key = np.where(fast, e + 12, np.where(a == 0, 0, 29)).astype(np.int8)
     order = key.argsort(kind="stable")
     count = np.bincount(key, minlength=30)
-    D, last = D.take(order), _LAST.take(key.take(order))
-    g = np.empty((n, 5), np.int64)        # 4-digit groups, d0 first
-    g[:, 0] = D // _E16
-    hi, lo = np.divmod(D - g[:, 0].astype(_U) * _E16, _U(10 ** 8))
-    np.divmod(hi.astype(np.int64), 10000, out=(g[:, 1], g[:, 2]))
-    np.divmod(lo.astype(np.int64), 10000, out=(g[:, 3], g[:, 4]))
-    t, z = _TZ4.take(g), g == 0
-    tz = t[:, 4] + z[:, 4] * (t[:, 3] + z[:, 3] * (
-        t[:, 2] + z[:, 2] * t[:, 1]))
+    D, last = D.take(order).view(np.int64), _LAST.take(key.take(order))
+    g = np.empty((5, n), np.int64)  # 4-digit groups, d0 first; // (% is slow)
+    g[0], g[2] = D // 10 ** 16, D // 10 ** 8
+    g[4] = D - g[2] * 10 ** 8
+    g[2] -= g[0] * 10 ** 8
+    g[1::2] = g[2::2] // 10000
+    g[2::2] -= g[1::2] * 10000
+    tz, r = _TZ4.take(g[4]), np.flatnonzero(g[4] == 0)
+    t, z = _TZ4.take(g[1:4, r]), g[1:4, r] == 0
+    tz[r] += t[2] + z[2] * (t[1] + z[1] * t[0])
     keep = np.maximum(17 - tz, last + 1)
-    digits = (_DIGITS4.take(g) & _SHOWN.take(keep, axis=0)
-              ).view(np.uint8)[:, 3:]
+    digits = np.bitwise_and(_DIGITS4.take(g).T, _SHOWN.take(keep, axis=0),
+                            order="C").view(np.uint8)[:, 3:]
     dot = (keep > last + 1) * np.uint8(46)
     c = np.zeros((n, _G17 + 1), np.uint8)
     c[:, 0] = np.signbit(v).take(order) * np.uint8(45)
@@ -411,24 +415,26 @@ def _g17_cells(v):
 
 def _int_cells(v):
     """(v.shape) + (width + 1,) cells of '%d' % v, the last byte left for
-    the separator; width fits the widest value. Integer arrays are read
-    as int64. Floats truncate as %d does; a block holding nan, inf or
-    |v| >= 2**63 goes through '%d' % v, which raises for nan and inf."""
+    the separator, width the widest value's, a _GROUP4 take per 4-digit
+    group. Integers are read as int64, floats truncated as by %d; a block
+    of nan, inf or |v| >= 2**63 goes through '%d' % v (nan, inf raise)."""
     if v.dtype.kind == "f" and not (np.abs(v) < 2.0 ** 63).all():
         texts = ["%d" % s for s in v.ravel().tolist()]
         return _text_cells(texts, max(map(len, texts)) + 1).reshape(
             v.shape + (-1,))
     iv = v.astype(np.int64)
-    mag = np.where(iv < 0, -iv, iv).astype(_U)
+    mag = np.abs(iv).view(_U)                 # |-2**63| wraps to 2**63
     ng = -(-len(str(int(mag.max(initial=0)))) // 4)
-    g = np.empty(v.shape + (ng,), np.int64)   # 4-digit groups
-    for k in range(ng):
-        g[..., k] = mag // _U(10 ** (4 * (ng - 1 - k))) % _U(10000)
-    ndigits = _TEN_INT.searchsorted(mag, "right") + 1
+    g = np.empty(v.shape + (ng,), np.uint32)  # the groups' texts
+    above = 0                                 # |v| but its last k + 1 groups
+    for k in range(ng - 1, -1, -1):
+        q = mag // _U(10 ** (4 * k))
+        form = _U(20000 if k else 10000) * (above == 0)
+        _GROUP4.take(q - _U(10000) * above + form, out=g[..., ng - 1 - k])
+        above = q
     c = np.empty(v.shape + (4 * ng + 2,), np.uint8)
     c[..., 0] = (iv < 0) * np.uint8(45)
-    shown = _TAIL.take(ndigits, axis=0)[..., 5 - ng:]
-    c[..., 1:-1] = (_DIGITS4.take(g) & shown).view(np.uint8)
+    c[..., 1:-1] = g.view(np.uint8)
     return c
 
 
@@ -451,9 +457,7 @@ def _write_rows(fh, rows, head="", sep=",", ints=0):
     step = max(1, _BLOCK_VALUES // ncols)
     for k in range(0, len(rows), step):
         block = rows[k:k + step]
-        cells = []
-        if ints:
-            cells.append(_int_cells(block[:, :ints]))
+        cells = [_int_cells(block[:, :ints])] if ints else []
         if ncols > ints:
             cells.append(_g17_cells(block[:, ints:].astype(float)))
         for c in cells:

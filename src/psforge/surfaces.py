@@ -208,15 +208,19 @@ def export_mesh(points, path, mask=None):
 
 
 def read_obj(path):
-    """Parse vertices and faces back from an OBJ file (round-trip check)."""
+    """Parse vertices and faces back from an OBJ file (round-trip check);
+    a `v` or `f` line without three values raises ValueError (path:line)."""
     verts, faces = [], []
     with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "v":
-                verts.append([float(v) for v in parts[1:4]])
-            elif parts[0] == "f":
-                faces.append([int(v.split("/")[0]) for v in parts[1:4]])
+        for n, line in enumerate(fh, 1):
+            kind, *parts = line.split() or [""]
+            try:
+                if kind in ("v", "f") and len(parts) < 3:
+                    raise ValueError(f"'{kind}' line of {len(parts)} values")
+                if kind == "v":
+                    verts.append([float(v) for v in parts[:3]])
+                elif kind == "f":
+                    faces.append([int(v.split("/")[0]) for v in parts[:3]])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{n}: {exc}") from None
     return np.asarray(verts), np.asarray(faces, dtype=int)

@@ -643,13 +643,16 @@ def test_solve_rejects_non_finite_data_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 2
     assert "non-finite x characteristic data at node 7" in capsys.readouterr().err
-    # an empty file and a malformed token: psforge's line alone, naming
-    # path:line for the token
+    # an empty file, a malformed token and a ragged file: psforge's line
+    # alone, naming path:line for the token and the ragged line
     (tmp_path / "empty.txt").write_text("")
     (tmp_path / "bad.txt").write_text("0\n# a comment\n\nabc\n")
+    (tmp_path / "ragged.txt").write_text("0.1 0.2\n\n0.3\n")
     for name, message in (("empty.txt", "lengths must match the grid"),
                           ("bad.txt", "bad.txt:4: could not convert "
-                                      "string to float: 'abc'")):
+                                      "string to float: 'abc'"),
+                          ("ragged.txt", "ragged.txt:3: expected 2 numbers as "
+                                         "on the first line, not 1")):
         code = main(["solve", "--x-data", str(tmp_path / name),
                      "--y-data", str(tmp_path / "yd.txt"),
                      "--domain", "0", "2", "0", "2", "--h", "0.05",

@@ -84,6 +84,8 @@ _KEEP = {
     "sample_frame_loop": "the frame loop at a node, as a SampledLoop",
     "load_potential_csv": "reads the potential files psforge writes",
     "read_obj": "reads the OBJ meshes psforge writes",
+    "maurer_cartan": "the paper's extended Maurer-Cartan form, whose "
+                     "alpha_m1 acceptance criterion 08 compares with eta_y",
 }
 _BENCH = Path(psforge.__file__).parents[2] / "bench"
 

@@ -222,6 +222,10 @@ def test_integrability_checks_match_per_lambda_reference(soliton):
                     assert np.array_equal(res[key], ref[key]), (lam, key)
                 else:
                     assert np.abs(res[key] - ref[key]).max() <= 1e-12, (lam, key)
+        # flatness at a complex lambda: the norm takes |lambda|, not lambda
+        for lam in (1.3 * np.exp(0.7j), np.exp(2.1j)):
+            flat = flatness_residual(f, lam)
+            assert np.abs(flat - ref_flatness_residual(form, lam)).max() <= 1e-12
 
 
 def test_integrability_checks_lambda_batch_bit_for_bit(soliton):

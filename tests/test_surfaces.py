@@ -252,6 +252,19 @@ def test_export_mesh_counts(tmp_path):
     assert faces.shape == (2, 3)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("v 1 2", "'v' line of 2 values"), ("f 1 2", "'f' line of 2 values"),
+    ("v 1 2 x", "could not convert string to float: 'x'"),
+    ("f 1 2 3.5", "invalid literal for int() with base 10: '3.5'")])
+def test_read_obj_rejects_short_or_malformed_lines(tmp_path, line, message):
+    # a v or f line without three numbers is named by path:line
+    path = tmp_path / "m.obj"
+    path.write_text("v 0 0 0\n\n" + line + "\n")
+    with pytest.raises(ValueError) as exc:
+        read_obj(path)
+    assert str(exc.value) == f"{path}:3: {message}"
+
+
 def test_export_mesh_round_trip(tmp_path, small_soliton):
     s = integrate_frame(small_soliton, 1.0, substeps=1)
     path = tmp_path / "s.obj"

@@ -130,9 +130,16 @@ def test_table_writer_numpy_path_edges(monkeypatch, block):
                               np.full(n, -0.0)])
     # int columns: 0, negatives, and non-integral floats, which %d truncates
     ints = np.column_stack([np.arange(n) - n // 2, rng.uniform(-9.9, 9.9, n)])
+    # and integers on either side of the ends of 4-digit groups
+    groups = rng.permutation(np.resize(
+        [0, 9999, -9999, 10 ** 4, -10 ** 4, 10 ** 8 - 1, 10 ** 8 + 1, 2 ** 53],
+        (n, 2)), axis=0)
     for rows, kw in ((floats, {}), (floats, {"head": "v ", "sep": " "}),
                      (np.column_stack([ints, floats]), {"ints": 2}),
-                     (ints.astype(int), {"head": "f ", "sep": " ", "ints": 2})):
+                     (ints.astype(int), {"head": "f ", "sep": " ", "ints": 2}),
+                     (np.column_stack([groups, floats]), {"ints": 2}),
+                     (groups, {"head": "f ", "sep": " ", "ints": 2}),
+                     ([[2 ** 63 - 1, -2 ** 63, 0]], {"ints": 3})):
         fh = io.StringIO()
         sinegordon._write_rows(fh, rows, **kw)
         assert fh.getvalue() == _ref_rows(rows, **kw)
