@@ -15,9 +15,9 @@ import numpy as np
 
 from . import algebra, frames, loops, potentials, surfaces
 from .errors import BigCellViolation, IncompatibleCorner, PsforgeError
-from .sinegordon import (GridSpec, _write_rows, goursat_solve,
-                         load_angle_csv, save_angle_csv, sg_residual,
-                         soliton_angle)
+from .sinegordon import (GridSpec, goursat_solve, load_angle_csv,
+                         save_angle_csv, sg_residual, soliton_angle)
+from .tables import _numbers, _read_rows, _write_file
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -163,21 +163,14 @@ def _stats(a, mask=None):
 
 
 def _load_data(path):
-    """The numbers of a characteristic-data file, one column or one row
-    ('#' starts a comment, blank lines are skipped), as a 1-D array; a
-    bad token or a ragged line raises ValueError naming path:line."""
-    rows = []
-    with open(path) as fh:
-        for n, line in enumerate(fh, 1):
-            try:
-                row = [float(t) for t in line.split("#")[0].split()]
-                if row and rows and len(row) != len(rows[0]):
-                    raise ValueError(f"expected {len(rows[0])} numbers as "
-                                     f"on the first line, not {len(row)}")
-            except ValueError as exc:
-                raise ValueError(f"{path}:{n}: {exc}") from None
-            rows += [row] if row else []
-    return np.array(rows).squeeze()
+    """The numbers of a characteristic-data file, one column or one row,
+    as a 1-D array; ValueError names path:line for a bad token or a ragged
+    line, and path for a table of several rows and columns."""
+    data = np.array(_read_rows(path, _numbers)[1])
+    if data.ndim == 2 and min(data.shape) > 1:
+        raise ValueError(f"{path}: a {data.shape[0]}x{data.shape[1]} table, "
+                         f"not one column or one row")
+    return data.ravel()
 
 
 def cmd_solve(args):
@@ -252,14 +245,12 @@ def cmd_surface(args):
 def _write_geometry_csv(geom, path):
     """Write the fundamental forms and K of one member: header
     '# i,j,E,F,G,L,M,N2,K', then one line per node (i outer, j inner)
-    formatted by `sinegordon._write_rows`; masked K is nan."""
-    g = geom.grid
+    formatted by `tables._write_rows`; masked K is nan."""
     cols = ("E", "F", "G", "L", "M", "N2", "K")
-    i, j = np.indices((g.nx, g.ny))
+    i, j = np.indices((geom.grid.nx, geom.grid.ny))
     table = np.stack([i, j] + [getattr(geom, c) for c in cols], axis=-1)
-    with open(path, "w") as fh:
-        fh.write("# i,j," + ",".join(cols) + "\n")
-        _write_rows(fh, table.reshape(-1, 2 + len(cols)), ints=2)
+    _write_file(path, dict(rows=table.reshape(-1, 2 + len(cols)), ints=2),
+                text="# i,j," + ",".join(cols) + "\n")
 
 
 def cmd_potentials(args):

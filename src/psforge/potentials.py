@@ -18,7 +18,8 @@ from .frames import (_LOOP_SAMPLES, _SUBSTEPS, _check_transport,
                      _frame_loop_legs, _march, _spectral, _stage_table)
 from .loops import SampledLoop, birkhoff_split, loop_eval
 from .numerics import refine_span
-from .sinegordon import _origin_node, _write_rows
+from .sinegordon import _origin_node
+from .tables import _finite_numbers, _read_rows, _write_file
 
 __all__ = [
     "PotentialForm", "rotation_V0",
@@ -222,63 +223,49 @@ def _cross_check(f, i, j, with_axis=False):
     return reports
 
 
-_COLS = [(0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1)]
+_ROWS, _COLS = zip((0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1))
 
 
 def save_potential_csv(pot, path):
     """Write a 3x3 potential: axis, coordinate, then the six off-diagonal
     entries s12,s13,s23,s21,s31,s32 of the (skew) coefficient matrix, one
-    line per axis node formatted by `sinegordon._write_rows`."""
-    rows, cols = zip(*_COLS)
-    table = np.column_stack([pot.coords, pot.samples[:, rows, cols]])
-    with open(path, "w") as fh:
-        fh.write("# axis,coord,s12,s13,s23,s21,s31,s32\n")
-        _write_rows(fh, table, head=f"{pot.axis},")
+    line per axis node formatted by `tables._write_rows`."""
+    table = np.column_stack([pot.coords, pot.samples[:, _ROWS, _COLS]])
+    _write_file(path, dict(rows=table, head=f"{pot.axis},"),
+                text="# axis,coord,s12,s13,s23,s21,s31,s32\n")
 
 
 def load_potential_csv(path):
-    """Read a 3x3 potential written by save_potential_csv; a line without
-    eight fields, with a token that is not a finite number or with another
-    axis than the first line's raises ValueError naming path:line."""
-    axis = None
-    coords, mats = [], []
-    with open(path) as fh:
-        for n, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 8:
-                raise ValueError(f"{path}:{n}: expected 8 comma-separated "
-                                 f"fields, got {len(parts)}")
-            try:
-                vals = [float(v) for v in parts[1:]]
-                if not np.all(np.isfinite(vals)):
-                    raise ValueError(f"non-finite value in {line!r}")
-            except ValueError as exc:
-                raise ValueError(f"{path}:{n}: {exc}") from None
-            if axis is None:
-                axis = parts[0]
-            elif parts[0] != axis:
-                raise ValueError(f"{path}:{n}: axis {parts[0]!r} differs "
-                                 f"from the first line's {axis!r}")
-            coords.append(vals[0])
-            m = np.zeros((3, 3))
-            for (r, s), v in zip(_COLS, vals[1:]):
-                m[r, s] = v
-            mats.append(m)
-    if axis not in ("x", "y"):
-        raise ValueError(f"{path}: unknown potential axis {axis!r}")
-    return PotentialForm(axis, np.asarray(coords), np.stack(mats))
+    """Read a 3x3 potential written by save_potential_csv. ValueError names
+    path:line for a line without eight fields, a token that is not a
+    finite number or an axis not x, y or the first line's, and path for a
+    file without data lines."""
+    def parse(fields, rows):
+        if len(fields) != 8:
+            raise ValueError(f"expected 8 comma-separated fields, got "
+                             f"{len(fields)}")
+        axis, vals = fields[0].strip(), _finite_numbers(fields[1:])
+        if rows and axis != rows[0][0]:
+            raise ValueError(f"axis {axis!r} differs from the first line's "
+                             f"{rows[0][0]!r}")
+        if axis not in ("x", "y"):
+            raise ValueError(f"unknown potential axis {axis!r}")
+        return axis, vals
+
+    rows = _read_rows(path, parse, ",")[1]
+    if not rows:
+        raise ValueError(f"{path}: holds no data lines")
+    vals = np.array([v for _, v in rows])
+    mats = np.zeros((len(rows), 3, 3))
+    mats[:, _ROWS, _COLS] = vals[:, 1:]
+    return PotentialForm(rows[0][0], vals[:, 0], mats)
 
 
 def save_potential2_csv(pot, path):
     """Write a 2x2 potential: axis, coordinate, re/im of both off-diagonal
-    entries, one line per axis node formatted by
-    `sinegordon._write_rows`."""
+    entries, one line per axis node formatted by `tables._write_rows`."""
     s01, s10 = pot.samples[:, 0, 1], pot.samples[:, 1, 0]
     table = np.column_stack([pot.coords, s01.real, s01.imag,
                              s10.real, s10.imag])
-    with open(path, "w") as fh:
-        fh.write("# axis,coord,re01,im01,re10,im10\n")
-        _write_rows(fh, table, head=f"{pot.axis},")
+    _write_file(path, dict(rows=table, head=f"{pot.axis},"),
+                text="# axis,coord,re01,im01,re10,im10\n")

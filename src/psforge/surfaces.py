@@ -18,7 +18,8 @@ import numpy as np
 from .errors import SingularAngle
 from .frames import _SUBSTEPS, ExtendedFrame, integrate_frame
 from .numerics import deriv4
-from .sinegordon import _check_nodes, _write_rows
+from .sinegordon import _check_nodes
+from .tables import _finite_numbers, _read_rows, _write_file
 
 __all__ = [
     "SurfaceGeometry", "HarmonicityReport", "fundamental_forms",
@@ -180,7 +181,7 @@ def export_mesh(points, path, mask=None):
 
     Vertices appear in row-major node order; each grid cell contributes
     two triangles. Faces touching a masked-out node are dropped. Both
-    blocks are tables formatted by `sinegordon._write_rows`. Points that
+    blocks are tables formatted by `tables._write_rows`. Points that
     are not a real (nx, ny, 3) array (the surface at complex lambda, say)
     and a mask of another shape than (nx, ny) raise ValueError before
     anything is written.
@@ -202,25 +203,22 @@ def export_mesh(points, path, mask=None):
     b = a + ny
     # two triangles (a, b, b + 1) and (a, b + 1, a + 1) per kept cell
     faces = np.stack([a, b, b + 1, a, b + 1, a + 1], axis=-1).reshape(-1, 3)
-    with open(path, "w") as fh:
-        _write_rows(fh, points.reshape(-1, 3), head="v ", sep=" ")
-        _write_rows(fh, faces, head="f ", sep=" ", ints=3)
+    _write_file(path, dict(rows=points.reshape(-1, 3), head="v ", sep=" "),
+                dict(rows=faces, head="f ", sep=" ", ints=3))
 
 
 def read_obj(path):
     """Parse vertices and faces back from an OBJ file (round-trip check);
-    a `v` or `f` line without three values raises ValueError (path:line)."""
-    verts, faces = [], []
-    with open(path) as fh:
-        for n, line in enumerate(fh, 1):
-            kind, *parts = line.split() or [""]
-            try:
-                if kind in ("v", "f") and len(parts) < 3:
-                    raise ValueError(f"'{kind}' line of {len(parts)} values")
-                if kind == "v":
-                    verts.append([float(v) for v in parts[:3]])
-                elif kind == "f":
-                    faces.append([int(v.split("/")[0]) for v in parts[:3]])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{n}: {exc}") from None
-    return np.asarray(verts), np.asarray(faces, dtype=int)
+    a `v` or `f` line without three values, or a `v` line whose values
+    are not finite, raises ValueError (path:line)."""
+    def parse(fields, rows):
+        kind, parts = fields[0], fields[1:]
+        if kind in ("v", "f") and len(parts) < 3:
+            raise ValueError(f"'{kind}' line of {len(parts)} values")
+        if kind == "f":
+            return kind, [int(v.split("/")[0]) for v in parts[:3]]
+        return kind, _finite_numbers(parts[:3]) if kind == "v" else None
+
+    rows = _read_rows(path, parse)[1]
+    return (np.asarray([v for k, v in rows if k == "v"]),
+            np.asarray([v for k, v in rows if k == "f"], dtype=int))

@@ -128,3 +128,21 @@ def test_lambda_is_checked_in_frames_only():
                and node.exc.args and _leading_text(
                    node.exc.args[0]).startswith("lambda must be")}
     assert raisers == {"frames"}, f"lambda checked outside frames: {raisers}"
+
+
+# the functions that open files outside tables: the JSON files and the
+# config reader; every CSV and OBJ file goes through tables
+_OPENERS = {"cli._write_json", "cli._load_config", "loops.save_loop_json",
+            "loops.load_loop_json"}
+
+
+def test_files_are_opened_in_tables_only():
+    # the text-table format has one home: no other module calls open(
+    # but the functions in _OPENERS
+    openers = {f"{name}.{getattr(top, 'name', '<module>')}"
+               for name, tree in _TREES.items() if name != "tables"
+               for top in tree.body for node in ast.walk(top)
+               if isinstance(node, ast.Call) and "open" in (
+                   getattr(node.func, "id", None),
+                   getattr(node.func, "attr", None))}
+    assert openers == _OPENERS, f"open( outside tables: {openers - _OPENERS}"

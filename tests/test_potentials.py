@@ -408,6 +408,16 @@ def test_potential_csv_round_trip(tmp_path, soliton):
     assert np.array_equal(back.samples, ex.samples)
 
 
+@pytest.mark.parametrize("text", ["", "# axis,coord,s12,s13,s23,s21,s31,s32\n"],
+                         ids=["empty", "header-only"])
+def test_potential_csv_rejects_file_without_data_lines(tmp_path, text):
+    path = tmp_path / "eta_x.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        load_potential_csv(path)
+    assert str(exc.value) == f"{path}: holds no data lines"
+
+
 def test_potential_csv_rejects_mixed_axes(tmp_path):
     path = tmp_path / "eta.csv"
     path.write_text("# axis,coord,s12,s13,s23,s21,s31,s32\n"

@@ -255,9 +255,11 @@ def test_export_mesh_counts(tmp_path):
 @pytest.mark.parametrize("line, message", [
     ("v 1 2", "'v' line of 2 values"), ("f 1 2", "'f' line of 2 values"),
     ("v 1 2 x", "could not convert string to float: 'x'"),
-    ("f 1 2 3.5", "invalid literal for int() with base 10: '3.5'")])
+    ("f 1 2 3.5", "invalid literal for int() with base 10: '3.5'"),
+    ("v nan 1 2", "non-finite value nan"), ("v inf 0 0", "non-finite value inf")])
 def test_read_obj_rejects_short_or_malformed_lines(tmp_path, line, message):
-    # a v or f line without three numbers is named by path:line
+    # a v or f line without three numbers, or a v line with a nan or inf,
+    # is named by path:line
     path = tmp_path / "m.obj"
     path.write_text("v 0 0 0\n\n" + line + "\n")
     with pytest.raises(ValueError) as exc:

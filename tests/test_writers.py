@@ -1,9 +1,11 @@
 """Every text writer gives the same bytes as its per-node reference in
 util.py, on a non-square grid and on values that stress %.17g; the table
 writer matches '%.17g' % v and '%d' % v on the edges of its numpy path;
-potential CSVs and OBJ meshes re-save to the bytes they were read from."""
+potential CSVs and OBJ meshes re-save to the bytes they were read from,
+and read_obj refuses a mesh with a non-finite vertex."""
 
 import io
+import re
 from decimal import Decimal
 from types import SimpleNamespace
 
@@ -13,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import util
-from psforge import sinegordon
+from psforge import tables
 from psforge.cli import _write_geometry_csv
 from psforge.potentials import (PotentialForm, load_potential_csv,
                                 save_potential2_csv, save_potential_csv)
@@ -80,7 +82,7 @@ def test_writer_bytes_equal_per_node_reference(tmp_path, monkeypatch, case,
                                                block):
     if block == "small":
         # many blocks with a partial last one
-        monkeypatch.setattr(sinegordon, "_BLOCK_VALUES", 100)
+        monkeypatch.setattr(tables, "_BLOCK_VALUES", 100)
     rng = np.random.default_rng(sum(map(ord, case)))
     new, ref = tmp_path / "new.txt", tmp_path / "ref.txt"
     _write_both(case, rng, new, ref)
@@ -122,7 +124,7 @@ def _numpy_path_edges(rng):
 @pytest.mark.parametrize("block", ["whole", "small"])
 def test_table_writer_numpy_path_edges(monkeypatch, block):
     if block == "small":
-        monkeypatch.setattr(sinegordon, "_BLOCK_VALUES", 100)
+        monkeypatch.setattr(tables, "_BLOCK_VALUES", 100)
     rng = np.random.default_rng(16)
     edges = _numpy_path_edges(rng)
     n = len(edges)
@@ -141,14 +143,14 @@ def test_table_writer_numpy_path_edges(monkeypatch, block):
                      (groups, {"head": "f ", "sep": " ", "ints": 2}),
                      ([[2 ** 63 - 1, -2 ** 63, 0]], {"ints": 3})):
         fh = io.StringIO()
-        sinegordon._write_rows(fh, rows, **kw)
+        tables._write_rows(fh, rows, **kw)
         assert fh.getvalue() == _ref_rows(rows, **kw)
 
 
 def test_table_writer_nan_in_int_column():
     # '%d' % nan raises, and so does the writer
     with pytest.raises(ValueError, match="cannot convert float NaN"):
-        sinegordon._write_rows(io.StringIO(), [[1.0, np.nan, 0.5]], ints=2)
+        tables._write_rows(io.StringIO(), [[1.0, np.nan, 0.5]], ints=2)
 
 
 _SPECIAL = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324,
@@ -181,6 +183,13 @@ def test_obj_mesh_export_read_export_byte_identical(tmp_path, nx, ny, data):
                                          max_size=3 * nx * ny)))
     a, b = tmp_path / "a.obj", tmp_path / "b.obj"
     export_mesh(points.reshape(nx, ny, 3), a)
+    bad = np.flatnonzero(~np.isfinite(points.reshape(-1, 3)).all(axis=1))
+    if bad.size:
+        # read_obj refuses the first vertex line with a nan or inf
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(a))}:"
+                                             rf"{bad[0] + 1}: non-finite"):
+            read_obj(a)
+        return
     verts, faces = read_obj(a)
     assert len(faces) == 2 * (nx - 1) * (ny - 1)
     export_mesh(verts.reshape(nx, ny, 3), b)
